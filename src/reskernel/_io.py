@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation
-from .temporal_kernel import MetricTensor, TimeSeries
+from .temporal_kernel import TimeSeries
 
 
 def fmt_float(x: float) -> str:
@@ -80,10 +80,6 @@ def write_time_series(series: TimeSeries, path) -> None:
     atomic_write_text(path, "\n".join(fmt_float(v) for v in series.values) + "\n")
 
 
-def write_metric_tensor_csv(tensor: MetricTensor, path) -> None:
-    write_csv(path, None, tensor.matrix)
-
-
 def write_motifs_csv(vectors: np.ndarray, weights: np.ndarray, path) -> None:
     """One motif per row: index, weight, then the motif components."""
     horizon = vectors.shape[1] if vectors.shape[0] else 0
@@ -119,7 +115,7 @@ _SWEEP_STAT_FIELDS = ("n_motifs", "cells_visited", "relative_area",
                       "weighted_relative_area", "discarded_points")
 
 
-def write_sweep_csv(reports, path, aggregate: bool = True) -> None:
+def write_sweep_csv(reports, path) -> None:
     """Sweep rows in canonical order, plus mean/std rows per configuration.
 
     Aggregate rows reuse the trial column with the labels ``mean`` and
@@ -131,15 +127,11 @@ def write_sweep_csv(reports, path, aggregate: bool = True) -> None:
         rows.append([r.nu, r.regime, r.input_kind, r.trial, r.n_motifs, r.cells_visited,
                      r.relative_area, r.weighted_relative_area, r.discarded_points])
         groups.setdefault((r.nu, r.regime, r.input_kind), []).append(r)
-    if aggregate:
-        for key in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
-            members = groups[key]
-            stats = {f: np.array([getattr(m, f) for m in members], dtype=float)
-                     for f in _SWEEP_STAT_FIELDS}
-            rows.append([key[0], key[1], key[2], "mean"]
-                        + [float(np.mean(stats[f])) for f in _SWEEP_STAT_FIELDS])
-            rows.append([key[0], key[1], key[2], "std"]
-                        + [float(np.std(stats[f])) for f in _SWEEP_STAT_FIELDS])
+    for key in sorted(groups):
+        stats = {f: np.array([getattr(m, f) for m in groups[key]], dtype=float)
+                 for f in _SWEEP_STAT_FIELDS}
+        rows.append([*key, "mean"] + [float(np.mean(stats[f])) for f in _SWEEP_STAT_FIELDS])
+        rows.append([*key, "std"] + [float(np.std(stats[f])) for f in _SWEEP_STAT_FIELDS])
     write_csv(path, SWEEP_HEADER, rows)
 
 

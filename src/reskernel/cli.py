@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,7 @@ from .motifs import (
 from .richness import SweepConfig, default_nu_grid, sweep
 from .temporal_kernel import (
     ReadoutModel,
-    TensorSource,
-    build_metric_tensor,
+    build_from_specs,
     kernel_eval,
     kernel_poly,
     readout_eval,
@@ -66,79 +66,85 @@ _INPUTS = {
     "periodic-bipolar": "periodic_bipolar",
 }
 
-_MODEL_DEFAULTS = {
-    "regime": "random",
-    "input": "gaussian",
-    "dist": "gaussian",
-    "N": 100,
-    "nu": 0.995,
-    "tau": None,
-    "ell": None,
-    "period": None,
-    "seed": 0,
-    "threshold": 1e-2,
-    "trials": None,
-    "out": ".",
-    "normalize": True,
-    "nu_grid": None,
-    "regimes": None,
-    "inputs": None,
+
+@dataclass(frozen=True)
+class _Key:
+    """One model option: value type, default, flag help and choices.
+
+    The flag is ``--key`` with dashes for underscores unless ``flag`` names
+    another; a bool key's flag is a switch that flips its default.
+    ``sweep_only`` keys have flags on ``sweep`` alone.  Every key is
+    accepted in every config file.
+    """
+
+    type: type
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+    flag: str | None = None
+    sweep_only: bool = False
+
+
+# The one table of model options, keyed by config key: the argparse flags,
+# the config-file coercion and the resolution all derive from it.
+_KEYS = {
+    "regime": _Key(str, "random", "reservoir regime", tuple(sorted(_REGIMES))),
+    "input": _Key(str, "gaussian", "input coupling kind", tuple(sorted(_INPUTS))),
+    "dist": _Key(str, cp.GAUSSIAN, "entry distribution for random regimes",
+                 tuple(sorted(cp.ENTRY_DISTRIBUTIONS))),
+    "N": _Key(int, 100, "state dimension"),
+    "nu": _Key(float, 0.995, "largest singular value target"),
+    "tau": _Key(int, None, "kernel horizon (default ell * N)"),
+    "ell": _Key(int, None, "horizon in multiples of N (default 2)"),
+    "period": _Key(int, None, "block length for periodic input kinds"),
+    "seed": _Key(int, 0, "base seed"),
+    "threshold": _Key(float, 1e-2, "motif retention ratio"),
+    "trials": _Key(int, None, "number of trials (default 1; sweep chooses by randomness)"),
+    "out": _Key(str, ".", "output directory"),
+    "normalize": _Key(bool, True, "skip unit normalization of the input coupling",
+                      flag="--no-unit-norm"),
+    "nu_grid": _Key(str, None, "lo:step:hi (default 0.90:0.005:1.00 plus reference points)",
+                    sweep_only=True),
+    "regimes": _Key(str, None, "comma list of regimes (default cycle,random)",
+                    sweep_only=True),
+    "inputs": _Key(str, None, "comma list of input kinds (default pi-signs)",
+                   sweep_only=True),
 }
 
-_KEY_TYPES = {
-    "regime": str, "input": str, "dist": str, "N": int, "nu": float, "tau": int,
-    "ell": int, "period": int, "seed": int, "threshold": float, "trials": int,
-    "out": str, "normalize": bool, "nu_grid": str, "regimes": str, "inputs": str,
-}
 
-# Flags copied verbatim into the resolved mapping when present.
-_PASSTHROUGH_FLAGS = ("regime", "input", "dist", "N", "nu", "tau", "ell", "period",
-                      "seed", "threshold", "trials", "out", "nu_grid", "regimes",
-                      "inputs")
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--regime", choices=sorted(_REGIMES), default=None,
-                        help="reservoir regime (default random)")
-    parser.add_argument("--input", choices=sorted(_INPUTS), default=None,
-                        help="input coupling kind (default gaussian)")
-    parser.add_argument("--dist", choices=sorted(cp.ENTRY_DISTRIBUTIONS), default=None,
-                        help="entry distribution for random regimes (default gaussian)")
-    parser.add_argument("--N", type=int, default=None, help="state dimension (default 100)")
-    parser.add_argument("--nu", type=float, default=None,
-                        help="largest singular value target (default 0.995)")
-    parser.add_argument("--tau", type=int, default=None,
-                        help="kernel horizon (default ell * N)")
-    parser.add_argument("--ell", type=int, default=None,
-                        help="horizon in multiples of N (default 2)")
-    parser.add_argument("--period", type=int, default=None,
-                        help="block length for periodic input kinds")
-    parser.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="motif retention ratio (default 1e-2)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="number of trials (default 1; sweep chooses by randomness)")
-    parser.add_argument("--out", default=None, help="output directory (default .)")
+def _add_model_flags(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
+    for key, spec in _KEYS.items():
+        if spec.sweep_only and not sweep:
+            continue
+        flag = spec.flag or "--" + key.replace("_", "-")
+        if spec.type is bool:
+            parser.add_argument(flag, dest=key, action="store_true", help=spec.help)
+        else:
+            shown = f" (default {spec.default})" if spec.default is not None else ""
+            parser.add_argument(flag, dest=key, type=spec.type, choices=spec.choices,
+                                default=None, help=spec.help + shown)
     parser.add_argument("--config", default=None, help="flat key = value config file")
-    parser.add_argument("--no-unit-norm", action="store_true",
-                        help="skip unit normalization of the input coupling")
 
 
 def _coerce(key: str, raw: str):
-    typ = _KEY_TYPES[key]
+    spec = _KEYS[key]
     try:
-        if typ is bool:
+        if spec.type is bool:
             lowered = raw.lower()
             if lowered in ("true", "yes", "1"):
                 return True
             if lowered in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = spec.type(raw)
     except ValueError as exc:
         raise UsageError(
-            f"config value for {key!r} is not a valid {typ.__name__}: {raw!r}"
+            f"config value for {key!r} is not a valid {spec.type.__name__}: {raw!r}"
         ) from exc
+    if spec.choices is not None and value not in spec.choices:
+        raise UsageError(f"config value for {key!r} must be one of "
+                         f"{', '.join(spec.choices)}: {raw!r}")
+    return value
 
 
 def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
@@ -147,28 +153,21 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
     Returns the resolved mapping and the set of keys the user provided
     explicitly (by flag or config file).
     """
-    resolved = dict(_MODEL_DEFAULTS)
+    resolved = {key: spec.default for key, spec in _KEYS.items()}
     provided: set[str] = set()
     if args.config:
         for key, raw in _io.parse_config_file(args.config).items():
-            if key not in _KEY_TYPES:
+            if key not in _KEYS:
                 raise UsageError(f"unknown config key {key!r}")
             resolved[key] = _coerce(key, raw)
             provided.add(key)
-    for key in _PASSTHROUGH_FLAGS:
+    for key, spec in _KEYS.items():
         value = getattr(args, key, None)
+        if spec.type is bool:  # a given switch flips the default
+            value = (not spec.default) if value else None
         if value is not None:
             resolved[key] = value
             provided.add(key)
-    if getattr(args, "no_unit_norm", False):
-        resolved["normalize"] = False
-        provided.add("normalize")
-    if resolved["regime"] not in _REGIMES:
-        raise UsageError(f"unknown regime {resolved['regime']!r}")
-    if resolved["input"] not in _INPUTS:
-        raise UsageError(f"unknown input kind {resolved['input']!r}")
-    if resolved["dist"] not in cp.ENTRY_DISTRIBUTIONS:
-        raise UsageError(f"unknown distribution {resolved['dist']!r}")
     return resolved, provided
 
 
@@ -179,7 +178,8 @@ def _horizon(resolved: dict) -> int:
     return ell * resolved["N"]
 
 
-def _specs(resolved: dict):
+def _materialize(resolved: dict, horizon: int, trial: int = 0):
+    """Reservoir, coupling and tensor of one trial under the resolved options."""
     kind = _INPUTS[resolved["input"]]
     res_spec = cp.ReservoirSpec(regime=_REGIMES[resolved["regime"]], size=resolved["N"],
                                 nu=resolved["nu"], distribution=resolved["dist"])
@@ -188,17 +188,8 @@ def _specs(resolved: dict):
         period=resolved["period"] if kind.startswith("periodic") else None,
         normalize_unit=resolved["normalize"],
     )
-    return res_spec, in_spec
-
-
-def _materialize(resolved: dict, trial: int):
-    res_spec, in_spec = _specs(resolved)
-    seed = cp.mix_seed(resolved["seed"], 0, trial)
-    reservoir = cp.generate_reservoir(res_spec, seed)
-    coupling_vec = cp.generate_input(in_spec, seed)
-    tensor = build_metric_tensor(reservoir, coupling_vec, _horizon(resolved),
-                                 source=TensorSource(res_spec, in_spec, seed))
-    return reservoir, coupling_vec, tensor
+    return build_from_specs(res_spec, in_spec, horizon,
+                            cp.trial_seed(resolved["seed"], trial))
 
 
 def _outdir(resolved: dict) -> Path:
@@ -216,7 +207,7 @@ def cmd_motifs(args) -> int:
     weight_runs = []
     first = None
     for trial in range(trials):
-        _, _, tensor = _materialize(resolved, trial)
+        _, _, tensor = _materialize(resolved, _horizon(resolved), trial)
         motif_set = extract_motifs(tensor, resolved["threshold"])
         weight_runs.append(np.sqrt(motif_set.spectrum))
         if trial == 0:
@@ -256,7 +247,7 @@ def _prediction_for(resolved: dict, reservoir, coupling_vec, horizon: int):
 def cmd_predict(args) -> int:
     resolved, _ = _resolve(args)
     out = _outdir(resolved)
-    reservoir, coupling_vec, tensor = _materialize(resolved, 0)
+    reservoir, coupling_vec, tensor = _materialize(resolved, _horizon(resolved))
     empirical = extract_motifs(tensor, resolved["threshold"])
     prediction = _prediction_for(resolved, reservoir, coupling_vec, tensor.horizon)
     _io.write_motifs_csv(prediction.vectors, prediction.weights,
@@ -394,12 +385,7 @@ def cmd_kernel(args) -> int:
         raise UsageError(f"time series horizons differ: {u.horizon} vs {v.horizon}")
     if (args.offset is None) != (args.degree is None):
         raise UsageError("--offset and --degree must be given together")
-    res_spec, in_spec = _specs(resolved)
-    seed = cp.Seed(resolved["seed"])
-    reservoir = cp.generate_reservoir(res_spec, seed)
-    coupling_vec = cp.generate_input(in_spec, seed)
-    tensor = build_metric_tensor(reservoir, coupling_vec, u.horizon,
-                                 source=TensorSource(res_spec, in_spec, seed))
+    _, _, tensor = _materialize(resolved, u.horizon)
     rows = [["kernel", kernel_eval(tensor, u, v)]]
     if args.offset is not None:
         rows.append(["kernel_poly", kernel_poly(tensor, u, v, args.offset, args.degree)])
@@ -430,13 +416,7 @@ def build_parser() -> _Parser:
     p_predict.set_defaults(func=cmd_predict)
 
     p_sweep = sub.add_parser("sweep", help="richness sweep over a nu grid")
-    _add_model_flags(p_sweep)
-    p_sweep.add_argument("--nu-grid", dest="nu_grid", default=None,
-                         help="lo:step:hi (default 0.90:0.005:1.00 plus reference points)")
-    p_sweep.add_argument("--regimes", default=None,
-                         help="comma list of regimes (default cycle,random)")
-    p_sweep.add_argument("--inputs", default=None,
-                         help="comma list of input kinds (default pi-signs)")
+    _add_model_flags(p_sweep, sweep=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
@@ -475,10 +455,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ContractViolation as exc:
+    except (UsageError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, PsdViolationError) as exc:

@@ -104,6 +104,17 @@ def mix_seed(base: int, *keys: int) -> Seed:
     return Seed(int(seq.generate_state(1, np.uint64)[0]))
 
 
+def trial_seed(base: int, trial: int) -> Seed:
+    """The seed of trial ``trial`` under base seed ``base``: ``mix_seed(base, 0, trial)``.
+
+    This is the one rule by which every command turns ``--seed`` into a
+    reservoir and a coupling, so the same base seed gives the same draw in
+    ``motifs``, ``predict`` and ``kernel`` (trial 0), and trial ``t`` of a
+    sweep gets the same draw at every ``nu``.
+    """
+    return mix_seed(base, 0, trial)
+
+
 def _rng(seed: Seed, domain: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed.base, domain))))
 

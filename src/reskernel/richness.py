@@ -19,7 +19,7 @@ from . import coupling as cp
 from .errors import ContractViolation
 from .motifs import MotifSet, extract_motifs
 from .numerics import dft
-from .temporal_kernel import TensorSource, build_metric_tensor
+from .temporal_kernel import build_from_specs
 
 
 @dataclass(frozen=True)
@@ -137,16 +137,6 @@ def grid_summary(cloud: CoefficientCloud, grid: GridSpec = DEFAULT_GRID) -> Grid
     )
 
 
-def relative_area(cloud: CoefficientCloud, grid: GridSpec = DEFAULT_GRID) -> float:
-    """Fraction of grid cells visited by at least one coefficient."""
-    return grid_summary(cloud, grid).relative_area
-
-
-def weighted_relative_area(cloud: CoefficientCloud, grid: GridSpec = DEFAULT_GRID) -> float:
-    """Coverage with visited cells weighted by their mean point weight."""
-    return grid_summary(cloud, grid).weighted_relative_area
-
-
 def default_nu_grid() -> tuple[float, ...]:
     """The sweep grid: 0.90 to 1.00 in steps of 0.005, with the reference
     points 0.96, 0.99, 0.996 and 1.0 always present."""
@@ -230,19 +220,20 @@ def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessRe
     """Run the richness sweep and return reports in canonical order.
 
     For every grid value of ``nu``, regime, and input kind the configured
-    number of trials is run; trial ``t`` at the ``i``-th grid value uses
-    the derived seed ``mix_seed(base_seed, i, t)``.  Reports are sorted by
-    (nu, regime, input_kind, trial).
+    number of trials is run; trial ``t`` uses ``trial_seed(base_seed, t)``
+    at every ``nu``, so the curve of one trial follows one raw draw and
+    adding a grid value leaves the other rows unchanged.  Reports are
+    sorted by (nu, regime, input_kind, trial).
     """
     nu_values = tuple(sorted(set(config.nu_values)))
     horizon = config.horizon if config.horizon is not None else 2 * config.state_dim
     reports: list[RichnessReport] = []
-    for nu_index, nu in enumerate(nu_values):
+    for nu in nu_values:
         for regime in config.regimes:
             for kind in config.input_kinds:
                 n_trials = trial_count(regime, kind, config.trials)
                 for trial in range(n_trials):
-                    seed = cp.mix_seed(config.base_seed, nu_index, trial)
+                    seed = cp.trial_seed(config.base_seed, trial)
                     res_spec = cp.ReservoirSpec(
                         regime=regime, size=config.state_dim, nu=nu,
                         distribution=config.distribution,
@@ -252,12 +243,7 @@ def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessRe
                         period=config.period if kind.startswith("periodic") else None,
                         normalize_unit=config.normalize_unit,
                     )
-                    reservoir = cp.generate_reservoir(res_spec, seed)
-                    coupling_vec = cp.generate_input(in_spec, seed)
-                    tensor = build_metric_tensor(
-                        reservoir, coupling_vec, horizon,
-                        source=TensorSource(res_spec, in_spec, seed),
-                    )
+                    _, _, tensor = build_from_specs(res_spec, in_spec, horizon, seed)
                     motif_set = extract_motifs(tensor, config.threshold_ratio)
                     summary = grid_summary(coefficient_cloud(motif_set), grid)
                     reports.append(RichnessReport(

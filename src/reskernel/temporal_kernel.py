@@ -20,11 +20,17 @@ zero; see :func:`kernel_error_bounds`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import InputCouplingSpec, ReservoirSpec, Seed
+from .coupling import (
+    InputCouplingSpec,
+    ReservoirSpec,
+    Seed,
+    generate_input,
+    generate_reservoir,
+)
 from .errors import ContractViolation
 
 
@@ -66,27 +72,15 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class TensorSource:
-    """Provenance of a metric tensor built through the generator pipeline."""
-
-    reservoir: ReservoirSpec
-    coupling: InputCouplingSpec
-    seed: Seed
-
-
-@dataclass(frozen=True)
 class MetricTensor:
     """The horizon-``tau`` kernel matrix of one reservoir.
 
-    ``matrix`` is exactly symmetric by construction.  ``source`` is optional
-    provenance, attached when the tensor was built from generation recipes
-    rather than raw arrays.
+    ``matrix`` is exactly symmetric by construction.
     """
 
     matrix: np.ndarray
     horizon: int
     state_dim: int
-    source: TensorSource | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -132,13 +126,7 @@ def simulate_state(reservoir, coupling, series: TimeSeries, initial_state=None) 
     return x
 
 
-def feature_map(reservoir, coupling, series: TimeSeries) -> np.ndarray:
-    """State reached from the zero initial state; linear in the history."""
-    return simulate_state(reservoir, coupling, series, initial_state=None)
-
-
-def build_metric_tensor(reservoir, coupling, horizon: int,
-                        source: TensorSource | None = None) -> MetricTensor:
+def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
     """Assemble the kernel matrix for a reservoir over a given horizon.
 
     Columns ``W^(i-1) w`` are built by the recurrence ``col_i = W col_(i-1)``
@@ -167,7 +155,16 @@ def build_metric_tensor(reservoir, coupling, horizon: int,
     gram = phi.T @ phi
     upper = np.triu(gram)
     matrix = upper + np.triu(gram, 1).T
-    return MetricTensor(matrix=matrix, horizon=horizon, state_dim=n, source=source)
+    return MetricTensor(matrix=matrix, horizon=horizon, state_dim=n)
+
+
+def build_from_specs(reservoir_spec: ReservoirSpec, coupling_spec: InputCouplingSpec,
+                     horizon: int, seed: Seed) -> tuple[np.ndarray, np.ndarray, MetricTensor]:
+    """Generate the reservoir and input coupling of ``seed`` and build their
+    metric tensor; returns ``(reservoir, coupling, tensor)``."""
+    reservoir = generate_reservoir(reservoir_spec, seed)
+    coupling = generate_input(coupling_spec, seed)
+    return reservoir, coupling, build_metric_tensor(reservoir, coupling, horizon)
 
 
 def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:

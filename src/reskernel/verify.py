@@ -26,10 +26,8 @@ from .numerics import SYMMETRY_ATOL, numerical_rank, sym_eig
 from .temporal_kernel import (
     BoundParams,
     MetricTensor,
-    TensorSource,
     TimeSeries,
-    build_metric_tensor,
-    feature_map,
+    build_from_specs,
     initial_state_radius,
     kernel_error_bounds,
     kernel_eval,
@@ -77,15 +75,12 @@ def _sample_config(rng: np.random.Generator, max_state_dim: int, max_horizon: in
 
 
 def _build(res_spec, in_spec, horizon, seed, tamper: Tamper | None):
-    reservoir = cp.generate_reservoir(res_spec, seed)
-    coupling_vec = cp.generate_input(in_spec, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tensor = build_metric_tensor(reservoir, coupling_vec, horizon,
-                                     source=TensorSource(res_spec, in_spec, seed))
+        reservoir, coupling_vec, tensor = build_from_specs(res_spec, in_spec, horizon, seed)
     if tamper is not None:
         tensor = MetricTensor(matrix=tamper(tensor.matrix.copy()), horizon=tensor.horizon,
-                              state_dim=tensor.state_dim, source=tensor.source)
+                              state_dim=tensor.state_dim)
     return reservoir, coupling_vec, tensor
 
 
@@ -124,9 +119,8 @@ def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
             u = TimeSeries(sampler.uniform(-1.0, 1.0, horizon))
             v = TimeSeries(sampler.uniform(-1.0, 1.0, horizon))
             through_tensor = kernel_eval(tensor, u, v)
-            through_states = float(
-                feature_map(reservoir, coupling_vec, u) @ feature_map(reservoir, coupling_vec, v)
-            )
+            through_states = float(simulate_state(reservoir, coupling_vec, u)
+                                   @ simulate_state(reservoir, coupling_vec, v))
             tol = EQUIVALENCE_RTOL * max(1.0, abs(through_tensor))
             ratio = abs(through_tensor - through_states) / tol
             checked += 1
@@ -229,8 +223,8 @@ def run_initial_state_error_containment(trials: int = 50, state_dim: int = 50,
         x0 = direction * (radius / float(np.linalg.norm(direction)))
         from_x0 = float(simulate_state(reservoir, coupling_vec, u, x0)
                         @ simulate_state(reservoir, coupling_vec, v, x0))
-        from_zero = float(feature_map(reservoir, coupling_vec, u)
-                          @ feature_map(reservoir, coupling_vec, v))
+        from_zero = float(simulate_state(reservoir, coupling_vec, u)
+                          @ simulate_state(reservoir, coupling_vec, v))
         err = from_x0 - from_zero
         margin = min(err - lower, upper - err)
         if margin < worst_margin:

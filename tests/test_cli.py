@@ -1,6 +1,8 @@
 """Command-line interface: outputs, config handling, and exit codes."""
 
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ import pytest
 from reskernel import (
     ContractViolation,
     PsdViolationError,
-    Seed,
     TimeSeries,
     build_metric_tensor,
+    extract_motifs,
     kernel_eval,
 )
 from reskernel import _io
@@ -312,7 +314,7 @@ def test_kernel_command_matches_library_evaluation(tmp_path, capsys):
     assert code == 0
     rows = read_rows(out / "kernel.csv")
     values = {r[0]: float(r[1]) for r in rows[1:]}
-    seed = Seed(9)
+    seed = cp.mix_seed(9, 0, 0)
     res = cp.generate_reservoir(
         cp.ReservoirSpec(regime="cycle_permutation", size=3, nu=0.8), seed)
     coup = cp.generate_input(
@@ -430,3 +432,177 @@ def test_out_directory_contains_no_temp_leftovers(tmp_path, capsys):
     assert code == 0
     names = sorted(p.name for p in out.iterdir())
     assert names == ["motifs.csv", "weights.csv"]
+
+
+# ---------------------------------------------------------------------------
+# option table: flags, config keys and edge cases
+# ---------------------------------------------------------------------------
+
+_REGIME_ALIASES = ("cycle", "random", "symmetric")
+_INPUT_ALIASES = ("e-signs", "gaussian", "ones-random-signs", "periodic-binary",
+                  "periodic-bipolar", "pi-signs", "uniform")
+
+# Option string -> (value type, default, choices); a type of None marks a
+# switch that takes no value.
+_MODEL_FLAGS = {
+    "--regime": ("str", None, _REGIME_ALIASES),
+    "--input": ("str", None, _INPUT_ALIASES),
+    "--dist": ("str", None, ("gaussian", "rademacher", "uniform")),
+    "--N": ("int", None, None),
+    "--nu": ("float", None, None),
+    "--tau": ("int", None, None),
+    "--ell": ("int", None, None),
+    "--period": ("int", None, None),
+    "--seed": ("int", None, None),
+    "--threshold": ("float", None, None),
+    "--trials": ("int", None, None),
+    "--out": ("str", None, None),
+    "--config": ("str", None, None),
+    "--no-unit-norm": (None, False, None),
+}
+
+_PARSER_SNAPSHOT = {
+    "motifs": dict(_MODEL_FLAGS),
+    "predict": dict(_MODEL_FLAGS),
+    "sweep": {
+        **_MODEL_FLAGS,
+        "--nu-grid": ("str", None, None),
+        "--regimes": ("str", None, None),
+        "--inputs": ("str", None, None),
+    },
+    "verify": {
+        **_MODEL_FLAGS,
+        "--configs": ("int", 100, None),
+        "--spectrum-configs": ("int", 60, None),
+        "--containment-trials": ("int", 50, None),
+        "--inject-asymmetry": (None, False, None),
+    },
+    "kernel": {
+        **_MODEL_FLAGS,
+        "u_file": ("str", None, None),
+        "v_file": ("str", None, None),
+        "--offset": ("float", None, None),
+        "--degree": ("int", None, None),
+        "--support": ("str", None, None),
+        "--coeff": ("float", None, None),
+        "--bias": ("float", 0.0, None),
+    },
+}
+
+
+def _subparser_options(name):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {}
+    for action in sub.choices[name]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        assert len(action.option_strings) <= 1
+        key = action.option_strings[0] if action.option_strings else action.dest
+        value_type = None if action.nargs == 0 else (action.type or str).__name__
+        choices = tuple(action.choices) if action.choices else None
+        options[key] = (value_type, action.default, choices)
+    return options
+
+
+@pytest.mark.parametrize("command", sorted(_PARSER_SNAPSHOT))
+def test_parser_options_match_the_snapshot(command):
+    assert _subparser_options(command) == _PARSER_SNAPSHOT[command]
+
+
+def _readme_config_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("###", 1)[0]
+    listing = section.split("Keys are the long flag names (", 1)[1].split(")", 1)[0]
+    return [key.strip("` \n") for key in listing.split(",")]
+
+
+def test_every_readme_config_key_is_accepted(tmp_path, capsys):
+    values = {
+        "regime": "cycle", "input": "pi-signs", "dist": "uniform", "N": "4",
+        "nu": "0.9", "tau": "8", "ell": "2", "period": "2", "seed": "3",
+        "threshold": "0.01", "trials": "1", "out": str(tmp_path / "out"),
+        "normalize": "false", "nu_grid": "0.9:0.05:1.0", "regimes": "cycle",
+        "inputs": "pi-signs",
+    }
+    keys = _readme_config_keys()
+    assert sorted(keys) == sorted(values)
+    conf = tmp_path / "all.conf"
+    conf.write_text("".join(f"{key} = {values[key]}\n" for key in keys))
+    for command in ("motifs", "predict", "sweep"):
+        code, _, stderr = run_cli(capsys, command, "--config", str(conf))
+        assert code == 0, stderr
+    rows = read_rows(tmp_path / "out" / "sweep.csv")
+    assert len(rows) == 1 + 3 * 3  # three nu values: one trial, a mean and a std row
+
+
+@pytest.mark.parametrize("argv, warns", [
+    (["motifs", "--N", "1", "--regime", "random"], False),
+    (["motifs", "--N", "1", "--regime", "symmetric"], False),
+    (["motifs", "--N", "1", "--regime", "cycle"], False),
+    (["motifs", "--regime", "cycle", "--input", "pi-signs", "--N", "4", "--nu", "1",
+      "--tau", "400"], False),
+    (["motifs", "--N", "10", "--tau", "5"], True),
+    (["motifs", "--N", "6", "--threshold", "1e-300"], False),
+])
+def test_edge_cases_run_cleanly(tmp_path, capsys, argv, warns):
+    argv = argv + ["--out", str(tmp_path / "edge")]
+    if warns:
+        with pytest.warns(UserWarning, match="below the state dimension"):
+            code, _, stderr = run_cli(capsys, *argv)
+    else:
+        code, _, stderr = run_cli(capsys, *argv)
+    assert code == 0, stderr
+    assert (tmp_path / "edge" / "motifs.csv").exists()
+
+
+def test_kernel_on_an_empty_series_file_is_a_usage_failure(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, _, stderr = run_cli(capsys, "kernel", str(empty), str(empty),
+                              "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert "holds no samples" in stderr
+
+
+# ---------------------------------------------------------------------------
+# seed rule: trial t of base seed s is drawn from mix_seed(s, 0, t)
+# ---------------------------------------------------------------------------
+
+def test_kernel_and_motifs_draw_the_same_random_reservoir(tmp_path, capsys):
+    u_file = tmp_path / "u.txt"
+    v_file = tmp_path / "v.txt"
+    _write_series(u_file, [1.0, -0.5, 0.25])
+    _write_series(v_file, [0.5, 0.5, -1.0])
+    model = ["--regime", "random", "--input", "gaussian", "--N", "3", "--seed", "5"]
+    code, _, _ = run_cli(capsys, "kernel", str(u_file), str(v_file), *model,
+                         "--out", str(tmp_path / "k"))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "motifs", *model, "--tau", "3",
+                         "--out", str(tmp_path / "m"))
+    assert code == 0
+    seed = cp.mix_seed(5, 0, 0)
+    res = cp.generate_reservoir(
+        cp.ReservoirSpec(regime="random_iid", size=3, nu=0.995), seed)
+    coup = cp.generate_input(cp.InputCouplingSpec(kind="gaussian", size=3), seed)
+    tensor = build_metric_tensor(res, coup, 3)
+    expected = kernel_eval(tensor, TimeSeries(np.array([1.0, -0.5, 0.25])),
+                           TimeSeries(np.array([0.5, 0.5, -1.0])))
+    kernel_rows = read_rows(tmp_path / "k" / "kernel.csv")
+    assert kernel_rows[1] == ["kernel", _io.fmt_float(expected)]
+    weights = [float(r[1]) for r in read_rows(tmp_path / "m" / "weights.csv")[1:]]
+    assert weights == list(np.sqrt(extract_motifs(tensor).spectrum))
+
+
+def test_sweep_trials_keep_their_draw_when_the_nu_grid_grows(tmp_path, capsys):
+    rows = {}
+    for grid in ("0.95:0.02:0.97", "0.95:0.01:0.97"):
+        out = tmp_path / grid.replace(":", "_")
+        code, _, _ = run_cli(capsys, "sweep", "--regimes", "random", "--trials", "3",
+                             "--N", "8", "--nu-grid", grid, "--out", str(out))
+        assert code == 0
+        rows[grid] = [r for r in read_rows(out / "sweep.csv")[1:]
+                      if float(r[0]) in (0.95, 0.97)]
+    coarse, fine = rows.values()
+    assert len(coarse) == 2 * (3 + 2)
+    assert coarse == fine

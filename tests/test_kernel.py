@@ -15,7 +15,6 @@ from reskernel import (
     Seed,
     TimeSeries,
     build_metric_tensor,
-    feature_map,
     initial_state_radius,
     kernel_error_bounds,
     kernel_eval,
@@ -55,7 +54,7 @@ def test_time_series_rejects_malformed_values(bad):
 
 
 # ---------------------------------------------------------------------------
-# simulate_state / feature_map
+# simulate_state
 # ---------------------------------------------------------------------------
 
 def test_single_step_state_is_scaled_coupling():
@@ -82,14 +81,14 @@ def test_simulate_state_matches_matrix_power_oracle():
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_feature_map_on_unit_impulses():
+def test_simulate_state_on_unit_impulses():
     res, coup = _random_pair(5, 0.7, 3)
     e1 = np.zeros(3)
     e1[0] = 1.0
     e2 = np.zeros(3)
     e2[1] = 1.0
-    assert np.allclose(feature_map(res, coup, TimeSeries(e1)), coup, atol=1e-15)
-    assert np.allclose(feature_map(res, coup, TimeSeries(e2)), res @ coup,
+    assert np.allclose(simulate_state(res, coup, TimeSeries(e1)), coup, atol=1e-15)
+    assert np.allclose(simulate_state(res, coup, TimeSeries(e2)), res @ coup,
                        atol=1e-15)
 
 
@@ -97,14 +96,14 @@ def test_feature_map_on_unit_impulses():
 @given(st.floats(min_value=-5.0, max_value=5.0),
        st.floats(min_value=-5.0, max_value=5.0),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_feature_map_is_linear(alpha, beta, seed):
+def test_simulate_state_is_linear(alpha, beta, seed):
     rng = np.random.default_rng(seed)
     res, coup = _random_pair(4, 0.8, seed % 7)
     u = rng.normal(size=6)
     v = rng.normal(size=6)
-    combined = feature_map(res, coup, TimeSeries(alpha * u + beta * v))
-    split = (alpha * feature_map(res, coup, TimeSeries(u))
-             + beta * feature_map(res, coup, TimeSeries(v)))
+    combined = simulate_state(res, coup, TimeSeries(alpha * u + beta * v))
+    split = (alpha * simulate_state(res, coup, TimeSeries(u))
+             + beta * simulate_state(res, coup, TimeSeries(v)))
     scale = max(1.0, np.max(np.abs(split)))
     assert np.max(np.abs(combined - split)) <= 1e-12 * scale
 
@@ -189,8 +188,8 @@ def test_kernel_equals_feature_inner_product():
         u = rng.normal(size=14)
         v = rng.normal(size=14)
         k = kernel_eval(tensor, TimeSeries(u), TimeSeries(v))
-        inner = float(feature_map(res, coup, TimeSeries(u))
-                      @ feature_map(res, coup, TimeSeries(v)))
+        inner = float(simulate_state(res, coup, TimeSeries(u))
+                      @ simulate_state(res, coup, TimeSeries(v)))
         assert abs(k - inner) <= 1e-10 * max(1.0, abs(k))
 
 
