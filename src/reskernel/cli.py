@@ -69,52 +69,58 @@ _INPUTS = {
 
 @dataclass(frozen=True)
 class _Key:
-    """One model option: value type, default, flag help and choices.
+    """One model option: value type, default, flag help, the commands that
+    read it, and choices.
 
     The flag is ``--key`` with dashes for underscores unless ``flag`` names
-    another; a bool key's flag is a switch that flips its default.
-    ``sweep_only`` keys have flags on ``sweep`` alone.  Every key is
-    accepted in every config file.
+    another; a bool key's flag is a switch that flips its default.  Only the
+    commands in ``commands`` get the flag, so a flag a command would ignore
+    is a usage error there.  Every key is accepted in every config file,
+    because one file can describe an experiment that several commands read.
     """
 
     type: type
     default: object
     help: str
+    commands: tuple[str, ...]
     choices: tuple[str, ...] | None = None
     flag: str | None = None
-    sweep_only: bool = False
 
+
+_BUILDERS = ("motifs", "predict", "sweep", "kernel")  # commands that build tensors
+_EXTRACTORS = ("motifs", "predict", "sweep")  # extract motifs at a chosen horizon
 
 # The one table of model options, keyed by config key: the argparse flags,
 # the config-file coercion and the resolution all derive from it.
 _KEYS = {
-    "regime": _Key(str, "random", "reservoir regime", tuple(sorted(_REGIMES))),
-    "input": _Key(str, "gaussian", "input coupling kind", tuple(sorted(_INPUTS))),
-    "dist": _Key(str, cp.GAUSSIAN, "entry distribution for random regimes",
+    "regime": _Key(str, "random", "reservoir regime", _BUILDERS, tuple(sorted(_REGIMES))),
+    "input": _Key(str, "gaussian", "input coupling kind", _BUILDERS, tuple(sorted(_INPUTS))),
+    "dist": _Key(str, cp.GAUSSIAN, "entry distribution for random regimes", _BUILDERS,
                  tuple(sorted(cp.ENTRY_DISTRIBUTIONS))),
-    "N": _Key(int, 100, "state dimension"),
-    "nu": _Key(float, 0.995, "largest singular value target"),
-    "tau": _Key(int, None, "kernel horizon (default ell * N)"),
-    "ell": _Key(int, None, "horizon in multiples of N (default 2)"),
-    "period": _Key(int, None, "block length for periodic input kinds"),
-    "seed": _Key(int, 0, "base seed"),
-    "threshold": _Key(float, 1e-2, "motif retention ratio"),
-    "trials": _Key(int, None, "number of trials (default 1; sweep chooses by randomness)"),
-    "out": _Key(str, ".", "output directory"),
-    "normalize": _Key(bool, True, "skip unit normalization of the input coupling",
+    "N": _Key(int, 100, "state dimension", _BUILDERS),
+    "nu": _Key(float, 0.995, "largest singular value target", ("motifs", "predict", "kernel")),
+    "tau": _Key(int, None, "kernel horizon (default ell * N)", _EXTRACTORS),
+    "ell": _Key(int, None, "horizon in multiples of N (default 2)", _EXTRACTORS),
+    "period": _Key(int, None, "block length for periodic input kinds", _BUILDERS),
+    "seed": _Key(int, 0, "base seed", _BUILDERS + ("verify",)),
+    "threshold": _Key(float, 1e-2, "motif retention ratio", _EXTRACTORS),
+    "trials": _Key(int, None, "number of trials (default 1; sweep chooses by randomness)",
+                   ("motifs", "sweep")),
+    "out": _Key(str, ".", "output directory", _BUILDERS + ("verify",)),
+    "normalize": _Key(bool, True, "skip unit normalization of the input coupling", _BUILDERS,
                       flag="--no-unit-norm"),
     "nu_grid": _Key(str, None, "lo:step:hi (default 0.90:0.005:1.00 plus reference points)",
-                    sweep_only=True),
-    "regimes": _Key(str, None, "comma list of regimes (default cycle,random)",
-                    sweep_only=True),
-    "inputs": _Key(str, None, "comma list of input kinds (default pi-signs)",
-                   sweep_only=True),
+                    ("sweep",)),
+    "regimes": _Key(str, None, "comma list of regimes (default cycle,random)", ("sweep",)),
+    "inputs": _Key(str, None, "comma list of input kinds (default pi-signs)", ("sweep",)),
 }
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
+def _add_command(sub, command: str, help: str, func) -> argparse.ArgumentParser:
+    """Add the subcommand ``command`` with the model flags it reads."""
+    parser = sub.add_parser(command, help=help)
     for key, spec in _KEYS.items():
-        if spec.sweep_only and not sweep:
+        if command not in spec.commands:
             continue
         flag = spec.flag or "--" + key.replace("_", "-")
         if spec.type is bool:
@@ -124,6 +130,8 @@ def _add_model_flags(parser: argparse.ArgumentParser, sweep: bool = False) -> No
             parser.add_argument(flag, dest=key, type=spec.type, choices=spec.choices,
                                 default=None, help=spec.help + shown)
     parser.add_argument("--config", default=None, help="flat key = value config file")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _coerce(key: str, raw: str):
@@ -336,7 +344,7 @@ def cmd_sweep(args) -> int:
         regimes=regimes,
         input_kinds=kinds,
         state_dim=resolved["N"],
-        horizon=resolved["tau"],
+        horizon=_horizon(resolved),
         period=resolved["period"],
         threshold_ratio=resolved["threshold"],
         trials=resolved["trials"],
@@ -407,20 +415,11 @@ def build_parser() -> _Parser:
                      description="Temporal kernels and motifs of linear reservoirs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_motifs = sub.add_parser("motifs", help="extract motifs and write CSV files")
-    _add_model_flags(p_motifs)
-    p_motifs.set_defaults(func=cmd_motifs)
+    _add_command(sub, "motifs", "extract motifs and write CSV files", cmd_motifs)
+    _add_command(sub, "predict", "closed-form motif predictions", cmd_predict)
+    _add_command(sub, "sweep", "richness sweep over a nu grid", cmd_sweep)
 
-    p_predict = sub.add_parser("predict", help="closed-form motif predictions")
-    _add_model_flags(p_predict)
-    p_predict.set_defaults(func=cmd_predict)
-
-    p_sweep = sub.add_parser("sweep", help="richness sweep over a nu grid")
-    _add_model_flags(p_sweep, sweep=True)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="run the property suites")
-    _add_model_flags(p_verify)
+    p_verify = _add_command(sub, "verify", "run the property suites", cmd_verify)
     p_verify.add_argument("--configs", type=int, default=100,
                           help="configurations for the equivalence suite")
     p_verify.add_argument("--spectrum-configs", type=int, default=60,
@@ -430,10 +429,9 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--inject-asymmetry", action="store_true",
                           help="negative control: tamper with built tensors "
                                "so the suites must fail")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_kernel = sub.add_parser("kernel", help="evaluate kernels on time-series files")
-    _add_model_flags(p_kernel)
+    p_kernel = _add_command(sub, "kernel", "evaluate kernels on time-series files",
+                            cmd_kernel)
     p_kernel.add_argument("u_file", help="time series file, one sample per line, "
                                          "most recent first")
     p_kernel.add_argument("v_file", help="second time series file")
@@ -446,7 +444,6 @@ def build_parser() -> _Parser:
     p_kernel.add_argument("--coeff", action="append", type=float, default=None,
                           help="readout coefficient, one per --support")
     p_kernel.add_argument("--bias", type=float, default=0.0, help="readout bias")
-    p_kernel.set_defaults(func=cmd_kernel)
     return parser
 
 

@@ -124,9 +124,16 @@ def _sample(rng: np.random.Generator, distribution: str, shape) -> np.ndarray:
         return rng.standard_normal(shape)
     if distribution == UNIFORM:
         return rng.uniform(-1.0, 1.0, shape)
-    if distribution == RADEMACHER:
-        return 2.0 * rng.integers(0, 2, shape).astype(float) - 1.0
-    raise ContractViolation(f"unknown entry distribution {distribution!r}")
+    return 2.0 * rng.integers(0, 2, shape).astype(float) - 1.0  # rademacher
+
+
+def _check_draw(regime: str, size: int, distribution: str) -> None:
+    if regime not in RESERVOIR_REGIMES:
+        raise ContractViolation(f"unknown reservoir regime {regime!r}")
+    if not isinstance(size, int) or size < 1:
+        raise ContractViolation("reservoir size must be a positive integer")
+    if distribution not in ENTRY_DISTRIBUTIONS:
+        raise ContractViolation(f"unknown entry distribution {distribution!r}")
 
 
 @dataclass(frozen=True)
@@ -153,14 +160,9 @@ class ReservoirSpec:
     distribution: str = GAUSSIAN
 
     def __post_init__(self):
-        if self.regime not in RESERVOIR_REGIMES:
-            raise ContractViolation(f"unknown reservoir regime {self.regime!r}")
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ContractViolation("reservoir size must be a positive integer")
+        _check_draw(self.regime, self.size, self.distribution)
         if not np.isfinite(self.nu) or not (0.0 < self.nu <= 1.0):
             raise ContractViolation("nu must lie in (0, 1]")
-        if self.distribution not in ENTRY_DISTRIBUTIONS:
-            raise ContractViolation(f"unknown entry distribution {self.distribution!r}")
 
 
 @dataclass(frozen=True)
@@ -211,30 +213,34 @@ def irrational_bits(constant: str, count: int) -> np.ndarray:
     return np.array(table[:count], dtype=np.int64)
 
 
-def generate_reservoir(spec: ReservoirSpec, seed: Seed) -> np.ndarray:
-    """Materialize the reservoir matrix for ``spec``.
+def draw_reservoir(regime: str, size: int, distribution: str,
+                   seed: Seed) -> tuple[np.ndarray, float]:
+    """The unscaled reservoir of ``seed`` and its largest singular value.
 
-    The random regimes draw entries, then rescale by the measured largest
-    singular value so the output satisfies ``largest_singular_value(W) ==
-    spec.nu`` up to rounding.  The symmetric regime mirrors an upper
-    triangle, which keeps the output equal to its transpose exactly.
+    The cycle is the cyclic shift, whose singular values are all exactly 1.
+    The random regimes sample entries; the symmetric regime mirrors the
+    upper triangle, so its matrix equals its transpose exactly.  Any ``nu``
+    is then reached by ``raw * (nu / sigma)``, which lets a sweep draw and
+    measure once per trial.
     """
-    n = spec.size
-    if spec.regime == CYCLE_PERMUTATION:
-        w = np.zeros((n, n))
-        for i in range(n - 1):
-            w[i + 1, i] = spec.nu
-        w[0, n - 1] = spec.nu
-        return w
-
-    rng = _rng(seed, _RESERVOIR_DOMAIN)
-    raw = _sample(rng, spec.distribution, (n, n))
-    if spec.regime == SYMMETRIC_WIGNER:
+    _check_draw(regime, size, distribution)
+    if regime == CYCLE_PERMUTATION:
+        return np.roll(np.eye(size), 1, axis=0), 1.0
+    raw = _sample(_rng(seed, _RESERVOIR_DOMAIN), distribution, (size, size))
+    if regime == SYMMETRIC_WIGNER:
         upper = np.triu(raw)
         raw = upper + np.triu(upper, 1).T
     sigma = largest_singular_value(raw)
     if sigma == 0.0:
         raise ConvergenceError("sampled reservoir is the zero matrix and cannot be rescaled")
+    return raw, sigma
+
+
+def generate_reservoir(spec: ReservoirSpec, seed: Seed) -> np.ndarray:
+    """Materialize the reservoir matrix for ``spec``: the draw of
+    :func:`draw_reservoir` rescaled so that ``largest_singular_value(W) ==
+    spec.nu`` up to one rounding (exactly, for the cycle)."""
+    raw, sigma = draw_reservoir(spec.regime, spec.size, spec.distribution, seed)
     return raw * (spec.nu / sigma)
 
 

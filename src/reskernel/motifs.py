@@ -283,17 +283,46 @@ def _cycle_shift_products(vec: np.ndarray) -> np.ndarray:
     return table
 
 
-def _assemble_blocks(core: np.ndarray, nu: float, n_blocks: int) -> np.ndarray:
-    """Stack geometrically damped copies of core columns and normalize.
+def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
+                        multiplicity: int) -> MotifPrediction:
+    """Motifs of a cycle tensor that tiles one block's core ``n_blocks`` times.
 
-    Returns rows of length ``core rows * n_blocks``.
+    The length-``p`` core ``C[i, j] = nu^(i+j-2) <s, Pbar^(j-i) s>`` (``Pbar``
+    the length-``p`` cycle) is diagonalized.  Its eigenvectors, stacked with
+    damping ``nu^p`` per tile and normalized, are exact eigenvectors of the
+    full tensor, whose eigenvalues are ``multiplicity * factor`` times the
+    core's with ``factor = (1 - nu^(2 tau)) / (1 - nu^(2 p))``.
     """
-    p = core.shape[0]
-    out = np.empty((n_blocks * p, core.shape[1]))
+    p = block.shape[0]
+    tau = n_blocks * p
+    damp = nu ** np.arange(p)
+    shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
+    eig = sym_eig(np.outer(damp, damp) * _cycle_shift_products(block)[shift])
+    values = _clamp_spectrum(eig.eigenvalues, "cycle core tensor")
+    factor = float(n_blocks) if nu == 1.0 else (1.0 - nu ** (2 * tau)) / (1.0 - nu ** (2 * p))
+    tiles = np.empty((tau, p))
     for b in range(n_blocks):
-        out[b * p:(b + 1) * p, :] = core * nu ** (b * p)
-    out /= np.linalg.norm(out, axis=0)[None, :]
-    return out.T
+        tiles[b * p:(b + 1) * p, :] = eig.eigenvectors * nu ** (b * p)
+    tiles /= np.linalg.norm(tiles, axis=0)[None, :]
+    return MotifPrediction(
+        regime=CYCLE_PERMUTATION,
+        vectors=tiles.T,
+        weights=np.sqrt(multiplicity * values * factor),
+        horizon=tau,
+        orthonormal=True,
+        extras={
+            "core_eigenvalues": values,
+            "core_vectors": eig.eigenvectors.T,
+            "eigenvalue_factor": factor,
+        },
+    )
+
+
+def _check_nu_and_copies(nu: float, copies: int) -> None:
+    if not isinstance(copies, int) or copies < 1:
+        raise ContractViolation("copies must be an integer >= 1")
+    if not np.isfinite(nu) or not (0.0 < nu <= 1.0):
+        raise ContractViolation("nu must lie in (0, 1]")
 
 
 def predict_cycle(state_dim: int, nu: float, coupling, copies: int) -> MotifPrediction:
@@ -305,52 +334,25 @@ def predict_cycle(state_dim: int, nu: float, coupling, copies: int) -> MotifPred
     eigenvectors of the full tensor with eigenvalues scaled by
     ``(1 - nu^(2 tau)) / (1 - nu^(2 N))``.
     """
-    if not isinstance(copies, int) or copies < 1:
-        raise ContractViolation("copies must be an integer >= 1")
-    if not np.isfinite(nu) or not (0.0 < nu <= 1.0):
-        raise ContractViolation("nu must lie in (0, 1]")
+    _check_nu_and_copies(nu, copies)
     w_vec = np.asarray(coupling, dtype=float)
     if w_vec.ndim != 1 or w_vec.shape[0] != state_dim:
         raise ContractViolation("coupling length does not match state_dim")
-    n = state_dim
-    tau = copies * n
-    damp = nu ** np.arange(n)
-    table = _cycle_shift_products(w_vec)
-    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    core_tensor = np.outer(damp, damp) * table[shift]
-    eig = sym_eig(core_tensor)
-    core_values = _clamp_spectrum(eig.eigenvalues, "cycle core tensor")
-    factor = float(copies) if nu == 1.0 else (1.0 - nu ** (2 * tau)) / (1.0 - nu ** (2 * n))
-    return MotifPrediction(
-        regime=CYCLE_PERMUTATION,
-        vectors=_assemble_blocks(eig.eigenvectors, nu, copies),
-        weights=np.sqrt(core_values * factor),
-        horizon=tau,
-        orthonormal=True,
-        extras={
-            "core_eigenvalues": core_values,
-            "core_vectors": eig.eigenvectors.T,
-            "eigenvalue_factor": factor,
-        },
-    )
+    return _predict_cycle_core(w_vec, nu, copies, 1)
 
 
 def predict_cycle_periodic(state_dim: int, nu: float, block, copies: int) -> MotifPrediction:
     """Exact motifs for the cycle reservoir with a periodic coupling.
 
     A coupling made of ``k = state_dim / p`` copies of a block of length
-    ``p`` collapses the spectrum to at most ``p`` distinct motifs.  The
-    block tensor ``T[i, j] = nu^(i+j-2) <s, Pbar^|j-i| s>`` (``Pbar`` the
-    length-``p`` cycle) is diagonalized; its eigenvectors tile with damping
-    ``nu^p`` per tile, and its eigenvalues carry the factor
+    ``p`` collapses the spectrum to at most ``p`` distinct motifs: those of
+    the length-``p`` cycle driven by the block, tiled ``tau / p`` times with
+    damping ``nu^p`` per tile, with eigenvalues carrying the factor
     ``k * (1 - nu^(2 tau)) / (1 - nu^(2 p))``.  The multiplicity ``k``
     belongs in that factor; for a unit-normalized coupling it cancels
     against the block normalization.
     """
-    if not isinstance(copies, int) or copies < 1:
-        raise ContractViolation("copies must be an integer >= 1")
-    if not np.isfinite(nu) or not (0.0 < nu <= 1.0):
-        raise ContractViolation("nu must lie in (0, 1]")
+    _check_nu_and_copies(nu, copies)
     s_vec = np.asarray(block, dtype=float)
     if s_vec.ndim != 1 or s_vec.size == 0:
         raise ContractViolation("block must be a non-empty vector")
@@ -359,29 +361,9 @@ def predict_cycle_periodic(state_dim: int, nu: float, block, copies: int) -> Mot
         raise ContractViolation("state_dim must be a positive integer")
     if state_dim % p != 0:
         raise ContractViolation(f"block length {p} does not divide state_dim {state_dim}")
-    k = state_dim // p
-    tau = copies * state_dim
-    n_blocks = tau // p
-    damp = nu ** np.arange(p)
-    table = _cycle_shift_products(s_vec)
-    gap = np.abs(np.arange(p)[None, :] - np.arange(p)[:, None])
-    block_tensor = np.outer(damp, damp) * table[gap]
-    eig = sym_eig(block_tensor)
-    block_values = _clamp_spectrum(eig.eigenvalues, "periodic block tensor")
-    factor = float(n_blocks) if nu == 1.0 else (1.0 - nu ** (2 * tau)) / (1.0 - nu ** (2 * p))
-    return MotifPrediction(
-        regime=CYCLE_PERMUTATION,
-        vectors=_assemble_blocks(eig.eigenvectors, nu, n_blocks),
-        weights=np.sqrt(k * block_values * factor),
-        horizon=tau,
-        orthonormal=True,
-        extras={
-            "block_eigenvalues": block_values,
-            "block_vectors": eig.eigenvectors.T,
-            "copies_per_coupling": k,
-            "eigenvalue_factor": factor,
-        },
-    )
+    prediction = _predict_cycle_core(s_vec, nu, copies * state_dim // p, state_dim // p)
+    prediction.extras["copies_per_coupling"] = state_dim // p
+    return prediction
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from . import coupling as cp
 from .errors import ContractViolation
 from .motifs import MotifSet, extract_motifs
 from .numerics import dft
-from .temporal_kernel import build_from_specs
+from .temporal_kernel import build_metric_tensor
 
 
 @dataclass(frozen=True)
@@ -219,31 +219,30 @@ def trial_count(regime: str, input_kind: str, override: int | None = None) -> in
 def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessReport]:
     """Run the richness sweep and return reports in canonical order.
 
-    For every grid value of ``nu``, regime, and input kind the configured
-    number of trials is run; trial ``t`` uses ``trial_seed(base_seed, t)``
-    at every ``nu``, so the curve of one trial follows one raw draw and
-    adding a grid value leaves the other rows unchanged.  Reports are
-    sorted by (nu, regime, input_kind, trial).
+    For every regime and input kind the configured number of trials is run.
+    Trial ``t`` draws its raw reservoir and coupling once, from
+    ``trial_seed(base_seed, t)``, and rescales that draw to every grid value
+    of ``nu``, so each row equals the tensor ``build_from_specs`` gives at
+    its ``nu`` and adding a grid value leaves the other rows unchanged.
+    Reports are sorted by (nu, regime, input_kind, trial).
     """
     nu_values = tuple(sorted(set(config.nu_values)))
     horizon = config.horizon if config.horizon is not None else 2 * config.state_dim
     reports: list[RichnessReport] = []
-    for nu in nu_values:
-        for regime in config.regimes:
-            for kind in config.input_kinds:
-                n_trials = trial_count(regime, kind, config.trials)
-                for trial in range(n_trials):
-                    seed = cp.trial_seed(config.base_seed, trial)
-                    res_spec = cp.ReservoirSpec(
-                        regime=regime, size=config.state_dim, nu=nu,
-                        distribution=config.distribution,
-                    )
-                    in_spec = cp.InputCouplingSpec(
-                        kind=kind, size=config.state_dim,
-                        period=config.period if kind.startswith("periodic") else None,
-                        normalize_unit=config.normalize_unit,
-                    )
-                    _, _, tensor = build_from_specs(res_spec, in_spec, horizon, seed)
+    for regime in config.regimes:
+        for kind in config.input_kinds:
+            in_spec = cp.InputCouplingSpec(
+                kind=kind, size=config.state_dim,
+                period=config.period if kind.startswith("periodic") else None,
+                normalize_unit=config.normalize_unit,
+            )
+            for trial in range(trial_count(regime, kind, config.trials)):
+                seed = cp.trial_seed(config.base_seed, trial)
+                raw, sigma = cp.draw_reservoir(regime, config.state_dim,
+                                               config.distribution, seed)
+                coupling = cp.generate_input(in_spec, seed)
+                for nu in nu_values:
+                    tensor = build_metric_tensor(raw * (nu / sigma), coupling, horizon)
                     motif_set = extract_motifs(tensor, config.threshold_ratio)
                     summary = grid_summary(coefficient_cloud(motif_set), grid)
                     reports.append(RichnessReport(

@@ -19,6 +19,8 @@ from reskernel import _io
 from reskernel import cli
 from reskernel import coupling as cp
 
+_REPO = Path(__file__).resolve().parent.parent
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -247,6 +249,18 @@ def test_sweep_outputs_are_byte_identical_across_runs(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_sweep_horizon_follows_ell_as_motifs_does(tmp_path, capsys):
+    outputs = []
+    for horizon in (["--ell", "3"], ["--tau", "30"]):
+        out = tmp_path / horizon[0].lstrip("-")
+        code, _, stderr = run_cli(capsys, "sweep", "--regimes", "cycle", "--inputs",
+                                  "pi-signs", "--N", "10", *horizon,
+                                  "--nu-grid", "0.9:0.1:0.9", "--out", str(out))
+        assert code == 0, stderr
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("grid", ["0.9:0:1.0", "a:b:c", "0.9:0.05", "1.0:0.1:0.5"])
 def test_sweep_rejects_malformed_nu_grids(tmp_path, capsys, grid):
     code, _, stderr = run_cli(capsys, "sweep", "--nu-grid", grid,
@@ -461,24 +475,29 @@ _MODEL_FLAGS = {
     "--no-unit-norm": (None, False, None),
 }
 
+
+def _model_flags_except(*dropped):
+    return {flag: spec for flag, spec in _MODEL_FLAGS.items() if flag not in dropped}
+
+
 _PARSER_SNAPSHOT = {
     "motifs": dict(_MODEL_FLAGS),
-    "predict": dict(_MODEL_FLAGS),
+    "predict": _model_flags_except("--trials"),
     "sweep": {
-        **_MODEL_FLAGS,
+        **_model_flags_except("--nu"),
         "--nu-grid": ("str", None, None),
         "--regimes": ("str", None, None),
         "--inputs": ("str", None, None),
     },
     "verify": {
-        **_MODEL_FLAGS,
+        **{flag: _MODEL_FLAGS[flag] for flag in ("--seed", "--out", "--config")},
         "--configs": ("int", 100, None),
         "--spectrum-configs": ("int", 60, None),
         "--containment-trials": ("int", 50, None),
         "--inject-asymmetry": (None, False, None),
     },
     "kernel": {
-        **_MODEL_FLAGS,
+        **_model_flags_except("--tau", "--ell", "--threshold", "--trials"),
         "u_file": ("str", None, None),
         "v_file": ("str", None, None),
         "--offset": ("float", None, None),
@@ -510,8 +529,32 @@ def test_parser_options_match_the_snapshot(command):
     assert _subparser_options(command) == _PARSER_SNAPSHOT[command]
 
 
+# A model flag that a command never reads is not on its parser.
+_DROPPED_FLAGS = [(command, flag) for command, options in sorted(_PARSER_SNAPSHOT.items())
+                  for flag in _MODEL_FLAGS if flag not in options]
+_FLAG_VALUES = {"--regime": "cycle", "--input": "pi-signs", "--dist": "uniform",
+                "--N": "4", "--nu": "0.9", "--tau": "8", "--ell": "2", "--period": "2",
+                "--threshold": "0.1", "--trials": "2", "--no-unit-norm": None}
+
+
+def test_commands_take_51_model_flags_and_drop_17():
+    assert sum(len(spec.commands) for spec in cli._KEYS.values()) == 51
+    assert len(_DROPPED_FLAGS) == 17
+
+
+@pytest.mark.parametrize("command, flag", _DROPPED_FLAGS)
+def test_flags_a_command_never_reads_are_usage_errors(tmp_path, capsys, command, flag):
+    files = [str(tmp_path / "u.txt"), str(tmp_path / "v.txt")] if command == "kernel" else []
+    value = _FLAG_VALUES[flag]
+    argv = [command, *files, flag, *([value] if value is not None else []),
+            "--out", str(tmp_path / "x")]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stderr.startswith("error: ")
+
+
 def _readme_config_keys():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (_REPO / "README.md").read_text()
     section = readme.split("### Config files", 1)[1].split("###", 1)[0]
     listing = section.split("Keys are the long flag names (", 1)[1].split(")", 1)[0]
     return [key.strip("` \n") for key in listing.split(",")]
@@ -534,6 +577,37 @@ def test_every_readme_config_key_is_accepted(tmp_path, capsys):
         assert code == 0, stderr
     rows = read_rows(tmp_path / "out" / "sweep.csv")
     assert len(rows) == 1 + 3 * 3  # three nu values: one trial, a mean and a std row
+
+
+# Each shipped config with the command it is run through; the README shows
+# the first line that three of these runs print.
+_CONFIG_RUNS = [
+    ("cycle_pi_motifs", "motifs", [], None),
+    ("markovian_motifs", "motifs", [], "retained 7 of 200 motifs (threshold 0.01)"),
+    ("markovian_sign_variants", "motifs", [], None),
+    ("periodic_collapse", "motifs", [], "retained 10 of 200 motifs (threshold 0.01)"),
+    ("periodic_collapse", "predict", [],
+     "compared 10 motifs: min alignment 1, max weight rel error 9.16"),
+    ("phase_transition_sweep", "sweep", ["--nu-grid", "0.99:0.01:1.0"], None),
+    ("symmetric_components", "predict", [], None),
+]
+
+
+def test_every_shipped_config_has_a_smoke_run():
+    shipped = sorted(p.stem for p in (_REPO / "configs").glob("*.conf"))
+    assert sorted({name for name, *_ in _CONFIG_RUNS}) == shipped
+
+
+@pytest.mark.parametrize("name, command, extra, first_line", _CONFIG_RUNS)
+def test_shipped_configs_run_as_the_readme_shows(tmp_path, capsys, name, command,
+                                                 extra, first_line):
+    config = _REPO / "configs" / f"{name}.conf"
+    code, stdout, stderr = run_cli(capsys, command, "--config", str(config), *extra,
+                                   "--out", str(tmp_path / "out"))
+    assert code == 0, stderr
+    if first_line is not None:
+        assert stdout.splitlines()[0].startswith(first_line)
+        assert first_line in (_REPO / "README.md").read_text()
 
 
 @pytest.mark.parametrize("argv, warns", [

@@ -17,6 +17,7 @@ from reskernel.coupling import (
     ENTRY_DISTRIBUTIONS,
     INPUT_KINDS,
     RESERVOIR_REGIMES,
+    draw_reservoir,
     generate_input,
     generate_reservoir,
 )
@@ -73,6 +74,18 @@ def test_cycle_reservoir_size_one():
     assert np.array_equal(generate_reservoir(spec, Seed(3)), [[0.25]])
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("nu", [0.3, 0.995, 1.0])
+def test_cycle_reservoir_is_the_permutation_times_nu_bit_for_bit(n, nu):
+    permutation = np.zeros((n, n))
+    for i in range(n):
+        permutation[(i + 1) % n, i] = 1.0
+    spec = ReservoirSpec(regime="cycle_permutation", size=n, nu=nu)
+    w = generate_reservoir(spec, Seed(0))
+    assert w.dtype == np.float64
+    assert w.tobytes() == (permutation * nu).tobytes()
+
+
 @pytest.mark.parametrize("regime", RESERVOIR_REGIMES)
 @pytest.mark.parametrize("distribution", ENTRY_DISTRIBUTIONS)
 def test_largest_singular_value_is_rescaled_to_nu(regime, distribution):
@@ -117,6 +130,17 @@ def test_reservoir_and_input_streams_are_independent():
 def test_reservoir_spec_rejects_bad_parameters(kwargs):
     with pytest.raises(ContractViolation):
         ReservoirSpec(**kwargs)
+
+
+@pytest.mark.parametrize("regime, size, distribution", [
+    ("moebius", 3, "gaussian"),
+    ("cycle_permutation", 0, "gaussian"),
+    ("cycle_permutation", 3, "cauchy"),
+    ("random_iid", 3, "cauchy"),
+])
+def test_draw_reservoir_rejects_bad_parameters(regime, size, distribution):
+    with pytest.raises(ContractViolation):
+        draw_reservoir(regime, size, distribution, Seed(0))
 
 
 def test_reservoir_spec_allows_nu_one():

@@ -396,6 +396,26 @@ def test_periodic_prediction_at_nu_one_counts_blocks():
     assert pred.extras["eigenvalue_factor"] == 15.0
 
 
+@pytest.mark.parametrize("n, p, nu, copies", [
+    (12, 3, 0.9, 2),
+    (8, 1, 0.95, 3),
+    (6, 6, 0.8, 2),
+    (10, 5, 1.0, 4),
+    (20, 4, 0.995, 1),
+])
+def test_periodic_prediction_is_the_cycle_prediction_of_one_block(n, p, nu, copies):
+    # A period-p coupling on the N-cycle has the motifs of the p-cycle driven
+    # by one block, over the same horizon; only the weights carry the N/p
+    # copies of the block.
+    block = np.random.default_rng(n + p).normal(size=p)
+    periodic = predict_cycle_periodic(n, nu, block, copies)
+    single = predict_cycle(p, nu, block, copies * n // p)
+    assert periodic.horizon == single.horizon == copies * n
+    assert periodic.vectors.tobytes() == single.vectors.tobytes()
+    assert np.allclose(periodic.weights ** 2 / (n // p), single.weights ** 2,
+                       rtol=1e-12, atol=0.0)
+
+
 def test_periodic_prediction_rejects_period_not_dividing_size():
     with pytest.raises(ContractViolation):
         predict_cycle_periodic(10, 0.9, np.ones(3), 4)

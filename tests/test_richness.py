@@ -10,7 +10,10 @@ from reskernel import (
     MetricTensor,
     MotifSet,
     RichnessReport,
+    InputCouplingSpec,
+    ReservoirSpec,
     SweepConfig,
+    build_from_specs,
     coefficient_cloud,
     default_nu_grid,
     extract_motifs,
@@ -18,6 +21,7 @@ from reskernel import (
     mix_seed,
     sweep,
     trial_count,
+    trial_seed,
 )
 
 
@@ -193,6 +197,51 @@ def test_sweep_defaults_fill_horizon_and_trial_counts():
         by_kind.setdefault(r.input_kind, []).append(r)
     assert len(by_kind["ones_pi_signs"]) == 1
     assert len(by_kind["gaussian"]) == 30
+
+
+@pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
+@pytest.mark.parametrize("kind", ["gaussian", "periodic_binary", "ones_pi_signs"])
+def test_sweep_rows_equal_one_build_per_nu(regime, kind):
+    # Every row is the richness of the tensor that build_from_specs gives
+    # for the trial's seed at that nu.
+    nu_values = (0.9, 0.97, 1.0)
+    config = SweepConfig(nu_values=nu_values, regimes=(regime,), input_kinds=(kind,),
+                         state_dim=8, horizon=12, period=4, trials=2, base_seed=5)
+    expected = []
+    for nu in nu_values:
+        for trial in range(2):
+            seed = trial_seed(5, trial)
+            _, _, tensor = build_from_specs(
+                ReservoirSpec(regime=regime, size=8, nu=nu),
+                InputCouplingSpec(kind=kind, size=8,
+                                  period=4 if kind == "periodic_binary" else None),
+                12, seed)
+            motif_set = extract_motifs(tensor, 1e-2)
+            summary = grid_summary(coefficient_cloud(motif_set))
+            expected.append(RichnessReport(
+                nu=nu, regime=regime, input_kind=kind, trial=trial,
+                n_motifs=len(motif_set), cells_visited=summary.cells_visited,
+                relative_area=summary.relative_area,
+                weighted_relative_area=summary.weighted_relative_area,
+                discarded_points=summary.discarded_points, seed=seed.base))
+    assert sweep(config) == expected
+
+
+def test_sweep_measures_each_random_draw_once(monkeypatch):
+    from reskernel import coupling
+
+    calls = []
+    measure = coupling.largest_singular_value
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return measure(matrix)
+
+    monkeypatch.setattr(coupling, "largest_singular_value", counted)
+    config = SweepConfig(nu_values=(0.9, 0.95, 1.0), regimes=("random_iid",),
+                         input_kinds=("ones_pi_signs",), state_dim=6, trials=2)
+    assert len(sweep(config)) == 3 * 2
+    assert calls == [(6, 6), (6, 6)]
 
 
 @pytest.mark.parametrize("kwargs", [
