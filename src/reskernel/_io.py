@@ -81,10 +81,17 @@ def write_time_series(series: TimeSeries, path) -> None:
 
 
 def write_motifs_csv(vectors: np.ndarray, weights: np.ndarray, path) -> None:
-    """One motif per row: index, weight, then the motif components."""
+    """One motif per row: index, weight, then the motif components.
+
+    A motif file can hold millions of floats, so each row is formatted by
+    one ``%`` over the whole row and handed to :func:`write_csv` as a
+    single cell.  ``"%.17g" % x`` gives the same bytes as :func:`fmt_float`.
+    """
     horizon = vectors.shape[1] if vectors.shape[0] else 0
     header = ["index", "weight"] + [f"m_{j}" for j in range(1, horizon + 1)]
-    rows = ([i + 1, float(weights[i])] + [float(c) for c in vectors[i]]
+    row_format = "%d," + ",".join(["%.17g"] * (horizon + 1))
+    weight_list = weights.tolist()
+    rows = ([row_format % (i + 1, weight_list[i], *vectors[i].tolist())]
             for i in range(vectors.shape[0]))
     write_csv(path, header, rows)
 

@@ -47,6 +47,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, and takes no abbreviated long
+    flags: a prefix would let ``sweep --nu`` stand for ``--nu-grid``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -208,10 +214,10 @@ def _outdir(resolved: dict) -> Path:
 
 def cmd_motifs(args) -> int:
     resolved, _ = _resolve(args)
-    out = _outdir(resolved)
     trials = resolved["trials"] if resolved["trials"] is not None else 1
     if trials < 1:
         raise UsageError("--trials must be positive")
+    out = _outdir(resolved)
     weight_runs = []
     first = None
     for trial in range(trials):
@@ -241,9 +247,6 @@ def _prediction_for(resolved: dict, reservoir, coupling_vec, horizon: int):
         return predict_random(resolved["N"], resolved["nu"],
                               float(np.linalg.norm(coupling_vec)), horizon)
     if regime == cp.CYCLE_PERMUTATION:
-        if horizon % resolved["N"] != 0:
-            raise UsageError("cycle predictions need tau to be a multiple of N; "
-                             "use --ell (or a matching --tau)")
         copies = horizon // resolved["N"]
         if _INPUTS[resolved["input"]].startswith("periodic"):
             return predict_cycle_periodic(resolved["N"], resolved["nu"],
@@ -254,8 +257,13 @@ def _prediction_for(resolved: dict, reservoir, coupling_vec, horizon: int):
 
 def cmd_predict(args) -> int:
     resolved, _ = _resolve(args)
+    horizon, n = _horizon(resolved), resolved["N"]
+    # A non-positive N is left to the reservoir spec to reject.
+    if _REGIMES[resolved["regime"]] == cp.CYCLE_PERMUTATION and n > 0 and horizon % n:
+        raise UsageError("cycle predictions need tau to be a multiple of N; "
+                         "use --ell (or a matching --tau)")
     out = _outdir(resolved)
-    reservoir, coupling_vec, tensor = _materialize(resolved, _horizon(resolved))
+    reservoir, coupling_vec, tensor = _materialize(resolved, horizon)
     empirical = extract_motifs(tensor, resolved["threshold"])
     prediction = _prediction_for(resolved, reservoir, coupling_vec, tensor.horizon)
     _io.write_motifs_csv(prediction.vectors, prediction.weights,
@@ -322,7 +330,6 @@ def _split_aliases(text: str, aliases: dict, what: str) -> tuple[str, ...]:
 
 def cmd_sweep(args) -> int:
     resolved, provided = _resolve(args)
-    out = _outdir(resolved)
     if resolved["regimes"] is not None:
         regimes = _split_aliases(resolved["regimes"], _REGIMES, "regime")
     elif "regime" in provided:
@@ -352,6 +359,7 @@ def cmd_sweep(args) -> int:
         distribution=resolved["dist"],
         normalize_unit=resolved["normalize"],
     )
+    out = _outdir(resolved)
     reports = sweep(config)
     _io.write_sweep_csv(reports, out / "sweep.csv")
     print(f"swept {len(nu_values)} nu values, {len(regimes)} regimes, "
@@ -386,23 +394,25 @@ def cmd_verify(args) -> int:
 
 def cmd_kernel(args) -> int:
     resolved, _ = _resolve(args)
-    out = _outdir(resolved)
     u = _io.read_time_series(args.u_file)
     v = _io.read_time_series(args.v_file)
     if u.horizon != v.horizon:
         raise UsageError(f"time series horizons differ: {u.horizon} vs {v.horizon}")
     if (args.offset is None) != (args.degree is None):
         raise UsageError("--offset and --degree must be given together")
-    _, _, tensor = _materialize(resolved, u.horizon)
-    rows = [["kernel", kernel_eval(tensor, u, v)]]
-    if args.offset is not None:
-        rows.append(["kernel_poly", kernel_poly(tensor, u, v, args.offset, args.degree)])
+    model = None
     if args.support:
         if len(args.coeff or []) != len(args.support):
             raise UsageError("one --coeff per --support is required")
         supports = tuple(_io.read_time_series(p) for p in args.support)
         model = ReadoutModel(supports=supports, coefficients=np.array(args.coeff),
                              bias=args.bias)
+    out = _outdir(resolved)
+    _, _, tensor = _materialize(resolved, u.horizon)
+    rows = [["kernel", kernel_eval(tensor, u, v)]]
+    if args.offset is not None:
+        rows.append(["kernel_poly", kernel_poly(tensor, u, v, args.offset, args.degree)])
+    if model is not None:
         rows.append(["readout", readout_eval(model, tensor, v)])
     _io.write_csv(out / "kernel.csv", ["name", "value"], rows)
     for name, value in rows:

@@ -20,7 +20,7 @@ zero; see :func:`kernel_error_bounds`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,11 +194,17 @@ def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
 
 @dataclass(frozen=True)
 class ReadoutModel:
-    """Kernel readout: coefficients over support histories plus a bias."""
+    """Kernel readout: coefficients over support histories plus a bias.
+
+    ``combined`` is the history ``sum_i beta_i u_i``, formed once here so
+    that :func:`readout_eval` needs one kernel evaluation per query; it is
+    ``None`` when there are no supports.
+    """
 
     supports: tuple[TimeSeries, ...]
     coefficients: np.ndarray
     bias: float = 0.0
+    combined: TimeSeries | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
@@ -213,14 +219,23 @@ class ReadoutModel:
             raise ContractViolation("support histories must share one horizon")
         object.__setattr__(self, "supports", tuple(self.supports))
         object.__setattr__(self, "coefficients", coeffs)
+        combined = None
+        if self.supports:
+            combined = TimeSeries(coeffs @ np.stack([s.values for s in self.supports]))
+        object.__setattr__(self, "combined", combined)
 
 
 def readout_eval(model: ReadoutModel, tensor: MetricTensor, v: TimeSeries) -> float:
-    """Evaluate ``sum_i beta_i K(u_i, v) + bias``; no supports means the bias."""
-    total = model.bias
-    for beta, support in zip(model.coefficients, model.supports):
-        total += beta * kernel_eval(tensor, support, v)
-    return float(total)
+    """Evaluate ``sum_i beta_i K(u_i, v) + bias``; no supports means the bias.
+
+    The kernel is bilinear, so the sum is evaluated in primal form as
+    ``K(sum_i beta_i u_i, v) + bias``: one O(tau^2) kernel evaluation per
+    query against the model's combined history, whatever the number of
+    supports.  The result equals the per-support sum up to rounding.
+    """
+    if model.combined is None:
+        return float(model.bias)
+    return float(model.bias + kernel_eval(tensor, model.combined, v))
 
 
 @dataclass(frozen=True)

@@ -429,6 +429,62 @@ def test_numerical_failures_map_to_exit_three(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in stderr
 
 
+def test_abbreviated_flags_are_not_expanded(tmp_path, capsys):
+    out = tmp_path / "x"
+    code, _, stderr = run_cli(capsys, "sweep", "--nu", "0.9:0.1:1.0", "--N", "4",
+                              "--out", str(out))
+    assert code == 1
+    assert "unrecognized arguments" in stderr
+    assert not out.exists()
+
+
+# Usage errors that depend only on the arguments; ``{u}`` names a two-sample
+# series file and ``{short}`` a one-sample one.
+_EARLY_USAGE_ERRORS = {
+    "sweep nu grid": ["sweep", "--nu-grid", "a:b:c"],
+    "sweep regimes": ["sweep", "--regimes", "cycle,weird"],
+    "sweep inputs": ["sweep", "--inputs", "weird"],
+    "sweep trials": ["sweep", "--trials", "0", "--nu-grid", "0.9:0.1:0.9"],
+    "motifs trials": ["motifs", "--trials", "0"],
+    "predict cycle horizon": ["predict", "--regime", "cycle", "--N", "4", "--tau", "6"],
+    "kernel horizons": ["kernel", "{u}", "{short}", "--N", "2"],
+    "kernel offset without degree": ["kernel", "{u}", "{u}", "--N", "2", "--offset", "1"],
+    "kernel support without coeff": ["kernel", "{u}", "{u}", "--N", "2", "--support", "{u}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EARLY_USAGE_ERRORS))
+def test_usage_errors_leave_no_output_directory(tmp_path, capsys, case):
+    _write_series(tmp_path / "u.txt", [1.0, 2.0])
+    _write_series(tmp_path / "short.txt", [1.0])
+    argv = [arg.format(u=tmp_path / "u.txt", short=tmp_path / "short.txt")
+            for arg in _EARLY_USAGE_ERRORS[case]]
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1, stderr
+    assert stderr.startswith("error: ")
+    assert not out.exists()
+
+
+def _generic_motifs_csv(vectors, weights, path):
+    """The motif file through write_csv's per-cell formatting."""
+    horizon = vectors.shape[1] if vectors.shape[0] else 0
+    header = ["index", "weight"] + [f"m_{j}" for j in range(1, horizon + 1)]
+    _io.write_csv(path, header, ([i + 1, float(weights[i])] + [float(c) for c in vectors[i]]
+                                 for i in range(vectors.shape[0])))
+
+
+@pytest.mark.parametrize("vectors, weights", [
+    (np.array([[-0.0, 5e-324, 1e300, -1e300], [1.0, -2.0, 3.0, 2.0**53],
+               [0.1, -1e-300, 1e17, 123456789012345678.0]]), np.array([4.0, 1e-17, 0.5])),
+    (np.zeros((0, 5)), np.zeros(0)),
+])
+def test_motif_writer_bytes_equal_the_generic_csv_path(tmp_path, vectors, weights):
+    _io.write_motifs_csv(vectors, weights, tmp_path / "fast.csv")
+    _generic_motifs_csv(vectors, weights, tmp_path / "generic.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+
 def test_time_series_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(77)
     series = TimeSeries(rng.normal(size=9))

@@ -1,5 +1,7 @@
 """State simulation, the metric tensor, kernel evaluation, and error bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from reskernel import (
     readout_eval,
     simulate_state,
 )
+from reskernel import temporal_kernel
 from reskernel.coupling import generate_input, generate_reservoir
 from reskernel.verify import run_initial_state_error_containment
 
@@ -271,6 +274,122 @@ def test_readout_combines_supports_linearly():
     expected = 0.1 + sum(c * kernel_eval(tensor, s, v)
                          for c, s in zip(coeffs, series))
     assert readout_eval(model, tensor, v) == pytest.approx(expected, rel=1e-13)
+
+
+def _per_support_readout(model, tensor, v):
+    """The readout as the sum of one kernel evaluation per support."""
+    terms = [beta * kernel_eval(tensor, u, v)
+             for beta, u in zip(model.coefficients, model.supports)]
+    return math.fsum([model.bias, *terms])
+
+
+def _assert_primal_matches_per_support(model, tensor, v):
+    # |Q| |v| bounds the rounding of every product with Q; Q v alone reads 0
+    # for v in the null space of Q (tau > N), where both sums are rounding.
+    q_v = float(np.linalg.norm(np.abs(tensor.matrix) @ np.abs(v.values)))
+    scale = abs(model.bias) + sum(abs(beta) * float(np.linalg.norm(u.values)) * q_v
+                                  for beta, u in zip(model.coefficients, model.supports))
+    error = abs(readout_eval(model, tensor, v) - _per_support_readout(model, tensor, v))
+    assert error <= 1e-12 * scale
+
+
+def _support_set(case, rng, tau):
+    """Supports and coefficients of one named shape of readout model."""
+    u, w = (TimeSeries(rng.normal(size=tau)) for _ in range(2))
+    negated = TimeSeries(-u.values)
+    return {
+        "no supports": ((), []),
+        "one support": ((u,), [-1.75]),
+        "duplicate supports": ((u, u, w), [0.5, 2.5, -1.0]),
+        "cancelling pair": ((u, negated), [1.3, 1.3]),
+        "cancelling pair and one more": ((u, w, negated), [0.7, -0.2, 0.7]),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["no supports", "one support", "duplicate supports",
+                                  "cancelling pair", "cancelling pair and one more"])
+def test_primal_readout_matches_the_per_support_sum(case):
+    res, coup = _random_pair(5, 0.95, 8)
+    tensor = build_metric_tensor(res, coup, 10)
+    rng = np.random.default_rng(47)
+    supports, coeffs = _support_set(case, rng, 10)
+    model = ReadoutModel(supports=supports, coefficients=np.array(coeffs), bias=0.25)
+    _assert_primal_matches_per_support(model, tensor, TimeSeries(rng.normal(size=10)))
+
+
+# Magnitudes below 1e-30 become 0, so that no product in a readout or in
+# its error scale reaches the subnormal range, where relative bounds fail.
+_samples = st.floats(min_value=-10.0, max_value=10.0).map(
+    lambda x: x if abs(x) >= 1e-30 else 0.0)
+
+
+@st.composite
+def _readout_cases(draw):
+    """A random reservoir tensor, a readout model over it and one query.
+
+    Each drawn support may be followed by a duplicate of itself or by its
+    negation under the same coefficient, so that the pair cancels.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    tau = draw(st.integers(min_value=n, max_value=2 * n))
+    res, coup = _random_pair(n, draw(st.floats(min_value=0.5, max_value=1.0)),
+                             draw(st.integers(min_value=0, max_value=2**16)))
+    tensor = build_metric_tensor(res, coup, tau)
+    history = st.lists(_samples, min_size=tau, max_size=tau)
+    supports, coeffs = [], []
+    for values in draw(st.lists(history, max_size=4)):
+        beta = draw(_samples)
+        supports.append(TimeSeries(np.array(values)))
+        coeffs.append(beta)
+        echo = draw(st.sampled_from(["none", "duplicate", "negated"]))
+        if echo == "duplicate":
+            supports.append(TimeSeries(np.array(values)))
+            coeffs.append(draw(_samples))
+        elif echo == "negated":
+            supports.append(TimeSeries(-np.array(values)))
+            coeffs.append(beta)
+    model = ReadoutModel(supports=tuple(supports), coefficients=np.array(coeffs, dtype=float),
+                         bias=draw(_samples))
+    return model, tensor, TimeSeries(np.array(draw(history)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_readout_cases())
+def test_primal_readout_matches_the_per_support_sum_property(case):
+    _assert_primal_matches_per_support(*case)
+
+
+@pytest.mark.parametrize("n_supports", [0, 1, 2, 7, 40])
+def test_readout_makes_one_kernel_evaluation_per_query(monkeypatch, n_supports):
+    calls = []
+
+    def counting_kernel_eval(tensor, u, v):
+        calls.append(1)
+        return kernel_eval(tensor, u, v)
+
+    monkeypatch.setattr(temporal_kernel, "kernel_eval", counting_kernel_eval)
+    res, coup = _random_pair(4, 0.9, 3)
+    tensor = build_metric_tensor(res, coup, 8)
+    rng = np.random.default_rng(53)
+    model = ReadoutModel(supports=tuple(TimeSeries(rng.normal(size=8))
+                                        for _ in range(n_supports)),
+                         coefficients=rng.normal(size=n_supports), bias=0.5)
+    for _ in range(3):
+        readout_eval(model, tensor, TimeSeries(rng.normal(size=8)))
+    assert len(calls) == (3 if n_supports else 0)
+
+
+def test_readout_rejects_support_and_query_horizon_mismatches():
+    res, coup = _random_pair(4, 0.9, 3)
+    tensor = build_metric_tensor(res, coup, 8)
+    matching = TimeSeries(np.ones(8))
+    short = TimeSeries(np.ones(7))
+    model = ReadoutModel(supports=(matching, matching), coefficients=np.array([1.0, -2.0]))
+    with pytest.raises(ContractViolation, match="horizon"):
+        readout_eval(model, tensor, short)
+    short_model = ReadoutModel(supports=(short,), coefficients=np.array([1.0]))
+    with pytest.raises(ContractViolation, match="horizon"):
+        readout_eval(short_model, tensor, matching)
 
 
 def test_readout_model_rejects_mismatched_coefficients():

@@ -337,6 +337,21 @@ def test_cycle_prediction_matches_extracted_motifs():
     assert comparison.max_weight_rel_error <= 1e-8
 
 
+def test_cycle_pi_sign_tensor_at_nu_one_has_exactly_degenerate_eigenpairs():
+    """The default sweep's cycle / pi-signs tensor at nu = 1 (N = 100,
+    tau = 200): 51 of its 99 adjacent relative eigengaps sit at rounding
+    level, and every other gap exceeds 1e-3.  Inside each such pair the
+    motifs are any orthonormal basis of a plane, so the sweep's nu = 1 row
+    depends on the basis the eigensolver returns, and a different
+    eigensolver route may move it."""
+    _, _, tensor = _tensor_for("cycle_permutation", 100, 1.0, 200, Seed(0),
+                               kind="ones_pi_signs")
+    top = extract_motifs(tensor, 1e-2).spectrum[:100]
+    gaps = (top[:-1] - top[1:]) / top[:-1]
+    assert np.count_nonzero(gaps < 1e-9) == 51
+    assert gaps[gaps >= 1e-9].min() > 1e-3
+
+
 def test_cycle_prediction_rejects_bad_shapes_and_copies():
     with pytest.raises(ContractViolation):
         predict_cycle(4, 0.9, np.ones(3), 2)
