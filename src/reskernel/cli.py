@@ -31,7 +31,7 @@ from .motifs import (
     predict_random,
     predict_symmetric,
 )
-from .richness import SweepConfig, default_nu_grid, sweep
+from .richness import SweepConfig, sweep
 from .temporal_kernel import (
     ReadoutModel,
     build_from_specs,
@@ -192,40 +192,38 @@ def _horizon(resolved: dict) -> int:
     return ell * resolved["N"]
 
 
-def _materialize(resolved: dict, horizon: int, trial: int = 0):
-    """Reservoir, coupling and tensor of one trial under the resolved options."""
+def _specs(resolved: dict) -> tuple[cp.ReservoirSpec, cp.InputCouplingSpec]:
+    """Reservoir and coupling specs of the resolved options; their
+    constructors reject bad values before any work is done."""
     kind = _INPUTS[resolved["input"]]
     res_spec = cp.ReservoirSpec(regime=_REGIMES[resolved["regime"]], size=resolved["N"],
                                 nu=resolved["nu"], distribution=resolved["dist"])
     in_spec = cp.InputCouplingSpec(
         kind=kind, size=resolved["N"],
-        period=resolved["period"] if kind.startswith("periodic") else None,
+        period=resolved["period"] if kind in cp.PERIODIC_KINDS else None,
         normalize_unit=resolved["normalize"],
     )
-    return build_from_specs(res_spec, in_spec, horizon,
-                            cp.trial_seed(resolved["seed"], trial))
+    return res_spec, in_spec
 
 
-def _outdir(resolved: dict) -> Path:
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
+# The first file a command writes creates ``--out``; an error before it leaves none.
 
 def cmd_motifs(args) -> int:
     resolved, _ = _resolve(args)
+    specs = _specs(resolved)
     trials = resolved["trials"] if resolved["trials"] is not None else 1
     if trials < 1:
         raise UsageError("--trials must be positive")
-    out = _outdir(resolved)
     weight_runs = []
     first = None
     for trial in range(trials):
-        _, _, tensor = _materialize(resolved, _horizon(resolved), trial)
+        _, _, tensor = build_from_specs(*specs, _horizon(resolved),
+                                        cp.trial_seed(resolved["seed"], trial))
         motif_set = extract_motifs(tensor, resolved["threshold"])
         weight_runs.append(np.sqrt(motif_set.spectrum))
         if trial == 0:
             first = motif_set
+    out = Path(resolved["out"])
     _io.write_motifs_csv(first.vectors, first.weights, out / "motifs.csv")
     _io.write_weights_csv(weight_runs[0], out / "weights.csv")
     if trials > 1:
@@ -241,54 +239,56 @@ def cmd_motifs(args) -> int:
     return 0
 
 
-def _prediction_for(resolved: dict, reservoir, coupling_vec, horizon: int):
-    regime = _REGIMES[resolved["regime"]]
-    if regime == cp.RANDOM_IID:
-        return predict_random(resolved["N"], resolved["nu"],
+def _prediction_for(res_spec, in_spec, reservoir, coupling_vec, horizon: int):
+    if res_spec.regime == cp.RANDOM_IID:
+        return predict_random(res_spec.size, res_spec.nu,
                               float(np.linalg.norm(coupling_vec)), horizon)
-    if regime == cp.CYCLE_PERMUTATION:
-        copies = horizon // resolved["N"]
-        if _INPUTS[resolved["input"]].startswith("periodic"):
-            return predict_cycle_periodic(resolved["N"], resolved["nu"],
-                                          coupling_vec[:resolved["period"]], copies)
-        return predict_cycle(resolved["N"], resolved["nu"], coupling_vec, copies)
+    if res_spec.regime == cp.CYCLE_PERMUTATION:
+        copies = horizon // res_spec.size
+        if in_spec.kind in cp.PERIODIC_KINDS:
+            return predict_cycle_periodic(res_spec.size, res_spec.nu,
+                                          coupling_vec[:in_spec.period], copies)
+        return predict_cycle(res_spec.size, res_spec.nu, coupling_vec, copies)
     return predict_symmetric(reservoir, coupling_vec, horizon)
 
 
 def cmd_predict(args) -> int:
     resolved, _ = _resolve(args)
-    horizon, n = _horizon(resolved), resolved["N"]
-    # A non-positive N is left to the reservoir spec to reject.
-    if _REGIMES[resolved["regime"]] == cp.CYCLE_PERMUTATION and n > 0 and horizon % n:
+    res_spec, in_spec = _specs(resolved)
+    horizon = _horizon(resolved)
+    if res_spec.regime == cp.CYCLE_PERMUTATION and horizon % res_spec.size:
         raise UsageError("cycle predictions need tau to be a multiple of N; "
                          "use --ell (or a matching --tau)")
-    out = _outdir(resolved)
-    reservoir, coupling_vec, tensor = _materialize(resolved, horizon)
+    reservoir, coupling_vec, tensor = build_from_specs(
+        res_spec, in_spec, horizon, cp.trial_seed(resolved["seed"], 0))
     empirical = extract_motifs(tensor, resolved["threshold"])
-    prediction = _prediction_for(resolved, reservoir, coupling_vec, tensor.horizon)
-    _io.write_motifs_csv(prediction.vectors, prediction.weights,
-                         out / "predicted_motifs.csv")
-    _io.write_weights_csv(prediction.weights, out / "predicted_weights.csv")
+    prediction = _prediction_for(res_spec, in_spec, reservoir, coupling_vec, tensor.horizon)
+    report = "comparison.csv" if prediction.orthonormal else "reconstruction.csv"
     if prediction.orthonormal:
         comparison = compare_motifs(empirical, prediction)
-        _io.write_comparison_csv(comparison, prediction.weights, empirical.weights,
-                                 out / "comparison.csv")
-        print(f"compared {comparison.n_compared} motifs: "
-              f"min alignment {_io.fmt_float(comparison.min_alignment)}, "
-              f"max weight rel error {_io.fmt_float(comparison.max_weight_rel_error)}")
-        print(f"wrote predicted_motifs.csv, predicted_weights.csv, comparison.csv in {out}")
     else:
         recon = prediction.extras["reconstruction"]
         residual = float(np.max(np.abs(recon - tensor.matrix)))
         scale = float(np.max(np.abs(tensor.matrix)))
-        _io.write_csv(out / "reconstruction.csv",
+    out = Path(resolved["out"])
+    _io.write_motifs_csv(prediction.vectors, prediction.weights,
+                         out / "predicted_motifs.csv")
+    _io.write_weights_csv(prediction.weights, out / "predicted_weights.csv")
+    if prediction.orthonormal:
+        _io.write_comparison_csv(comparison, prediction.weights, empirical.weights,
+                                 out / report)
+        print(f"compared {comparison.n_compared} motifs: "
+              f"min alignment {_io.fmt_float(comparison.min_alignment)}, "
+              f"max weight rel error {_io.fmt_float(comparison.max_weight_rel_error)}")
+    else:
+        _io.write_csv(out / report,
                       ["max_abs_residual", "tensor_max_abs", "relative_residual"],
                       [[residual, scale, residual / scale if scale > 0.0 else 0.0]])
         print("symmetric regime: components are not eigenvectors; "
               "wrote reconstruction residual instead of a comparison")
         print(f"reconstruction residual {_io.fmt_float(residual)} "
               f"(tensor scale {_io.fmt_float(scale)})")
-        print(f"wrote predicted_motifs.csv, predicted_weights.csv, reconstruction.csv in {out}")
+    print(f"wrote predicted_motifs.csv, predicted_weights.csv, {report} in {out}")
     return 0
 
 
@@ -300,17 +300,16 @@ def _parse_nu_grid(text: str) -> tuple[float, ...]:
         lo, step, hi = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"--nu-grid values must be numbers: {text!r}") from exc
-    if step <= 0.0 or hi < lo:
-        raise UsageError("--nu-grid needs step > 0 and hi >= lo")
-    values = []
-    k = 0
-    while True:
+    if not (0.0 < step < np.inf and hi >= lo):  # false for a nan too
+        raise UsageError("--nu-grid needs a finite step > 0 and hi >= lo")
+    # Bounded, since a grid with an infinite hi or a step lost to rounding never passes hi.
+    values, limit = [], 100_000
+    for k in range(limit + 1):
         value = round(lo + k * step, 9)
         if value > hi + 1e-12:
-            break
+            return tuple(values)
         values.append(value)
-        k += 1
-    return tuple(values)
+    raise UsageError(f"--nu-grid gives more than {limit} values")
 
 
 def _split_aliases(text: str, aliases: dict, what: str) -> tuple[str, ...]:
@@ -330,26 +329,19 @@ def _split_aliases(text: str, aliases: dict, what: str) -> tuple[str, ...]:
 
 def cmd_sweep(args) -> int:
     resolved, provided = _resolve(args)
+    given = {}  # what the user chose; SweepConfig holds the defaults
     if resolved["regimes"] is not None:
-        regimes = _split_aliases(resolved["regimes"], _REGIMES, "regime")
+        given["regimes"] = _split_aliases(resolved["regimes"], _REGIMES, "regime")
     elif "regime" in provided:
-        regimes = (_REGIMES[resolved["regime"]],)
-    else:
-        regimes = (cp.CYCLE_PERMUTATION, cp.RANDOM_IID)
+        given["regimes"] = (_REGIMES[resolved["regime"]],)
     if resolved["inputs"] is not None:
-        kinds = _split_aliases(resolved["inputs"], _INPUTS, "input kind")
+        given["input_kinds"] = _split_aliases(resolved["inputs"], _INPUTS, "input kind")
     elif "input" in provided:
-        kinds = (_INPUTS[resolved["input"]],)
-    else:
-        kinds = ("ones_pi_signs",)
-    nu_values = (_parse_nu_grid(resolved["nu_grid"]) if resolved["nu_grid"]
-                 else default_nu_grid())
-    if not nu_values:
-        raise UsageError("nu grid is empty")
+        given["input_kinds"] = (_INPUTS[resolved["input"]],)
+    if resolved["nu_grid"] is not None:
+        given["nu_values"] = _parse_nu_grid(resolved["nu_grid"])
     config = SweepConfig(
-        nu_values=nu_values,
-        regimes=regimes,
-        input_kinds=kinds,
+        **given,
         state_dim=resolved["N"],
         horizon=_horizon(resolved),
         period=resolved["period"],
@@ -359,18 +351,26 @@ def cmd_sweep(args) -> int:
         distribution=resolved["dist"],
         normalize_unit=resolved["normalize"],
     )
-    out = _outdir(resolved)
     reports = sweep(config)
+    out = Path(resolved["out"])
     _io.write_sweep_csv(reports, out / "sweep.csv")
-    print(f"swept {len(nu_values)} nu values, {len(regimes)} regimes, "
-          f"{len(kinds)} input kinds: {len(reports)} trial rows")
+    print(f"swept {len(config.nu_values)} nu values, {len(config.regimes)} regimes, "
+          f"{len(config.input_kinds)} input kinds: {len(reports)} trial rows")
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
 
 def cmd_verify(args) -> int:
     resolved, _ = _resolve(args)
-    out = _outdir(resolved)
+    if min(args.configs, args.spectrum_configs, args.containment_trials) < 1:
+        raise UsageError("--configs, --spectrum-configs and --containment-trials "
+                         "must each be at least 1")
+    # A passing run writes no file, yet still leaves its --out directory.
+    out = Path(resolved["out"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
     tamper = inject_asymmetry if args.inject_asymmetry else None
     results = run_all(base_seed=resolved["seed"],
                       equivalence_configs=args.configs,
@@ -394,27 +394,27 @@ def cmd_verify(args) -> int:
 
 def cmd_kernel(args) -> int:
     resolved, _ = _resolve(args)
+    specs = _specs(resolved)
     u = _io.read_time_series(args.u_file)
     v = _io.read_time_series(args.v_file)
     if u.horizon != v.horizon:
         raise UsageError(f"time series horizons differ: {u.horizon} vs {v.horizon}")
     if (args.offset is None) != (args.degree is None):
         raise UsageError("--offset and --degree must be given together")
+    if len(args.coeff or []) != len(args.support or []):
+        raise UsageError("one --coeff per --support is required")
     model = None
     if args.support:
-        if len(args.coeff or []) != len(args.support):
-            raise UsageError("one --coeff per --support is required")
         supports = tuple(_io.read_time_series(p) for p in args.support)
         model = ReadoutModel(supports=supports, coefficients=np.array(args.coeff),
                              bias=args.bias)
-    out = _outdir(resolved)
-    _, _, tensor = _materialize(resolved, u.horizon)
+    _, _, tensor = build_from_specs(*specs, u.horizon, cp.trial_seed(resolved["seed"], 0))
     rows = [["kernel", kernel_eval(tensor, u, v)]]
     if args.offset is not None:
         rows.append(["kernel_poly", kernel_poly(tensor, u, v, args.offset, args.degree)])
     if model is not None:
         rows.append(["readout", readout_eval(model, tensor, v)])
-    _io.write_csv(out / "kernel.csv", ["name", "value"], rows)
+    _io.write_csv(Path(resolved["out"]) / "kernel.csv", ["name", "value"], rows)
     for name, value in rows:
         print(f"{name} = {_io.fmt_float(value)}")
     return 0

@@ -44,37 +44,13 @@ INPUT_KINDS = (
     "periodic_binary",
     "periodic_bipolar",
 )
-_PERIODIC_KINDS = ("periodic_binary", "periodic_bipolar")
+# Kinds that take a period, and kinds drawn from the random stream.
+PERIODIC_KINDS = ("periodic_binary", "periodic_bipolar")
+RANDOM_INPUT_KINDS = ("gaussian", "uniform", "ones_random_signs")
 
 _RESERVOIR_DOMAIN = 0
 _INPUT_DOMAIN = 1
 
-# Fractional binary digits of pi and e, most significant first (bit 0 is the
-# weight-1/2 digit).  Frozen from an 80-significant-digit computation and
-# cross-checked in the test suite by exact integer series arithmetic.
-PI_BITS = (
-    0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0,
-    1, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1,
-    0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0,
-    0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0,
-    1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0,
-    0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0,
-    0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0,
-    1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1,
-)
-
-E_BITS = (
-    1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0,
-    1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0,
-    1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
-    1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1,
-    0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1,
-    0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0,
-    1, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0,
-    0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1,
-)
-
-_BIT_TABLES = {"pi": PI_BITS, "e": E_BITS}
 
 
 @dataclass(frozen=True)
@@ -184,7 +160,7 @@ class InputCouplingSpec:
             raise ContractViolation(f"unknown input kind {self.kind!r}")
         if not isinstance(self.size, int) or self.size < 1:
             raise ContractViolation("coupling size must be a positive integer")
-        if self.kind in _PERIODIC_KINDS:
+        if self.kind in PERIODIC_KINDS:
             if self.period is None:
                 raise ContractViolation(f"{self.kind} requires a period")
             if not isinstance(self.period, int) or self.period < 1:
@@ -197,20 +173,58 @@ class InputCouplingSpec:
             raise ContractViolation(f"{self.kind} does not take a period")
 
 
+def _arctan_inv(x: int, one: int) -> tuple[int, int]:
+    """``one * arctan(1/x)`` summed in integers, and a bound on its error:
+    each term is short by less than 1 and the alternating tail is below 1."""
+    total, power, k = 0, one // x, 0  # power is floor(one / x**(2k+1))
+    while power:
+        total += (-1) ** k * (power // (2 * k + 1))
+        power //= x * x
+        k += 1
+    return total, k + 1
+
+
+def _pi(one: int) -> tuple[int, int]:
+    """``one * pi`` by Machin's formula, 16 arctan(1/5) - 4 arctan(1/239)."""
+    a, a_err = _arctan_inv(5, one)
+    b, b_err = _arctan_inv(239, one)
+    return 16 * a - 4 * b, 16 * a_err + 4 * b_err
+
+
+def _e(one: int) -> tuple[int, int]:
+    """``one * e`` by the factorial series, and a bound on its error: each
+    term ``floor(one / j!)`` is short by less than 1 and the tail is below 2."""
+    total, term, j = 0, one, 0
+    while term:
+        total += term
+        j += 1
+        term //= j
+    return total, j + 2
+
+
+_SERIES = {"pi": _pi, "e": _e}
+
+
 def irrational_bits(constant: str, count: int) -> np.ndarray:
     """First ``count`` fractional binary digits of pi or e.
 
-    Bit 0 is the most significant fractional digit.  ``count`` may not
-    exceed the frozen table length (256).
+    Bit 0 is the most significant fractional digit.  The series is summed
+    in integers at ``count + guard`` fractional bits; the bits are those both
+    ends of its error interval share, with ``guard`` doubled until they agree.
     """
-    if constant not in _BIT_TABLES:
+    if constant not in _SERIES:
         raise ContractViolation(f"unknown constant {constant!r}; choose 'pi' or 'e'")
-    table = _BIT_TABLES[constant]
     if not isinstance(count, int) or count < 1:
         raise ContractViolation("count must be a positive integer")
-    if count > len(table):
-        raise ContractViolation(f"count {count} exceeds table length {len(table)}")
-    return np.array(table[:count], dtype=np.int64)
+    guard = 32
+    while True:
+        total, err = _SERIES[constant](1 << (count + guard))
+        low, high = (total - err) >> guard, (total + err) >> guard
+        if low == high:
+            break
+        guard *= 2
+    digits = format(low % (1 << count), f"0{count}b")
+    return np.array([int(d) for d in digits], dtype=np.int64)
 
 
 def draw_reservoir(regime: str, size: int, distribution: str,
@@ -247,7 +261,7 @@ def generate_reservoir(spec: ReservoirSpec, seed: Seed) -> np.ndarray:
 def generate_input(spec: InputCouplingSpec, seed: Seed) -> np.ndarray:
     """Materialize the input coupling vector for ``spec``.
 
-    Sign-table kinds map bit 1 to +1 and bit 0 to -1.  Periodic kinds tile
+    The pi and e sign kinds map bit 1 to +1 and bit 0 to -1.  Periodic kinds tile
     their block: ``periodic_binary`` repeats (1, 0, ..., 0) and
     ``periodic_bipolar`` repeats (+1, -1, ..., -1).
     """
@@ -262,13 +276,11 @@ def generate_input(spec: InputCouplingSpec, seed: Seed) -> np.ndarray:
     elif kind in ("ones_pi_signs", "ones_e_signs"):
         bits = irrational_bits("pi" if kind == "ones_pi_signs" else "e", n)
         vec = 2.0 * bits.astype(float) - 1.0
-    elif kind in _PERIODIC_KINDS:
+    else:  # a periodic kind; the spec admits no other
         p = spec.period
         block = np.full(p, -1.0) if kind == "periodic_bipolar" else np.zeros(p)
         block[0] = 1.0
         vec = np.tile(block, n // p)
-    else:  # pragma: no cover - spec validation makes this unreachable
-        raise ContractViolation(f"unknown input kind {kind!r}")
 
     if spec.normalize_unit:
         norm = float(np.linalg.norm(vec))

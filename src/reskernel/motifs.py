@@ -121,16 +121,7 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     eig = sym_eig(tensor.matrix)
     clamped = _clamp_spectrum(eig.eigenvalues, "metric tensor")
     omega = np.sqrt(clamped)
-    if omega[0] == 0.0:
-        return MotifSet(
-            vectors=np.empty((0, tensor.horizon)),
-            weights=np.empty(0),
-            spectrum=clamped,
-            threshold_ratio=threshold_ratio,
-            horizon=tensor.horizon,
-            state_dim=tensor.state_dim,
-        )
-    count = int(np.sum(omega >= threshold_ratio * omega[0]))
+    count = int(np.sum(omega >= threshold_ratio * omega[0])) if omega[0] > 0.0 else 0
     return MotifSet(
         vectors=eig.eigenvectors[:, :count].T,
         weights=omega[:count],

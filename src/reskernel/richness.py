@@ -204,15 +204,12 @@ class RichnessReport:
     seed: int
 
 
-_RANDOM_INPUT_KINDS = ("gaussian", "uniform", "ones_random_signs")
-
-
 def trial_count(regime: str, input_kind: str, override: int | None = None) -> int:
     """Repeats for one configuration: 1, 30, or 60 by number of random
     sources, unless overridden."""
     if override is not None:
         return override
-    sources = int(regime != cp.CYCLE_PERMUTATION) + int(input_kind in _RANDOM_INPUT_KINDS)
+    sources = int(regime != cp.CYCLE_PERMUTATION) + int(input_kind in cp.RANDOM_INPUT_KINDS)
     return {0: 1, 1: 30, 2: 60}[sources]
 
 
@@ -233,7 +230,7 @@ def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessRe
         for kind in config.input_kinds:
             in_spec = cp.InputCouplingSpec(
                 kind=kind, size=config.state_dim,
-                period=config.period if kind.startswith("periodic") else None,
+                period=config.period if kind in cp.PERIODIC_KINDS else None,
                 normalize_unit=config.normalize_unit,
             )
             for trial in range(trial_count(regime, kind, config.trials)):

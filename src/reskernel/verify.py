@@ -22,6 +22,7 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
+from .motifs import CLAMP_RTOL
 from .numerics import SYMMETRY_ATOL, numerical_rank, sym_eig
 from .temporal_kernel import (
     BoundParams,
@@ -37,8 +38,6 @@ from .temporal_kernel import (
 
 Tamper = Callable[[np.ndarray], np.ndarray]
 
-# Relative band tolerated for negative eigenvalues of a built tensor.
-PSD_RTOL = 1e-9
 # Absolute slack on the entrywise decay envelope.
 DECAY_ATOL = 1e-9
 # Kernel-versus-state agreement: error / max(1, |value|).
@@ -64,7 +63,7 @@ def _sample_config(rng: np.random.Generator, max_state_dim: int, max_horizon: in
     nu = float(rng.uniform(0.3, 0.9995))
     horizon = int(rng.integers(1, max_horizon + 1))
     period = None
-    if kind.startswith("periodic"):
+    if kind in cp.PERIODIC_KINDS:
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         period = int(divisors[int(rng.integers(0, len(divisors)))])
     distribution = cp.ENTRY_DISTRIBUTIONS[int(rng.integers(0, len(cp.ENTRY_DISTRIBUTIONS)))]
@@ -167,7 +166,7 @@ def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
         neg = max(0.0, -float(values[-1]))
         rel_neg = neg / top if top > 0.0 else (0.0 if neg == 0.0 else np.inf)
         rank = numerical_rank(values)
-        if rel_neg > PSD_RTOL or rank > res_spec.size:
+        if rel_neg > CLAMP_RTOL or rank > res_spec.size:
             psd_failed = True
             if psd_replay is None:
                 psd_replay = _replay(psd_name, res_spec, in_spec, horizon, seed,

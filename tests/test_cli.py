@@ -261,7 +261,9 @@ def test_sweep_horizon_follows_ell_as_motifs_does(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("grid", ["0.9:0:1.0", "a:b:c", "0.9:0.05", "1.0:0.1:0.5"])
+@pytest.mark.parametrize("grid", ["0.9:0:1.0", "a:b:c", "0.9:0.05", "1.0:0.1:0.5", "",
+                                  "nan:0.1:1.0", "0.9:inf:1.0", "0.9:0.1:inf",
+                                  "0.9:1e-12:1.0", "1e300:1:1e300"])
 def test_sweep_rejects_malformed_nu_grids(tmp_path, capsys, grid):
     code, _, stderr = run_cli(capsys, "sweep", "--nu-grid", grid,
                               "--N", "6", "--out", str(tmp_path / "x"))
@@ -438,18 +440,32 @@ def test_abbreviated_flags_are_not_expanded(tmp_path, capsys):
     assert not out.exists()
 
 
-# Usage errors that depend only on the arguments; ``{u}`` names a two-sample
-# series file and ``{short}`` a one-sample one.
+# Errors that a command meets before its first file, so ``--out`` must not
+# appear; ``{u}`` names a two-sample series file and ``{short}`` a one-sample one.
 _EARLY_USAGE_ERRORS = {
     "sweep nu grid": ["sweep", "--nu-grid", "a:b:c"],
     "sweep regimes": ["sweep", "--regimes", "cycle,weird"],
     "sweep inputs": ["sweep", "--inputs", "weird"],
     "sweep trials": ["sweep", "--trials", "0", "--nu-grid", "0.9:0.1:0.9"],
+    "sweep period not dividing N": ["sweep", "--regimes", "cycle", "--inputs",
+                                    "periodic-binary", "--period", "3", "--N", "10",
+                                    "--nu-grid", "0.9:0.1:0.9"],
     "motifs trials": ["motifs", "--trials", "0"],
+    "motifs N": ["motifs", "--N", "0"],
+    "motifs tau": ["motifs", "--N", "4", "--tau", "0"],
+    "motifs threshold": ["motifs", "--N", "4", "--threshold", "2"],
+    "motifs period not dividing N": ["motifs", "--input", "periodic-binary", "--period", "3",
+                                     "--N", "10"],
     "predict cycle horizon": ["predict", "--regime", "cycle", "--N", "4", "--tau", "6"],
+    "predict cycle N": ["predict", "--regime", "cycle", "--N", "0"],
+    "predict nu": ["predict", "--N", "4", "--nu", "1.5"],
     "kernel horizons": ["kernel", "{u}", "{short}", "--N", "2"],
     "kernel offset without degree": ["kernel", "{u}", "{u}", "--N", "2", "--offset", "1"],
     "kernel support without coeff": ["kernel", "{u}", "{u}", "--N", "2", "--support", "{u}"],
+    "kernel coeff without support": ["kernel", "{u}", "{u}", "--N", "2", "--coeff", "2.0"],
+    "verify configs": ["verify", "--configs", "0"],
+    "verify spectrum configs": ["verify", "--spectrum-configs", "0"],
+    "verify containment trials": ["verify", "--containment-trials", "0"],
 }
 
 
@@ -464,6 +480,16 @@ def test_usage_errors_leave_no_output_directory(tmp_path, capsys, case):
     assert code == 1, stderr
     assert stderr.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["motifs", "verify"])
+def test_unwritable_output_directory_is_a_usage_failure(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["--N", "4"] if command == "motifs" else []
+    code, _, stderr = run_cli(capsys, command, *argv, "--out", str(blocker / "sub"))
+    assert code == 1
+    assert stderr.startswith("error: cannot write ")
 
 
 def _generic_motifs_csv(vectors, weights, path):
@@ -674,6 +700,7 @@ def test_shipped_configs_run_as_the_readme_shows(tmp_path, capsys, name, command
       "--tau", "400"], False),
     (["motifs", "--N", "10", "--tau", "5"], True),
     (["motifs", "--N", "6", "--threshold", "1e-300"], False),
+    (["motifs", "--regime", "cycle", "--input", "pi-signs", "--N", "300"], False),
 ])
 def test_edge_cases_run_cleanly(tmp_path, capsys, argv, warns):
     argv = argv + ["--out", str(tmp_path / "edge")]
