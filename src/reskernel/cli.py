@@ -24,6 +24,7 @@ from . import _io
 from . import coupling as cp
 from .errors import ContractViolation, ConvergenceError, PsdViolationError
 from .motifs import (
+    check_threshold_ratio,
     compare_motifs,
     extract_motifs,
     predict_cycle,
@@ -35,6 +36,7 @@ from .richness import SweepConfig, sweep
 from .temporal_kernel import (
     ReadoutModel,
     build_from_specs,
+    check_horizon,
     kernel_eval,
     kernel_poly,
     readout_eval,
@@ -187,9 +189,11 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
 
 def _horizon(resolved: dict) -> int:
     if resolved["tau"] is not None:
-        return resolved["tau"]
-    ell = resolved["ell"] if resolved["ell"] is not None else 2
-    return ell * resolved["N"]
+        horizon = resolved["tau"]
+    else:
+        horizon = (resolved["ell"] if resolved["ell"] is not None else 2) * resolved["N"]
+    check_horizon(horizon)
+    return horizon
 
 
 def _specs(resolved: dict) -> tuple[cp.ReservoirSpec, cp.InputCouplingSpec]:
@@ -211,13 +215,15 @@ def _specs(resolved: dict) -> tuple[cp.ReservoirSpec, cp.InputCouplingSpec]:
 def cmd_motifs(args) -> int:
     resolved, _ = _resolve(args)
     specs = _specs(resolved)
+    horizon = _horizon(resolved)
+    check_threshold_ratio(resolved["threshold"])
     trials = resolved["trials"] if resolved["trials"] is not None else 1
     if trials < 1:
         raise UsageError("--trials must be positive")
     weight_runs = []
     first = None
     for trial in range(trials):
-        _, _, tensor = build_from_specs(*specs, _horizon(resolved),
+        _, _, tensor = build_from_specs(*specs, horizon,
                                         cp.trial_seed(resolved["seed"], trial))
         motif_set = extract_motifs(tensor, resolved["threshold"])
         weight_runs.append(np.sqrt(motif_set.spectrum))
@@ -256,6 +262,7 @@ def cmd_predict(args) -> int:
     resolved, _ = _resolve(args)
     res_spec, in_spec = _specs(resolved)
     horizon = _horizon(resolved)
+    check_threshold_ratio(resolved["threshold"])
     if res_spec.regime == cp.CYCLE_PERMUTATION and horizon % res_spec.size:
         raise UsageError("cycle predictions need tau to be a multiple of N; "
                          "use --ell (or a matching --tau)")

@@ -24,7 +24,7 @@ import numpy as np
 from .coupling import CYCLE_PERMUTATION, RANDOM_IID, SYMMETRIC_WIGNER
 from .errors import ContractViolation, PsdViolationError
 from .numerics import sym_eig
-from .temporal_kernel import MetricTensor, TimeSeries
+from .temporal_kernel import MetricTensor, TimeSeries, check_horizon
 
 # Negative eigenvalues within this relative band of the top eigenvalue are
 # treated as rounding noise and clamped to zero.
@@ -36,6 +36,12 @@ DEGENERACY_RTOL = 1e-8
 
 _UNIT_NORM_TOL = 1e-9
 _GRAM_TOL = 1e-8
+
+
+def check_threshold_ratio(threshold_ratio) -> None:
+    """Reject a motif retention ratio outside (0, 1]."""
+    if not (0.0 < threshold_ratio <= 1.0):
+        raise ContractViolation("threshold_ratio must lie in (0, 1]")
 
 
 def _clamp_spectrum(values: np.ndarray, what: str) -> np.ndarray:
@@ -82,8 +88,7 @@ class MotifSet:
             raise ContractViolation("motif vectors must form a 2-dimensional array")
         if wts.ndim != 1 or wts.shape[0] != vec.shape[0]:
             raise ContractViolation("one weight per motif is required")
-        if not (0.0 < self.threshold_ratio <= 1.0):
-            raise ContractViolation("threshold_ratio must lie in (0, 1]")
+        check_threshold_ratio(self.threshold_ratio)
         if vec.shape[0] > 0 and vec.shape[1] != self.horizon:
             raise ContractViolation("motif length does not match horizon")
         if spec.shape != (self.horizon,):
@@ -116,8 +121,7 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     tensor yields an empty motif set, which is a meaningful signal (the
     kernel is identically zero), not an error.
     """
-    if not (0.0 < threshold_ratio <= 1.0):
-        raise ContractViolation("threshold_ratio must lie in (0, 1]")
+    check_threshold_ratio(threshold_ratio)
     eig = sym_eig(tensor.matrix)
     clamped = _clamp_spectrum(eig.eigenvalues, "metric tensor")
     omega = np.sqrt(clamped)
@@ -194,8 +198,7 @@ def predict_random(state_dim: int, nu: float, coupling_norm: float,
     """
     if not isinstance(state_dim, int) or state_dim < 1:
         raise ContractViolation("state_dim must be a positive integer")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ContractViolation("horizon must be a positive integer")
+    check_horizon(horizon)
     if not np.isfinite(nu) or not (0.0 < nu <= 1.0):
         raise ContractViolation("nu must lie in (0, 1]")
     if not np.isfinite(coupling_norm) or coupling_norm <= 0.0:
@@ -223,8 +226,7 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
     metric tensor exactly, but the patterns are not mutually orthogonal, so
     they must not be read as eigenvector predictions.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ContractViolation("horizon must be a positive integer")
+    check_horizon(horizon)
     eig = sym_eig(reservoir)
     w_vec = np.asarray(coupling, dtype=float)
     if w_vec.ndim != 1 or w_vec.shape[0] != eig.eigenvectors.shape[0]:

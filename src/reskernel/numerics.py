@@ -136,16 +136,18 @@ def largest_singular_value(a) -> float:
 
 
 def dft(v) -> np.ndarray:
-    """Unnormalized forward discrete Fourier transform.
+    """Unnormalized forward discrete Fourier transform along the last axis.
 
-    Entry ``k`` equals ``sum_j v[j] * exp(-2i*pi*j*k/n)``.
+    Entry ``k`` of each row equals ``sum_j v[j] * exp(-2i*pi*j*k/n)``.  A
+    ``(k, n)`` array is transformed in one call, with the same bits as
+    transforming its rows one at a time.
     """
-    vec = np.asarray(v)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ContractViolation("dft expects a non-empty 1-dimensional vector")
-    if not np.all(np.isfinite(vec)):
+    arr = np.asarray(v)
+    if arr.ndim == 0 or arr.size == 0:
+        raise ContractViolation("dft expects a non-empty array of at least one dimension")
+    if not np.all(np.isfinite(arr)):
         raise ContractViolation("dft input contains non-finite entries")
-    return np.fft.fft(np.asarray(vec, dtype=complex))
+    return np.fft.fft(np.asarray(arr, dtype=complex))
 
 
 def numerical_rank(eigenvalues, rel_tol: float = 1e-10) -> int:

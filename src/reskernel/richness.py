@@ -17,9 +17,9 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
-from .motifs import MotifSet, extract_motifs
+from .motifs import MotifSet, check_threshold_ratio, extract_motifs
 from .numerics import dft
-from .temporal_kernel import build_metric_tensor
+from .temporal_kernel import build_metric_tensor, check_horizon, scale_metric_tensor
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,11 @@ def coefficient_cloud(motif_set: MotifSet) -> CoefficientCloud:
     motif's weight normalized so the retained weights sum to one.  An empty
     motif set gives an empty cloud.
     """
-    k = len(motif_set)
-    if k == 0:
+    if len(motif_set) == 0:
         return CoefficientCloud(points=np.empty(0, dtype=complex), weights=np.empty(0))
     share = motif_set.weights / float(np.sum(motif_set.weights))
-    tau = motif_set.horizon
-    points = np.empty(k * tau, dtype=complex)
-    weights = np.empty(k * tau)
-    for i in range(k):
-        points[i * tau:(i + 1) * tau] = dft(motif_set.vectors[i])
-        weights[i * tau:(i + 1) * tau] = share[i]
-    return CoefficientCloud(points=points, weights=weights)
+    return CoefficientCloud(points=dft(motif_set.vectors).ravel(),
+                            weights=np.repeat(share, motif_set.horizon))
 
 
 @dataclass(frozen=True)
@@ -177,9 +171,9 @@ class SweepConfig:
             raise ContractViolation("trials must be positive when given")
         if not isinstance(self.state_dim, int) or self.state_dim < 1:
             raise ContractViolation("state_dim must be a positive integer")
-        if self.horizon is not None and (not isinstance(self.horizon, int)
-                                         or self.horizon < 1):
-            raise ContractViolation("horizon must be a positive integer when given")
+        if self.horizon is not None:
+            check_horizon(self.horizon)
+        check_threshold_ratio(self.threshold_ratio)
         for regime in self.regimes:
             if regime not in cp.RESERVOIR_REGIMES:
                 raise ContractViolation(f"unknown regime {regime!r}")
@@ -218,9 +212,11 @@ def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessRe
 
     For every regime and input kind the configured number of trials is run.
     Trial ``t`` draws its raw reservoir and coupling once, from
-    ``trial_seed(base_seed, t)``, and rescales that draw to every grid value
-    of ``nu``, so each row equals the tensor ``build_from_specs`` gives at
-    its ``nu`` and adding a grid value leaves the other rows unchanged.
+    ``trial_seed(base_seed, t)``, builds one tensor for the unit-scale draw
+    ``raw * (1 / sigma)``, and scales that tensor to every grid value of
+    ``nu`` with :func:`scale_metric_tensor`.  That is the route of
+    ``build_from_specs``, so each row equals the tensor it gives at the
+    row's ``nu``, and adding a grid value leaves the other rows unchanged.
     Reports are sorted by (nu, regime, input_kind, trial).
     """
     nu_values = tuple(sorted(set(config.nu_values)))
@@ -237,10 +233,11 @@ def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessRe
                 seed = cp.trial_seed(config.base_seed, trial)
                 raw, sigma = cp.draw_reservoir(regime, config.state_dim,
                                                config.distribution, seed)
-                coupling = cp.generate_input(in_spec, seed)
+                unit = build_metric_tensor(raw * (1.0 / sigma),
+                                           cp.generate_input(in_spec, seed), horizon)
                 for nu in nu_values:
-                    tensor = build_metric_tensor(raw * (nu / sigma), coupling, horizon)
-                    motif_set = extract_motifs(tensor, config.threshold_ratio)
+                    motif_set = extract_motifs(scale_metric_tensor(unit, nu),
+                                               config.threshold_ratio)
                     summary = grid_summary(coefficient_cloud(motif_set), grid)
                     reports.append(RichnessReport(
                         nu=nu,

@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import (
-    InputCouplingSpec,
-    ReservoirSpec,
-    Seed,
-    generate_input,
-    generate_reservoir,
-)
+from . import coupling as cp
 from .errors import ContractViolation
 
 
@@ -126,19 +120,54 @@ def simulate_state(reservoir, coupling, series: TimeSeries, initial_state=None) 
     return x
 
 
+def check_horizon(horizon) -> None:
+    """Reject a history length that is not a positive integer."""
+    if not isinstance(horizon, int) or horizon < 1:
+        raise ContractViolation("horizon must be a positive integer")
+
+
+def _row_gather(w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(idx, vals)`` with ``W @ x == vals * x[idx]`` when every row of ``W``
+    has at most one nonzero (a weighted permutation such as the cycle);
+    ``None`` when some row has two."""
+    n = w_mat.shape[0]
+    # More than N nonzeros in all is the quick answer for a dense reservoir.
+    if np.count_nonzero(w_mat) > n or np.any(np.count_nonzero(w_mat, axis=1) > 1):
+        return None
+    idx = np.argmax(w_mat != 0.0, axis=1)
+    return idx, w_mat[np.arange(n), idx]
+
+
+def _feature_matrix(w_mat: np.ndarray, w_vec: np.ndarray, horizon: int) -> np.ndarray:
+    """The N x tau matrix whose column ``i`` is ``W^i w``, by the recurrence
+    ``col_i = W col_(i-1)``.  A reservoir with at most one nonzero per row
+    is applied as an index gather, which gives the bits of the
+    matrix-vector product in O(N) per column."""
+    gather = _row_gather(w_mat)
+    phi = np.empty((w_mat.shape[0], horizon))
+    col = w_vec.copy()
+    phi[:, 0] = col
+    for i in range(1, horizon):
+        if gather is None:
+            col = w_mat @ col
+        else:
+            # Adding 0.0 turns a product's -0.0 into the +0.0 the matvec sums to.
+            col = gather[1] * col[gather[0]] + 0.0
+        phi[:, i] = col
+    return phi
+
+
 def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
     """Assemble the kernel matrix for a reservoir over a given horizon.
 
-    Columns ``W^(i-1) w`` are built by the recurrence ``col_i = W col_(i-1)``
-    and the Gram matrix is symmetrized by mirroring its upper triangle, so
-    the result is exactly symmetric.
+    The Gram matrix of the columns ``W^(i-1) w`` is symmetrized by mirroring
+    its upper triangle, so the result is exactly symmetric.
 
     A horizon below the state dimension is legal but leaves the kernel
     blind to directions the reservoir can still reach, so it warns.
     """
     w_mat, w_vec = _check_pair(reservoir, coupling)
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ContractViolation("horizon must be a positive integer")
+    check_horizon(horizon)
     n = w_mat.shape[0]
     if horizon < n:
         warnings.warn(
@@ -146,25 +175,48 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
             "the kernel cannot resolve the full state space",
             stacklevel=2,
         )
-    phi = np.empty((n, horizon))
-    col = w_vec.copy()
-    phi[:, 0] = col
-    for i in range(1, horizon):
-        col = w_mat @ col
-        phi[:, i] = col
+    phi = _feature_matrix(w_mat, w_vec, horizon)
     gram = phi.T @ phi
     upper = np.triu(gram)
     matrix = upper + np.triu(gram, 1).T
     return MetricTensor(matrix=matrix, horizon=horizon, state_dim=n)
 
 
-def build_from_specs(reservoir_spec: ReservoirSpec, coupling_spec: InputCouplingSpec,
-                     horizon: int, seed: Seed) -> tuple[np.ndarray, np.ndarray, MetricTensor]:
+def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
+    """The tensor of the reservoir ``nu * W``, given the tensor of ``W``.
+
+    Column ``i`` of the feature matrix scales by ``nu^i``, so entry
+    ``(i, j)`` scales by ``nu^(i+j)``: the result is ``outer(d, d) * Q`` with
+    ``d = nu ** arange(tau)``, in O(tau^2) with no matrix-vector product and
+    no Gram.  ``outer(d, d)`` is exactly symmetric, so the result is too,
+    and ``nu = 1`` returns the same bits.
+    """
+    nu = float(nu)
+    if not np.isfinite(nu):
+        raise ContractViolation("nu must be finite")
+    d = nu ** np.arange(tensor.horizon)
+    matrix = np.outer(d, d)
+    matrix *= tensor.matrix
+    return MetricTensor(matrix=matrix, horizon=tensor.horizon, state_dim=tensor.state_dim)
+
+
+def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCouplingSpec,
+                     horizon: int, seed: cp.Seed) -> tuple[np.ndarray, np.ndarray, MetricTensor]:
     """Generate the reservoir and input coupling of ``seed`` and build their
-    metric tensor; returns ``(reservoir, coupling, tensor)``."""
-    reservoir = generate_reservoir(reservoir_spec, seed)
-    coupling = generate_input(coupling_spec, seed)
-    return reservoir, coupling, build_metric_tensor(reservoir, coupling, horizon)
+    metric tensor; returns ``(reservoir, coupling, tensor)``.
+
+    The reservoir is :func:`coupling.generate_reservoir`'s, ``raw * (nu /
+    sigma)``.  The tensor is built once for the unit-scale draw ``raw * (1 /
+    sigma)`` and scaled to ``nu`` by :func:`scale_metric_tensor`, the route
+    :func:`richness.sweep` takes for every value of its grid, so each sweep
+    row equals this build at its ``nu``.
+    """
+    raw, sigma = cp.draw_reservoir(reservoir_spec.regime, reservoir_spec.size,
+                                   reservoir_spec.distribution, seed)
+    coupling = cp.generate_input(coupling_spec, seed)
+    unit = build_metric_tensor(raw * (1.0 / sigma), coupling, horizon)
+    return (raw * (reservoir_spec.nu / sigma), coupling,
+            scale_metric_tensor(unit, reservoir_spec.nu))
 
 
 def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
@@ -269,8 +321,7 @@ class BoundParams:
                 raise ContractViolation(f"{name} must be positive and finite")
         if not (0.0 < self.contraction_rate < 1.0):
             raise ContractViolation("contraction_rate must lie in (0, 1)")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ContractViolation("horizon must be a positive integer")
+        check_horizon(self.horizon)
 
 
 def minimal_state_scale(signal_bound: float, coupling_bound: float,

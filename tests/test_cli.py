@@ -11,7 +11,7 @@ from reskernel import (
     ContractViolation,
     PsdViolationError,
     TimeSeries,
-    build_metric_tensor,
+    build_from_specs,
     extract_motifs,
     kernel_eval,
 )
@@ -330,12 +330,9 @@ def test_kernel_command_matches_library_evaluation(tmp_path, capsys):
     assert code == 0
     rows = read_rows(out / "kernel.csv")
     values = {r[0]: float(r[1]) for r in rows[1:]}
-    seed = cp.mix_seed(9, 0, 0)
-    res = cp.generate_reservoir(
-        cp.ReservoirSpec(regime="cycle_permutation", size=3, nu=0.8), seed)
-    coup = cp.generate_input(
-        cp.InputCouplingSpec(kind="ones_pi_signs", size=3), seed)
-    tensor = build_metric_tensor(res, coup, 3)
+    _, _, tensor = build_from_specs(
+        cp.ReservoirSpec(regime="cycle_permutation", size=3, nu=0.8),
+        cp.InputCouplingSpec(kind="ones_pi_signs", size=3), 3, cp.mix_seed(9, 0, 0))
     expected = kernel_eval(tensor, TimeSeries(np.array([1.0, -0.5, 0.25])),
                            TimeSeries(np.array([0.5, 0.5, -1.0])))
     assert values["kernel"] == expected
@@ -440,13 +437,15 @@ def test_abbreviated_flags_are_not_expanded(tmp_path, capsys):
     assert not out.exists()
 
 
-# Errors that a command meets before its first file, so ``--out`` must not
-# appear; ``{u}`` names a two-sample series file and ``{short}`` a one-sample one.
+# Errors that a command meets before its first file and before it draws a
+# reservoir, so ``--out`` must not appear; ``{u}`` names a two-sample series
+# file and ``{short}`` a one-sample one.
 _EARLY_USAGE_ERRORS = {
     "sweep nu grid": ["sweep", "--nu-grid", "a:b:c"],
     "sweep regimes": ["sweep", "--regimes", "cycle,weird"],
     "sweep inputs": ["sweep", "--inputs", "weird"],
     "sweep trials": ["sweep", "--trials", "0", "--nu-grid", "0.9:0.1:0.9"],
+    "sweep threshold": ["sweep", "--threshold", "0"],
     "sweep period not dividing N": ["sweep", "--regimes", "cycle", "--inputs",
                                     "periodic-binary", "--period", "3", "--N", "10",
                                     "--nu-grid", "0.9:0.1:0.9"],
@@ -454,11 +453,14 @@ _EARLY_USAGE_ERRORS = {
     "motifs N": ["motifs", "--N", "0"],
     "motifs tau": ["motifs", "--N", "4", "--tau", "0"],
     "motifs threshold": ["motifs", "--N", "4", "--threshold", "2"],
+    "motifs threshold at N 600": ["motifs", "--N", "600", "--threshold", "2"],
+    "motifs tau at the default N": ["motifs", "--tau", "0"],
     "motifs period not dividing N": ["motifs", "--input", "periodic-binary", "--period", "3",
                                      "--N", "10"],
     "predict cycle horizon": ["predict", "--regime", "cycle", "--N", "4", "--tau", "6"],
     "predict cycle N": ["predict", "--regime", "cycle", "--N", "0"],
     "predict nu": ["predict", "--N", "4", "--nu", "1.5"],
+    "predict ell": ["predict", "--ell", "0"],
     "kernel horizons": ["kernel", "{u}", "{short}", "--N", "2"],
     "kernel offset without degree": ["kernel", "{u}", "{u}", "--N", "2", "--offset", "1"],
     "kernel support without coeff": ["kernel", "{u}", "{u}", "--N", "2", "--support", "{u}"],
@@ -470,7 +472,11 @@ _EARLY_USAGE_ERRORS = {
 
 
 @pytest.mark.parametrize("case", sorted(_EARLY_USAGE_ERRORS))
-def test_usage_errors_leave_no_output_directory(tmp_path, capsys, case):
+def test_usage_errors_leave_no_output_directory(tmp_path, capsys, monkeypatch, case):
+    def no_draw(*args):
+        raise AssertionError("a reservoir was drawn before the usage error")
+
+    monkeypatch.setattr(cp, "draw_reservoir", no_draw)
     _write_series(tmp_path / "u.txt", [1.0, 2.0])
     _write_series(tmp_path / "short.txt", [1.0])
     argv = [arg.format(u=tmp_path / "u.txt", short=tmp_path / "short.txt")
@@ -669,7 +675,7 @@ _CONFIG_RUNS = [
     ("markovian_sign_variants", "motifs", [], None),
     ("periodic_collapse", "motifs", [], "retained 10 of 200 motifs (threshold 0.01)"),
     ("periodic_collapse", "predict", [],
-     "compared 10 motifs: min alignment 1, max weight rel error 9.16"),
+     "compared 10 motifs: min alignment 0.99999999999999989, max weight rel error 4.53"),
     ("phase_transition_sweep", "sweep", ["--nu-grid", "0.99:0.01:1.0"], None),
     ("symmetric_components", "predict", [], None),
 ]
@@ -738,11 +744,9 @@ def test_kernel_and_motifs_draw_the_same_random_reservoir(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "motifs", *model, "--tau", "3",
                          "--out", str(tmp_path / "m"))
     assert code == 0
-    seed = cp.mix_seed(5, 0, 0)
-    res = cp.generate_reservoir(
-        cp.ReservoirSpec(regime="random_iid", size=3, nu=0.995), seed)
-    coup = cp.generate_input(cp.InputCouplingSpec(kind="gaussian", size=3), seed)
-    tensor = build_metric_tensor(res, coup, 3)
+    _, _, tensor = build_from_specs(
+        cp.ReservoirSpec(regime="random_iid", size=3, nu=0.995),
+        cp.InputCouplingSpec(kind="gaussian", size=3), 3, cp.mix_seed(5, 0, 0))
     expected = kernel_eval(tensor, TimeSeries(np.array([1.0, -0.5, 0.25])),
                            TimeSeries(np.array([0.5, 0.5, -1.0])))
     kernel_rows = read_rows(tmp_path / "k" / "kernel.csv")

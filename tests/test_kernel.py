@@ -1,6 +1,7 @@
 """State simulation, the metric tensor, kernel evaluation, and error bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from reskernel import (
     kernel_poly,
     minimal_state_scale,
     readout_eval,
+    scale_metric_tensor,
     simulate_state,
 )
 from reskernel import temporal_kernel
-from reskernel.coupling import generate_input, generate_reservoir
+from reskernel.coupling import draw_reservoir, generate_input, generate_reservoir
 from reskernel.verify import run_initial_state_error_containment
 
 
@@ -177,6 +179,103 @@ def test_metric_tensor_container_validation():
         MetricTensor(np.array([[np.nan]]), horizon=1, state_dim=1)
     with pytest.raises(ContractViolation):
         MetricTensor(np.zeros((2, 2)), horizon=2, state_dim=0)
+
+
+# ---------------------------------------------------------------------------
+# index gather for reservoirs with one nonzero per row
+# ---------------------------------------------------------------------------
+
+def _dense_build(monkeypatch, reservoir, coupling, horizon):
+    """The feature matrix and the tensor through ``W @ col`` for every column."""
+    with monkeypatch.context() as patch:
+        patch.setattr(temporal_kernel, "_row_gather", lambda w_mat: None)
+        return (temporal_kernel._feature_matrix(reservoir, coupling, horizon),
+                build_metric_tensor(reservoir, coupling, horizon))
+
+
+def _signed_permutation(n, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=n)
+    weights[0] = 0.0  # a row with no nonzero at all
+    matrix = np.zeros((n, n))
+    matrix[np.arange(n), rng.permutation(n)] = weights
+    return matrix
+
+
+@pytest.mark.parametrize("case", ["cycle gaussian", "cycle periodic_binary",
+                                  "cycle pi signs", "cycle N=1", "signed permutation",
+                                  "signed permutation periodic_binary"])
+def test_gather_build_is_byte_equal_to_the_dense_loop(monkeypatch, case):
+    n = 1 if case == "cycle N=1" else 8
+    kind = {"cycle periodic_binary": "periodic_binary", "cycle pi signs": "ones_pi_signs",
+            "signed permutation periodic_binary": "periodic_binary"}.get(case, "gaussian")
+    coupling = generate_input(InputCouplingSpec(
+        kind=kind, size=n, period=4 if kind == "periodic_binary" else None), Seed(3))
+    if case.startswith("signed permutation"):
+        reservoir = _signed_permutation(n, 11)
+    else:
+        reservoir = _cycle(n, 0.9)
+    assert temporal_kernel._row_gather(reservoir) is not None
+    dense_phi, dense = _dense_build(monkeypatch, reservoir, coupling, 3 * n)
+    phi = temporal_kernel._feature_matrix(reservoir, coupling, 3 * n)
+    assert phi.tobytes() == dense_phi.tobytes()
+    assert build_metric_tensor(reservoir, coupling, 3 * n).matrix.tobytes() == \
+        dense.matrix.tobytes()
+
+
+def test_two_nonzeros_in_a_row_take_the_dense_path():
+    reservoir = _signed_permutation(5, 2)
+    reservoir[3, :2] = [0.5, -0.25]
+    assert temporal_kernel._row_gather(reservoir) is None
+    coupling = np.linspace(-1.0, 1.0, 5)
+    ref = oracles.metric_tensor_by_powers(reservoir, coupling, 9)
+    tensor = build_metric_tensor(reservoir, coupling, 9)
+    assert np.max(np.abs(tensor.matrix - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# scaling a tensor to nu * W
+# ---------------------------------------------------------------------------
+
+def _unit_pair(regime, n, seed=4):
+    raw, sigma = draw_reservoir(regime, n, "gaussian", Seed(seed))
+    coupling = generate_input(InputCouplingSpec(kind="gaussian", size=n), Seed(seed))
+    return raw * (1.0 / sigma), coupling
+
+
+@pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
+def test_scaling_by_one_returns_the_same_bits(regime):
+    unit, coupling = _unit_pair(regime, 6)
+    tensor = build_metric_tensor(unit, coupling, 18)
+    assert scale_metric_tensor(tensor, 1.0).matrix.tobytes() == tensor.matrix.tobytes()
+
+
+@pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
+@pytest.mark.parametrize("horizon", [7, 36])  # below N and 3N
+@pytest.mark.parametrize("nu", [0.3, 0.9, 1.0])
+def test_scaled_tensor_equals_the_build_of_the_scaled_reservoir(regime, horizon, nu):
+    unit, coupling = _unit_pair(regime, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # horizon 7 is below the state dimension
+        scaled = scale_metric_tensor(build_metric_tensor(unit, coupling, horizon), nu)
+        direct = build_metric_tensor(nu * unit, coupling, horizon)
+    assert np.array_equal(scaled.matrix, scaled.matrix.T)
+    assert (scaled.horizon, scaled.state_dim) == (horizon, 12)
+    scale = np.max(np.abs(direct.matrix))
+    assert np.max(np.abs(scaled.matrix - direct.matrix)) <= 1e-13 * scale
+
+
+def test_scaling_by_an_integer_nu_matches_the_float():
+    tensor = build_metric_tensor(np.array([[0.5]]), np.array([1.0]), 3)
+    assert scale_metric_tensor(tensor, 2).matrix.tobytes() == \
+        scale_metric_tensor(tensor, 2.0).matrix.tobytes()
+
+
+def test_scaling_rejects_a_non_finite_nu():
+    tensor = build_metric_tensor(np.array([[0.5]]), np.array([1.0]), 3)
+    for nu in (np.nan, np.inf):
+        with pytest.raises(ContractViolation):
+            scale_metric_tensor(tensor, nu)
 
 
 # ---------------------------------------------------------------------------

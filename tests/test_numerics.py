@@ -157,10 +157,26 @@ def test_dft_inverse_round_trip_property(values):
     assert np.max(np.abs(back - v)) <= 1e-10 * max(1.0, np.max(np.abs(v)))
 
 
-@pytest.mark.parametrize("bad", [np.zeros(0), np.zeros((2, 2)), np.array([1.0, np.nan])])
+@pytest.mark.parametrize("bad", [np.zeros(0), np.zeros((2, 0)), np.array([1.0, np.nan]),
+                                 np.array([[1.0, 2.0], [np.inf, 0.0]]), np.array(1.0)])
 def test_dft_rejects_malformed_input(bad):
     with pytest.raises(ContractViolation):
         dft(bad)
+
+
+@pytest.mark.parametrize("k, n", [(1, 1), (1, 7), (5, 16), (12, 12), (8, 200)])
+def test_dft_of_a_matrix_transforms_each_row(k, n):
+    # One call on a (k, n) array gives the bits of k calls on its rows.  The
+    # transposed eigenvector block is laid out like the motif vectors.
+    rng = np.random.default_rng(k * 1000 + n)
+    a = rng.normal(size=(n, n))
+    rows = np.linalg.eigh(a + a.T)[1][:, :k].T
+    whole = dft(rows)
+    assert whole.shape == (k, n)
+    for i in range(k):
+        single = dft(rows[i])
+        assert whole[i].tobytes() == single.tobytes()
+        assert np.max(np.abs(whole[i] - oracles.dft_direct(rows[i]))) < 1e-10 * max(1.0, n)
 
 
 # ---------------------------------------------------------------------------

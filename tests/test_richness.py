@@ -1,5 +1,8 @@
 """Coefficient clouds, grid occupancy, and the damping-factor sweep."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from reskernel import (
     build_from_specs,
     coefficient_cloud,
     default_nu_grid,
+    dft,
     extract_motifs,
     grid_summary,
     mix_seed,
@@ -89,6 +93,19 @@ def test_empty_motif_set_gives_empty_cloud():
     assert len(cloud) == 0
     assert grid_summary(cloud) == grid_summary(cloud)
     assert grid_summary(cloud).relative_area == 0.0
+
+
+def test_cloud_holds_the_per_motif_transforms_in_motif_order():
+    _, _, tensor = build_from_specs(ReservoirSpec(regime="random_iid", size=10, nu=0.95),
+                                    InputCouplingSpec(kind="gaussian", size=10), 20,
+                                    trial_seed(1, 0))
+    motifs = extract_motifs(tensor, 1e-3)
+    cloud = coefficient_cloud(motifs)
+    share = motifs.weights / np.sum(motifs.weights)
+    expected = np.concatenate([dft(vector) for vector in motifs.vectors])
+    assert len(motifs) > 1
+    assert cloud.points.tobytes() == expected.tobytes()
+    assert np.array_equal(cloud.weights, np.repeat(share, 20))
 
 
 def test_cloud_container_validation():
@@ -244,6 +261,42 @@ def test_sweep_measures_each_random_draw_once(monkeypatch):
     assert calls == [(6, 6), (6, 6)]
 
 
+def test_default_sweep_builds_one_tensor_per_trial(monkeypatch):
+    from reskernel import richness
+
+    horizons = []
+    build = richness.build_metric_tensor
+
+    def counted(reservoir, coupling, horizon):
+        horizons.append(horizon)
+        return build(reservoir, coupling, horizon)
+
+    monkeypatch.setattr(richness, "build_metric_tensor", counted)
+    # The default regimes, input kind, nu grid and trial counts, at a small N.
+    reports = sweep(SweepConfig(state_dim=6))
+    assert len(reports) == 22 * 31
+    assert horizons == [12] * 31
+
+
+_REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "reference"
+
+
+def test_cycle_rows_of_the_default_sweep_match_the_benchmark_reference():
+    # The benchmark's sweep workload fails a run whose cycle rows move more
+    # than 1e-9 from this file; the counts must match exactly.
+    with open(_REFERENCE / "sweep_cycle_pi_signs.csv", newline="") as handle:
+        reference = {float(row["nu"]): row for row in csv.DictReader(handle)}
+    reports = sweep(SweepConfig(regimes=("cycle_permutation",)))
+    assert len(reports) == 22
+    assert {r.nu for r in reports} == set(reference)
+    for report in reports:
+        ref = reference[report.nu]
+        for name in ("n_motifs", "cells_visited", "discarded_points"):
+            assert getattr(report, name) == int(ref[name]), (report.nu, name)
+        for name in ("relative_area", "weighted_relative_area"):
+            assert abs(getattr(report, name) - float(ref[name])) <= 1e-9, (report.nu, name)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(nu_values=()),
     dict(nu_values=(0.0,)),
@@ -251,6 +304,9 @@ def test_sweep_measures_each_random_draw_once(monkeypatch):
     dict(nu_values=(0.9,), state_dim=0),
     dict(nu_values=(0.9,), regimes=("hyperbolic",)),
     dict(nu_values=(0.9,), input_kinds=("noise",)),
+    dict(nu_values=(0.9,), threshold_ratio=0.0),
+    dict(nu_values=(0.9,), threshold_ratio=1.5),
+    dict(nu_values=(0.9,), horizon=0),
 ])
 def test_sweep_config_validation(kwargs):
     with pytest.raises(ContractViolation):
