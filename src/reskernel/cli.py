@@ -372,6 +372,7 @@ def cmd_verify(args) -> int:
     if min(args.configs, args.spectrum_configs, args.containment_trials) < 1:
         raise UsageError("--configs, --spectrum-configs and --containment-trials "
                          "must each be at least 1")
+    cp.Seed(resolved["seed"])
     # A passing run writes no file, yet still leaves its --out directory.
     out = Path(resolved["out"])
     try:

@@ -103,6 +103,12 @@ def _sample(rng: np.random.Generator, distribution: str, shape) -> np.ndarray:
     return 2.0 * rng.integers(0, 2, shape).astype(float) - 1.0  # rademacher
 
 
+def check_nu(nu) -> None:
+    """Reject a contraction scale outside (0, 1], nan included."""
+    if not np.isfinite(nu) or not (0.0 < nu <= 1.0):
+        raise ContractViolation("nu must lie in (0, 1]")
+
+
 def _check_draw(regime: str, size: int, distribution: str) -> None:
     if regime not in RESERVOIR_REGIMES:
         raise ContractViolation(f"unknown reservoir regime {regime!r}")
@@ -137,8 +143,7 @@ class ReservoirSpec:
 
     def __post_init__(self):
         _check_draw(self.regime, self.size, self.distribution)
-        if not np.isfinite(self.nu) or not (0.0 < self.nu <= 1.0):
-            raise ContractViolation("nu must lie in (0, 1]")
+        check_nu(self.nu)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CYCLE_PERMUTATION, RANDOM_IID, SYMMETRIC_WIGNER
+from .coupling import check_nu
 from .errors import ContractViolation, PsdViolationError
-from .numerics import sym_eig
+from .numerics import sym_eig, symmetric_gram
 from .temporal_kernel import MetricTensor, TimeSeries, check_horizon
 
 # Negative eigenvalues within this relative band of the top eigenvalue are
@@ -64,21 +64,17 @@ class MotifSet:
     weights : (k,) ndarray
         Positive, descending; ``weights[i]**2`` is the i-th eigenvalue.
     spectrum : (tau,) ndarray
-        The full clamped eigenvalue list, including discarded tail.
+        The full clamped eigenvalue list, including discarded tail.  Its
+        length is the horizon ``tau``, which :attr:`horizon` reads.
     threshold_ratio : float
         Retention cut that produced this set: motifs with weight below
         ``threshold_ratio * weights[0]`` were dropped.
-    horizon : int
-    state_dim : int or None
-        State dimension of the generating reservoir when known.
     """
 
     vectors: np.ndarray
     weights: np.ndarray
     spectrum: np.ndarray
     threshold_ratio: float
-    horizon: int
-    state_dim: int | None = None
 
     def __post_init__(self):
         vec = np.asarray(self.vectors, dtype=float)
@@ -89,10 +85,10 @@ class MotifSet:
         if wts.ndim != 1 or wts.shape[0] != vec.shape[0]:
             raise ContractViolation("one weight per motif is required")
         check_threshold_ratio(self.threshold_ratio)
-        if vec.shape[0] > 0 and vec.shape[1] != self.horizon:
-            raise ContractViolation("motif length does not match horizon")
-        if spec.shape != (self.horizon,):
-            raise ContractViolation("spectrum must list one eigenvalue per horizon step")
+        if spec.ndim != 1:
+            raise ContractViolation("spectrum must be a 1-dimensional array")
+        if vec.shape[0] > 0 and vec.shape[1] != spec.shape[0]:
+            raise ContractViolation("motif length does not match spectrum length")
         if np.any(np.diff(spec) > 0.0) or np.any(spec < 0.0):
             raise ContractViolation("spectrum must be non-negative and descending")
         if wts.size:
@@ -110,6 +106,10 @@ class MotifSet:
 
     def __len__(self) -> int:
         return int(self.weights.shape[0])
+
+    @property
+    def horizon(self) -> int:
+        return int(self.spectrum.shape[0])
 
 
 def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> MotifSet:
@@ -131,8 +131,6 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
         weights=omega[:count],
         spectrum=clamped,
         threshold_ratio=threshold_ratio,
-        horizon=tensor.horizon,
-        state_dim=tensor.state_dim,
     )
 
 
@@ -159,21 +157,20 @@ class MotifPrediction:
     ``orthonormal`` distinguishes eigenvector claims (random and cycle
     regimes) from non-orthogonal component decompositions (symmetric
     regime).  ``extras`` carries regime-specific artifacts such as the
-    core block vectors or a reconstructed tensor.
+    core block vectors or a reconstructed tensor.  The horizon is the length
+    of the rows of ``vectors``.
     """
 
-    regime: str
     vectors: np.ndarray
     weights: np.ndarray
-    horizon: int
     orthonormal: bool
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vec = np.asarray(self.vectors, dtype=float)
         wts = np.asarray(self.weights, dtype=float)
-        if vec.ndim != 2 or vec.shape[1] != self.horizon:
-            raise ContractViolation("predicted vectors must be rows of length horizon")
+        if vec.ndim != 2:
+            raise ContractViolation("predicted vectors must form a 2-dimensional array")
         if wts.shape != (vec.shape[0],):
             raise ContractViolation("one weight per predicted vector is required")
         if np.any(wts < 0.0) or np.any(np.diff(wts) > 0.0):
@@ -183,6 +180,10 @@ class MotifPrediction:
 
     def __len__(self) -> int:
         return int(self.weights.shape[0])
+
+    @property
+    def horizon(self) -> int:
+        return int(self.vectors.shape[1])
 
 
 def predict_random(state_dim: int, nu: float, coupling_norm: float,
@@ -199,18 +200,15 @@ def predict_random(state_dim: int, nu: float, coupling_norm: float,
     if not isinstance(state_dim, int) or state_dim < 1:
         raise ContractViolation("state_dim must be a positive integer")
     check_horizon(horizon)
-    if not np.isfinite(nu) or not (0.0 < nu <= 1.0):
-        raise ContractViolation("nu must lie in (0, 1]")
+    check_nu(nu)
     if not np.isfinite(coupling_norm) or coupling_norm <= 0.0:
         raise ContractViolation("coupling_norm must be positive")
     count = min(state_dim, horizon)
     vectors = np.eye(horizon)[:count]
     weights = coupling_norm * (nu / 2.0) ** np.arange(count)
     return MotifPrediction(
-        regime=RANDOM_IID,
         vectors=vectors,
         weights=weights,
-        horizon=horizon,
         orthonormal=True,
         extras={"decay_ratio": nu / 2.0},
     )
@@ -244,19 +242,14 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
     sq_norms = np.sum(patterns**2, axis=1)
     weights = projections**2 * sq_norms
     order = np.argsort(-weights, kind="stable")
-    scaled = projections[:, None] * patterns
-    recon = scaled.T @ scaled
-    recon = np.triu(recon) + np.triu(recon, 1).T
     return MotifPrediction(
-        regime=SYMMETRIC_WIGNER,
         vectors=(patterns / np.sqrt(sq_norms)[:, None])[order],
         weights=weights[order],
-        horizon=horizon,
         orthonormal=False,
         extras={
             "component_rates": eig.eigenvalues[order],
             "component_projections": projections[order],
-            "reconstruction": recon,
+            "reconstruction": symmetric_gram(projections[:, None] * patterns),
         },
     )
 
@@ -298,10 +291,8 @@ def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
         tiles[b * p:(b + 1) * p, :] = eig.eigenvectors * nu ** (b * p)
     tiles /= np.linalg.norm(tiles, axis=0)[None, :]
     return MotifPrediction(
-        regime=CYCLE_PERMUTATION,
         vectors=tiles.T,
         weights=np.sqrt(multiplicity * values * factor),
-        horizon=tau,
         orthonormal=True,
         extras={
             "core_eigenvalues": values,
@@ -314,8 +305,7 @@ def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
 def _check_nu_and_copies(nu: float, copies: int) -> None:
     if not isinstance(copies, int) or copies < 1:
         raise ContractViolation("copies must be an integer >= 1")
-    if not np.isfinite(nu) or not (0.0 < nu <= 1.0):
-        raise ContractViolation("nu must lie in (0, 1]")
+    check_nu(nu)
 
 
 def predict_cycle(state_dim: int, nu: float, coupling, copies: int) -> MotifPrediction:

@@ -120,18 +120,21 @@ def sym_eig(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
+def symmetric_gram(a: np.ndarray) -> np.ndarray:
+    """``A^T A`` made exactly symmetric: the BLAS product is symmetric only up
+    to rounding, so it is averaged with its transpose (a no-op on its bits
+    where it already is)."""
+    gram = a.T @ a
+    return 0.5 * (gram + gram.T)
+
+
 def largest_singular_value(a) -> float:
     """Largest singular value of a real matrix.
 
     Computed as ``sqrt(max eigenvalue of A^T A)`` so the whole package rests
     on a single spectral routine.  Returns exactly 0.0 for a zero matrix.
     """
-    m = _as_matrix(a)
-    gram = m.T @ m
-    # Products of the form A^T A are symmetric only up to rounding once BLAS
-    # blocking enters; force exact symmetry before decomposing.
-    gram = 0.5 * (gram + gram.T)
-    top = sym_eig(gram).eigenvalues[0]
+    top = sym_eig(symmetric_gram(_as_matrix(a))).eigenvalues[0]
     return float(np.sqrt(max(top, 0.0)))
 
 

@@ -146,7 +146,9 @@ class SweepConfig:
     ``trials`` of ``None`` selects the repeat count per configuration
     automatically: 1 when both reservoir and coupling are deterministic,
     30 when exactly one of them is random, 60 when both are.
-    ``horizon`` of ``None`` means twice the state dimension.
+    ``horizon`` of ``None`` means twice the state dimension.  The settings
+    are checked by building the specs they describe (a reservoir per regime
+    and ``nu``, a coupling per input kind, the seed) before any sweep work.
     """
 
     nu_values: tuple[float, ...] = field(default_factory=default_nu_grid)
@@ -164,22 +166,22 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.nu_values) == 0:
             raise ContractViolation("nu grid must not be empty")
-        for nu in self.nu_values:
-            if not (0.0 < nu <= 1.0):
-                raise ContractViolation(f"nu value {nu} outside (0, 1]")
         if self.trials is not None and self.trials < 1:
             raise ContractViolation("trials must be positive when given")
-        if not isinstance(self.state_dim, int) or self.state_dim < 1:
-            raise ContractViolation("state_dim must be a positive integer")
         if self.horizon is not None:
             check_horizon(self.horizon)
         check_threshold_ratio(self.threshold_ratio)
         for regime in self.regimes:
-            if regime not in cp.RESERVOIR_REGIMES:
-                raise ContractViolation(f"unknown regime {regime!r}")
+            for nu in self.nu_values:
+                cp.ReservoirSpec(regime, self.state_dim, nu, self.distribution)
         for kind in self.input_kinds:
-            if kind not in cp.INPUT_KINDS:
-                raise ContractViolation(f"unknown input kind {kind!r}")
+            self.coupling_spec(kind)
+        cp.Seed(self.base_seed)
+
+    def coupling_spec(self, kind: str) -> cp.InputCouplingSpec:
+        """The coupling spec of ``kind``; only the periodic kinds take ``period``."""
+        period = self.period if kind in cp.PERIODIC_KINDS else None
+        return cp.InputCouplingSpec(kind, self.state_dim, period, self.normalize_unit)
 
 
 @dataclass(frozen=True)
@@ -224,11 +226,7 @@ def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessRe
     reports: list[RichnessReport] = []
     for regime in config.regimes:
         for kind in config.input_kinds:
-            in_spec = cp.InputCouplingSpec(
-                kind=kind, size=config.state_dim,
-                period=config.period if kind in cp.PERIODIC_KINDS else None,
-                normalize_unit=config.normalize_unit,
-            )
+            in_spec = config.coupling_spec(kind)
             for trial in range(trial_count(regime, kind, config.trials)):
                 seed = cp.trial_seed(config.base_seed, trial)
                 raw, sigma = cp.draw_reservoir(regime, config.state_dim,

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
+from .numerics import symmetric_gram
 
 
 def _as_vector(a, name: str = "vector") -> np.ndarray:
@@ -69,24 +70,27 @@ class TimeSeries:
 class MetricTensor:
     """The horizon-``tau`` kernel matrix of one reservoir.
 
-    ``matrix`` is exactly symmetric by construction.
+    ``matrix`` is exactly symmetric by construction; ``state_dim`` is the
+    state dimension N of the reservoir.  The horizon is not stored: it is
+    the side of ``matrix``.
     """
 
     matrix: np.ndarray
-    horizon: int
     state_dim: int
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ContractViolation("metric tensor must be a square matrix")
-        if m.shape[0] != self.horizon:
-            raise ContractViolation("metric tensor shape does not match horizon")
         if not np.all(np.isfinite(m)):
             raise ContractViolation("metric tensor contains non-finite entries")
         if self.state_dim < 1:
             raise ContractViolation("state dimension must be positive")
         object.__setattr__(self, "matrix", m)
+
+    @property
+    def horizon(self) -> int:
+        return int(self.matrix.shape[0])
 
 
 def simulate_state(reservoir, coupling, series: TimeSeries, initial_state=None) -> np.ndarray:
@@ -160,8 +164,8 @@ def _feature_matrix(w_mat: np.ndarray, w_vec: np.ndarray, horizon: int) -> np.nd
 def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
     """Assemble the kernel matrix for a reservoir over a given horizon.
 
-    The Gram matrix of the columns ``W^(i-1) w`` is symmetrized by mirroring
-    its upper triangle, so the result is exactly symmetric.
+    The Gram matrix of the columns ``W^(i-1) w`` comes from
+    :func:`numerics.symmetric_gram`, so the result is exactly symmetric.
 
     A horizon below the state dimension is legal but leaves the kernel
     blind to directions the reservoir can still reach, so it warns.
@@ -175,11 +179,8 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
             "the kernel cannot resolve the full state space",
             stacklevel=2,
         )
-    phi = _feature_matrix(w_mat, w_vec, horizon)
-    gram = phi.T @ phi
-    upper = np.triu(gram)
-    matrix = upper + np.triu(gram, 1).T
-    return MetricTensor(matrix=matrix, horizon=horizon, state_dim=n)
+    return MetricTensor(matrix=symmetric_gram(_feature_matrix(w_mat, w_vec, horizon)),
+                        state_dim=n)
 
 
 def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
@@ -197,7 +198,7 @@ def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
     d = nu ** np.arange(tensor.horizon)
     matrix = np.outer(d, d)
     matrix *= tensor.matrix
-    return MetricTensor(matrix=matrix, horizon=tensor.horizon, state_dim=tensor.state_dim)
+    return MetricTensor(matrix=matrix, state_dim=tensor.state_dim)
 
 
 def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCouplingSpec,

@@ -1,0 +1,41 @@
+"""The benchmark tracer reads the records this package returns.
+
+``benchmarks/spans.py`` counts bytes and retained motifs from the results
+of ``build_metric_tensor`` and ``extract_motifs``.  The benchmark's own
+tests are not part of this suite, so this test keeps those counters
+working when the records change shape.  It only imports from
+``benchmarks/``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import reskernel as rk
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import spans
+
+    return spans
+
+
+def test_tracer_counts_bytes_and_retained_motifs_of_a_cycle_build(spans):
+    n, tau = 4, 8
+    reservoir = rk.generate_reservoir(rk.ReservoirSpec("cycle_permutation", n, 0.9), rk.Seed(0))
+    coupling = rk.generate_input(rk.InputCouplingSpec("ones_pi_signs", n), rk.Seed(0))
+    with spans.Tracer("test") as tracer:
+        tensor = rk.build_metric_tensor(reservoir, coupling, tau)
+        motif_set = rk.extract_motifs(tensor)
+        rk.predict_cycle(n, 0.9, coupling, tau // n)
+    metrics = tracer.layer_metrics()
+    assert metrics["temporal_kernel.build_metric_tensor.calls"] == 1
+    assert metrics["temporal_kernel.build_metric_tensor.bytes_computed"] == 8 * (n * tau + tau**2)
+    assert metrics["motifs.extract_motifs.calls"] == 1
+    assert metrics["motifs.extract_motifs.retained_ratio"] == len(motif_set) / tau
+    assert 0 < len(motif_set) <= n
+    assert metrics["motifs.predict_cycle.calls"] == 1

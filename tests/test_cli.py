@@ -449,6 +449,8 @@ _EARLY_USAGE_ERRORS = {
     "sweep period not dividing N": ["sweep", "--regimes", "cycle", "--inputs",
                                     "periodic-binary", "--period", "3", "--N", "10",
                                     "--nu-grid", "0.9:0.1:0.9"],
+    "sweep periodic kind without a period": ["sweep", "--regimes", "random", "--inputs",
+                                             "pi-signs,periodic-binary"],
     "motifs trials": ["motifs", "--trials", "0"],
     "motifs N": ["motifs", "--N", "0"],
     "motifs tau": ["motifs", "--N", "4", "--tau", "0"],
@@ -468,6 +470,8 @@ _EARLY_USAGE_ERRORS = {
     "verify configs": ["verify", "--configs", "0"],
     "verify spectrum configs": ["verify", "--spectrum-configs", "0"],
     "verify containment trials": ["verify", "--containment-trials", "0"],
+    "verify negative seed": ["verify", "--seed", "-1"],
+    "verify seed past 64 bits": ["verify", "--seed", "18446744073709551616"],
 }
 
 

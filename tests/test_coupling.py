@@ -9,9 +9,13 @@ from reskernel import (
     InputCouplingSpec,
     ReservoirSpec,
     Seed,
+    SweepConfig,
     irrational_bits,
     largest_singular_value,
     mix_seed,
+    predict_cycle,
+    predict_cycle_periodic,
+    predict_random,
 )
 from reskernel.coupling import (
     ENTRY_DISTRIBUTIONS,
@@ -141,6 +145,28 @@ def test_reservoir_spec_rejects_bad_parameters(kwargs):
 def test_draw_reservoir_rejects_bad_parameters(regime, size, distribution):
     with pytest.raises(ContractViolation):
         draw_reservoir(regime, size, distribution, Seed(0))
+
+
+# Every public entry point that takes nu, each with otherwise valid arguments.
+_NU_USERS = {
+    "ReservoirSpec": lambda nu: ReservoirSpec(regime="cycle_permutation", size=4, nu=nu),
+    "predict_random": lambda nu: predict_random(4, nu, 1.0, 8),
+    "predict_cycle": lambda nu: predict_cycle(4, nu, np.full(4, 0.5), 2),
+    "predict_cycle_periodic": lambda nu: predict_cycle_periodic(4, nu, np.array([1.0, 0.0]), 2),
+    "SweepConfig": lambda nu: SweepConfig(nu_values=(nu,), state_dim=4),
+}
+
+
+@pytest.mark.parametrize("user", sorted(_NU_USERS))
+@pytest.mark.parametrize("nu", [0.0, -0.5, 1.5, np.nan, np.inf])
+def test_every_nu_user_rejects_nu_outside_the_unit_interval(user, nu):
+    with pytest.raises(ContractViolation, match=r"nu must lie in \(0, 1\]"):
+        _NU_USERS[user](nu)
+
+
+@pytest.mark.parametrize("user", sorted(_NU_USERS))
+def test_every_nu_user_accepts_nu_one(user):
+    _NU_USERS[user](1.0)
 
 
 def test_reservoir_spec_allows_nu_one():

@@ -172,13 +172,11 @@ def test_tensor_rejects_bad_horizon(horizon):
 
 def test_metric_tensor_container_validation():
     with pytest.raises(ContractViolation):
-        MetricTensor(np.zeros((2, 3)), horizon=2, state_dim=1)
+        MetricTensor(np.zeros((2, 3)), state_dim=1)
     with pytest.raises(ContractViolation):
-        MetricTensor(np.zeros((2, 2)), horizon=3, state_dim=1)
+        MetricTensor(np.array([[np.nan]]), state_dim=1)
     with pytest.raises(ContractViolation):
-        MetricTensor(np.array([[np.nan]]), horizon=1, state_dim=1)
-    with pytest.raises(ContractViolation):
-        MetricTensor(np.zeros((2, 2)), horizon=2, state_dim=0)
+        MetricTensor(np.zeros((2, 2)), state_dim=0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,7 @@ def test_kernel_rejects_horizon_mismatch():
 
 
 def test_polynomial_kernel_values():
-    tensor = MetricTensor(np.eye(2), horizon=2, state_dim=2)
+    tensor = MetricTensor(np.eye(2), state_dim=2)
     u = TimeSeries(np.array([3.0, 0.0]))
     v = TimeSeries(np.array([1.0, 0.0]))
     assert kernel_poly(tensor, u, v, 0.0, 2) == 9.0
@@ -335,7 +333,7 @@ def test_polynomial_kernel_values():
 @pytest.mark.parametrize("offset,degree", [(0.0, 0), (0.0, -2), (0.0, 1.5),
                                            (np.nan, 2)])
 def test_polynomial_kernel_rejects_bad_parameters(offset, degree):
-    tensor = MetricTensor(np.eye(2), horizon=2, state_dim=2)
+    tensor = MetricTensor(np.eye(2), state_dim=2)
     u = TimeSeries(np.ones(2))
     with pytest.raises(ContractViolation):
         kernel_poly(tensor, u, u, offset, degree)
@@ -346,7 +344,7 @@ def test_polynomial_kernel_rejects_bad_parameters(offset, degree):
 # ---------------------------------------------------------------------------
 
 def test_readout_with_no_supports_returns_bias():
-    tensor = MetricTensor(np.eye(2), horizon=2, state_dim=2)
+    tensor = MetricTensor(np.eye(2), state_dim=2)
     model = ReadoutModel(supports=(), coefficients=np.zeros(0), bias=0.75)
     assert readout_eval(model, tensor, TimeSeries(np.ones(2))) == 0.75
 

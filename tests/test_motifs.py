@@ -1,5 +1,7 @@
 """Motif extraction from the metric tensor and the per-regime predictions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from reskernel import (
     predict_random,
     predict_symmetric,
     represent,
+    scale_metric_tensor,
 )
 from reskernel.coupling import generate_input, generate_reservoir
 
@@ -53,7 +56,7 @@ def test_scalar_reservoir_yields_single_geometric_motif():
 
 
 def test_identity_tensor_keeps_every_motif():
-    tensor = MetricTensor(np.eye(5), horizon=5, state_dim=5)
+    tensor = MetricTensor(np.eye(5), state_dim=5)
     motifs = extract_motifs(tensor)
     assert len(motifs) == 5
     assert np.array_equal(motifs.weights, np.ones(5))
@@ -61,7 +64,7 @@ def test_identity_tensor_keeps_every_motif():
 
 
 def test_retention_threshold_is_relative_to_top_weight():
-    tensor = MetricTensor(np.diag([1.0, 1e-3, 1e-6]), horizon=3, state_dim=3)
+    tensor = MetricTensor(np.diag([1.0, 1e-3, 1e-6]), state_dim=3)
     # weights are 1, ~0.0316, 0.001; the default ratio 1e-2 keeps two.
     motifs = extract_motifs(tensor)
     assert len(motifs) == 2
@@ -81,14 +84,14 @@ def test_full_spectrum_is_kept_alongside_retained_weights():
 
 
 def test_small_negative_eigenvalues_are_clamped_to_zero():
-    tensor = MetricTensor(np.diag([1.0, -1e-12]), horizon=2, state_dim=2)
+    tensor = MetricTensor(np.diag([1.0, -1e-12]), state_dim=2)
     motifs = extract_motifs(tensor)
     assert np.array_equal(motifs.spectrum, [1.0, 0.0])
     assert len(motifs) == 1
 
 
 def test_clear_negative_eigenvalue_raises_psd_violation():
-    tensor = MetricTensor(np.diag([1.0, -1.0]), horizon=2, state_dim=2)
+    tensor = MetricTensor(np.diag([1.0, -1.0]), state_dim=2)
     with pytest.raises(PsdViolationError) as exc:
         extract_motifs(tensor)
     assert exc.value.eigenvalue == pytest.approx(-1.0, rel=1e-12)
@@ -96,7 +99,7 @@ def test_clear_negative_eigenvalue_raises_psd_violation():
 
 
 def test_zero_tensor_yields_empty_motif_set():
-    tensor = MetricTensor(np.zeros((4, 4)), horizon=4, state_dim=3)
+    tensor = MetricTensor(np.zeros((4, 4)), state_dim=3)
     motifs = extract_motifs(tensor)
     assert len(motifs) == 0
     assert motifs.vectors.shape == (0, 4)
@@ -105,14 +108,14 @@ def test_zero_tensor_yields_empty_motif_set():
 
 @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5])
 def test_extract_rejects_bad_threshold(ratio):
-    tensor = MetricTensor(np.eye(2), horizon=2, state_dim=2)
+    tensor = MetricTensor(np.eye(2), state_dim=2)
     with pytest.raises(ContractViolation):
         extract_motifs(tensor, threshold_ratio=ratio)
 
 
 def test_motif_set_validation():
     good = dict(vectors=np.eye(2), weights=np.array([2.0, 1.0]),
-                spectrum=np.array([4.0, 1.0]), threshold_ratio=1e-2, horizon=2)
+                spectrum=np.array([4.0, 1.0]), threshold_ratio=1e-2)
     MotifSet(**good)
     bad_norm = dict(good, vectors=np.array([[2.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ContractViolation):
@@ -131,7 +134,7 @@ def test_motif_set_validation():
 # ---------------------------------------------------------------------------
 
 def test_represent_in_motif_coordinates_identity_case():
-    tensor = MetricTensor(np.eye(3), horizon=3, state_dim=3)
+    tensor = MetricTensor(np.eye(3), state_dim=3)
     motifs = extract_motifs(tensor)
     u = np.array([0.5, -2.0, 0.25])
     assert np.allclose(represent(motifs, TimeSeries(u)), u, atol=1e-14)
@@ -172,11 +175,11 @@ def test_represent_inner_products_approximate_the_kernel():
 
 
 def test_represent_rejects_horizon_mismatch_and_empty_set_passthrough():
-    tensor = MetricTensor(np.eye(3), horizon=3, state_dim=3)
+    tensor = MetricTensor(np.eye(3), state_dim=3)
     motifs = extract_motifs(tensor)
     with pytest.raises(ContractViolation):
         represent(motifs, TimeSeries(np.ones(4)))
-    empty = extract_motifs(MetricTensor(np.zeros((3, 3)), horizon=3, state_dim=3))
+    empty = extract_motifs(MetricTensor(np.zeros((3, 3)), state_dim=3))
     assert represent(empty, TimeSeries(np.ones(3))).shape == (0,)
 
 
@@ -438,13 +441,37 @@ def test_periodic_prediction_rejects_period_not_dividing_size():
 
 def test_prediction_container_validation():
     with pytest.raises(ContractViolation):
-        MotifPrediction(regime="random_iid", vectors=np.eye(2),
-                        weights=np.array([1.0, 2.0]), horizon=2,
+        MotifPrediction(vectors=np.eye(2),
+                        weights=np.array([1.0, 2.0]),
                         orthonormal=True, extras={})
     with pytest.raises(ContractViolation):
-        MotifPrediction(regime="random_iid", vectors=np.eye(2),
-                        weights=np.array([1.0, -0.5]), horizon=2,
+        MotifPrediction(vectors=np.eye(2),
+                        weights=np.array([1.0, -0.5]),
                         orthonormal=True, extras={})
+
+
+def test_records_store_no_horizon_and_derive_it_from_their_arrays():
+    stored = {record.__name__: [f.name for f in dataclasses.fields(record)]
+              for record in (MetricTensor, MotifSet, MotifPrediction)}
+    assert stored == {
+        "MetricTensor": ["matrix", "state_dim"],
+        "MotifSet": ["vectors", "weights", "spectrum", "threshold_ratio"],
+        "MotifPrediction": ["vectors", "weights", "orthonormal", "extras"],
+    }
+    res, coup, tensor = _tensor_for("symmetric_wigner", 4, 0.9, 8, Seed(3))
+    scaled = scale_metric_tensor(tensor, 0.5)
+    motifs = extract_motifs(tensor)
+    assert tensor.horizon == tensor.matrix.shape[0] == 8
+    assert scaled.horizon == scaled.matrix.shape[0] == 8
+    assert motifs.horizon == motifs.spectrum.shape[0] == motifs.vectors.shape[1] == 8
+    predictions = [
+        predict_random(4, 0.9, 1.0, 8),
+        predict_symmetric(res, coup, 8),
+        predict_cycle(4, 0.9, coup, 2),
+        predict_cycle_periodic(4, 0.9, np.array([1.0, 0.0]), 2),
+    ]
+    for prediction in predictions:
+        assert prediction.horizon == prediction.vectors.shape[1] == 8
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +481,8 @@ def test_prediction_container_validation():
 def _self_comparison_pair(seed):
     res, coup, tensor = _tensor_for("random_iid", 6, 0.9, 10, seed)
     motifs = extract_motifs(tensor)
-    pred = MotifPrediction(regime="random_iid", vectors=motifs.vectors.copy(),
-                           weights=motifs.weights.copy(), horizon=10,
+    pred = MotifPrediction(vectors=motifs.vectors.copy(),
+                           weights=motifs.weights.copy(),
                            orthonormal=True, extras={})
     return motifs, pred
 
@@ -472,8 +499,8 @@ def test_comparison_of_a_set_with_itself_is_perfect():
 
 def test_comparison_ignores_global_sign_of_predicted_vectors():
     motifs, pred = _self_comparison_pair(Seed(6))
-    flipped = MotifPrediction(regime=pred.regime, vectors=-pred.vectors,
-                              weights=pred.weights, horizon=pred.horizon,
+    flipped = MotifPrediction(vectors=-pred.vectors,
+                              weights=pred.weights,
                               orthonormal=True, extras={})
     comparison = compare_motifs(motifs, flipped)
     assert np.min(comparison.alignments) >= 1.0 - 1e-12
@@ -481,12 +508,11 @@ def test_comparison_ignores_global_sign_of_predicted_vectors():
 
 def test_degenerate_predicted_weights_are_compared_as_a_subspace():
     motifs = MotifSet(vectors=np.eye(2), weights=np.array([1.0, 1.0]),
-                      spectrum=np.array([1.0, 1.0]), threshold_ratio=1e-2,
-                      horizon=2)
+                      spectrum=np.array([1.0, 1.0]), threshold_ratio=1e-2)
     s = np.sqrt(0.5)
     rotated = np.array([[s, s], [s, -s]])
-    pred = MotifPrediction(regime="cycle_permutation", vectors=rotated,
-                           weights=np.array([1.0, 1.0]), horizon=2,
+    pred = MotifPrediction(vectors=rotated,
+                           weights=np.array([1.0, 1.0]),
                            orthonormal=True, extras={})
     comparison = compare_motifs(motifs, pred)
     assert np.array_equal(comparison.cluster_ids, [0, 0])
@@ -502,10 +528,9 @@ def test_distinct_predicted_weights_get_distinct_clusters():
 
 def test_zero_predicted_weight_flags_infinite_error():
     motifs = MotifSet(vectors=np.eye(2), weights=np.array([1.0, 0.5]),
-                      spectrum=np.array([1.0, 0.25]), threshold_ratio=1e-2,
-                      horizon=2)
-    pred = MotifPrediction(regime="cycle_permutation", vectors=np.eye(2),
-                           weights=np.array([1.0, 0.0]), horizon=2,
+                      spectrum=np.array([1.0, 0.25]), threshold_ratio=1e-2)
+    pred = MotifPrediction(vectors=np.eye(2),
+                           weights=np.array([1.0, 0.0]),
                            orthonormal=True, extras={})
     comparison = compare_motifs(motifs, pred)
     assert comparison.weight_rel_errors[1] == np.inf
@@ -513,12 +538,11 @@ def test_zero_predicted_weight_flags_infinite_error():
 
 def test_comparison_rejects_empty_or_mismatched_inputs():
     motifs, pred = _self_comparison_pair(Seed(9))
-    empty = extract_motifs(MetricTensor(np.zeros((10, 10)), horizon=10,
-                                        state_dim=6))
+    empty = extract_motifs(MetricTensor(np.zeros((10, 10)), state_dim=6))
     with pytest.raises(ContractViolation):
         compare_motifs(empty, pred)
-    other = MotifPrediction(regime="random_iid", vectors=np.eye(4),
-                            weights=np.ones(4), horizon=4, orthonormal=True,
+    other = MotifPrediction(vectors=np.eye(4),
+                            weights=np.ones(4), orthonormal=True,
                             extras={})
     with pytest.raises(ContractViolation):
         compare_motifs(motifs, other)

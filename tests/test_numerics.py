@@ -14,6 +14,7 @@ from reskernel import (
     numerical_rank,
     sym_eig,
 )
+from reskernel.numerics import symmetric_gram
 
 
 def _random_symmetric(rng, n):
@@ -123,6 +124,15 @@ def test_largest_singular_value_matches_svd():
         a = rng.normal(size=(7, 7))
         ref = np.linalg.svd(a, compute_uv=False)[0]
         assert largest_singular_value(a) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 90), (90, 40)])
+def test_symmetric_gram_is_exactly_symmetric_and_equals_the_product(shape):
+    a = np.random.default_rng(17).normal(size=shape)
+    gram = symmetric_gram(a)
+    assert gram.shape == (shape[1], shape[1])
+    assert np.array_equal(gram, gram.T)
+    assert np.allclose(gram, a.T @ a, rtol=0.0, atol=1e-12 * np.max(np.abs(a.T @ a)))
 
 
 def test_largest_singular_value_rejects_nonfinite():

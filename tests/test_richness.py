@@ -35,7 +35,7 @@ def _motif_set(vectors, weights):
     spectrum = np.zeros(vectors.shape[1])
     spectrum[:len(weights)] = weights ** 2
     return MotifSet(vectors=vectors, weights=weights, spectrum=spectrum,
-                    threshold_ratio=1e-2, horizon=vectors.shape[1])
+                    threshold_ratio=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_constant_motif_concentrates_at_the_dc_coefficient():
 
 
 def test_empty_motif_set_gives_empty_cloud():
-    empty = extract_motifs(MetricTensor(np.zeros((3, 3)), horizon=3, state_dim=2))
+    empty = extract_motifs(MetricTensor(np.zeros((3, 3)), state_dim=2))
     cloud = coefficient_cloud(empty)
     assert len(cloud) == 0
     assert grid_summary(cloud) == grid_summary(cloud)
@@ -307,6 +307,10 @@ def test_cycle_rows_of_the_default_sweep_match_the_benchmark_reference():
     dict(nu_values=(0.9,), threshold_ratio=0.0),
     dict(nu_values=(0.9,), threshold_ratio=1.5),
     dict(nu_values=(0.9,), horizon=0),
+    dict(nu_values=(0.9,), input_kinds=("periodic_binary",)),
+    dict(nu_values=(0.9,), input_kinds=("periodic_bipolar",), state_dim=10, period=3),
+    dict(nu_values=(0.9,), base_seed=-1),
+    dict(nu_values=(0.9,), distribution="cauchy"),
 ])
 def test_sweep_config_validation(kwargs):
     with pytest.raises(ContractViolation):

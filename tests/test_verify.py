@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reskernel import (
+    ContractViolation,
     run_all,
     run_initial_state_error_containment,
     run_kernel_state_equivalence,
@@ -56,6 +57,14 @@ def test_run_all_aggregates_every_property():
     assert len(results) == 4
     assert len({r.name for r in results}) == 4
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("suite", [run_kernel_state_equivalence, run_spectrum_properties,
+                                   run_initial_state_error_containment])
+@pytest.mark.parametrize("base_seed", [-1, 2**64])
+def test_suites_reject_a_base_seed_outside_64_bits(suite, base_seed):
+    with pytest.raises(ContractViolation, match="seed base"):
+        suite(base_seed=base_seed)
 
 
 def test_tampered_tensor_fails_equivalence_with_replay():
