@@ -79,10 +79,6 @@ def read_time_series(path) -> TimeSeries:
     return TimeSeries(np.array(values))
 
 
-def write_time_series(series: TimeSeries, path) -> None:
-    atomic_write_text(path, "\n".join(fmt_float(v) for v in series.values) + "\n")
-
-
 def write_motifs_csv(vectors: np.ndarray, weights: np.ndarray, path) -> None:
     """One motif per row: index, weight, then the motif components.
 

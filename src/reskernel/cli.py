@@ -28,7 +28,6 @@ from .motifs import (
     compare_motifs,
     extract_motifs,
     predict_cycle,
-    predict_cycle_periodic,
     predict_random,
     predict_symmetric,
 )
@@ -199,14 +198,10 @@ def _horizon(resolved: dict) -> int:
 def _specs(resolved: dict) -> tuple[cp.ReservoirSpec, cp.InputCouplingSpec]:
     """Reservoir and coupling specs of the resolved options; their
     constructors reject bad values before any work is done."""
-    kind = _INPUTS[resolved["input"]]
     res_spec = cp.ReservoirSpec(regime=_REGIMES[resolved["regime"]], size=resolved["N"],
                                 nu=resolved["nu"], distribution=resolved["dist"])
-    in_spec = cp.InputCouplingSpec(
-        kind=kind, size=resolved["N"],
-        period=resolved["period"] if kind in cp.PERIODIC_KINDS else None,
-        normalize_unit=resolved["normalize"],
-    )
+    in_spec = cp.coupling_spec(_INPUTS[resolved["input"]], resolved["N"], resolved["period"],
+                               resolved["normalize"])
     return res_spec, in_spec
 
 
@@ -245,16 +240,13 @@ def cmd_motifs(args) -> int:
     return 0
 
 
-def _prediction_for(res_spec, in_spec, reservoir, coupling_vec, horizon: int):
+def _prediction_for(res_spec, reservoir, coupling_vec, horizon: int):
     if res_spec.regime == cp.RANDOM_IID:
         return predict_random(res_spec.size, res_spec.nu,
                               float(np.linalg.norm(coupling_vec)), horizon)
     if res_spec.regime == cp.CYCLE_PERMUTATION:
-        copies = horizon // res_spec.size
-        if in_spec.kind in cp.PERIODIC_KINDS:
-            return predict_cycle_periodic(res_spec.size, res_spec.nu,
-                                          coupling_vec[:in_spec.period], copies)
-        return predict_cycle(res_spec.size, res_spec.nu, coupling_vec, copies)
+        return predict_cycle(res_spec.size, res_spec.nu, coupling_vec,
+                             horizon // res_spec.size)
     return predict_symmetric(reservoir, coupling_vec, horizon)
 
 
@@ -269,7 +261,7 @@ def cmd_predict(args) -> int:
     reservoir, coupling_vec, tensor = build_from_specs(
         res_spec, in_spec, horizon, cp.trial_seed(resolved["seed"], 0))
     empirical = extract_motifs(tensor, resolved["threshold"])
-    prediction = _prediction_for(res_spec, in_spec, reservoir, coupling_vec, tensor.horizon)
+    prediction = _prediction_for(res_spec, reservoir, coupling_vec, tensor.horizon)
     report = "comparison.csv" if prediction.orthonormal else "reconstruction.csv"
     if prediction.orthonormal:
         comparison = compare_motifs(empirical, prediction)

@@ -109,11 +109,17 @@ def check_nu(nu) -> None:
         raise ContractViolation("nu must lie in (0, 1]")
 
 
+def check_positive_int(value, name: str) -> None:
+    """Reject anything but an ``int`` of at least 1; a ``bool`` is rejected
+    too, as :class:`Seed` rejects it."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ContractViolation(f"{name} must be a positive integer")
+
+
 def _check_draw(regime: str, size: int, distribution: str) -> None:
     if regime not in RESERVOIR_REGIMES:
         raise ContractViolation(f"unknown reservoir regime {regime!r}")
-    if not isinstance(size, int) or size < 1:
-        raise ContractViolation("reservoir size must be a positive integer")
+    check_positive_int(size, "reservoir size")
     if distribution not in ENTRY_DISTRIBUTIONS:
         raise ContractViolation(f"unknown entry distribution {distribution!r}")
 
@@ -163,19 +169,25 @@ class InputCouplingSpec:
     def __post_init__(self):
         if self.kind not in INPUT_KINDS:
             raise ContractViolation(f"unknown input kind {self.kind!r}")
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ContractViolation("coupling size must be a positive integer")
+        check_positive_int(self.size, "coupling size")
         if self.kind in PERIODIC_KINDS:
             if self.period is None:
                 raise ContractViolation(f"{self.kind} requires a period")
-            if not isinstance(self.period, int) or self.period < 1:
-                raise ContractViolation("period must be a positive integer")
+            check_positive_int(self.period, "period")
             if self.size % self.period != 0:
                 raise ContractViolation(
                     f"period {self.period} does not divide size {self.size}"
                 )
         elif self.period is not None:
             raise ContractViolation(f"{self.kind} does not take a period")
+
+
+def coupling_spec(kind: str, size: int, period: int | None,
+                  normalize_unit: bool = True) -> InputCouplingSpec:
+    """The spec of ``kind`` under a period setting shared by several kinds:
+    the periodic kinds take ``period`` and the others drop it."""
+    return InputCouplingSpec(kind, size, period if kind in PERIODIC_KINDS else None,
+                             normalize_unit)
 
 
 def _arctan_inv(x: int, one: int) -> tuple[int, int]:
@@ -219,8 +231,7 @@ def irrational_bits(constant: str, count: int) -> np.ndarray:
     """
     if constant not in _SERIES:
         raise ContractViolation(f"unknown constant {constant!r}; choose 'pi' or 'e'")
-    if not isinstance(count, int) or count < 1:
-        raise ContractViolation("count must be a positive integer")
+    check_positive_int(count, "count")
     guard = 32
     while True:
         total, err = _SERIES[constant](1 << (count + guard))

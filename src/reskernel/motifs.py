@@ -8,11 +8,12 @@ reservoir regimes, and compares empirical against predicted sets.
 
 Predictions come in two flavors.  For the dense random and cycle regimes
 the predicted vectors are eigenvector claims and can be compared index by
-index.  For symmetric reservoirs the natural decomposition is a sum of
-rank-one kernels, one per reservoir eigenvalue; those component patterns
-are not mutually orthogonal and therefore are not eigenvectors of the
-tensor.  :func:`compare_motifs` refuses such predictions rather than
-produce a meaningless score.
+index; the cycle prediction reads the period of a periodic coupling from
+the coupling vector itself.  For symmetric reservoirs the natural
+decomposition is a sum of rank-one kernels, one per reservoir eigenvalue;
+those component patterns are not mutually orthogonal and therefore are not
+eigenvectors of the tensor.  :func:`compare_motifs` refuses such
+predictions rather than produce a meaningless score.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import check_nu
+from .coupling import check_nu, check_positive_int
 from .errors import ContractViolation, PsdViolationError
 from .numerics import sym_eig, symmetric_gram
 from .temporal_kernel import MetricTensor, TimeSeries, check_horizon
@@ -157,8 +158,8 @@ class MotifPrediction:
     ``orthonormal`` distinguishes eigenvector claims (random and cycle
     regimes) from non-orthogonal component decompositions (symmetric
     regime).  ``extras`` carries regime-specific artifacts such as the
-    core block vectors or a reconstructed tensor.  The horizon is the length
-    of the rows of ``vectors``.
+    cycle core's eigenvalues or a reconstructed tensor.  The horizon is the
+    length of the rows of ``vectors``.
     """
 
     vectors: np.ndarray
@@ -197,8 +198,7 @@ def predict_random(state_dim: int, nu: float, coupling_norm: float,
     the lone sample ``i`` steps back) with weight
     ``coupling_norm * (nu / 2)**(i - 1)``.
     """
-    if not isinstance(state_dim, int) or state_dim < 1:
-        raise ContractViolation("state_dim must be a positive integer")
+    check_positive_int(state_dim, "state_dim")
     check_horizon(horizon)
     check_nu(nu)
     if not np.isfinite(coupling_norm) or coupling_norm <= 0.0:
@@ -246,11 +246,7 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
         vectors=(patterns / np.sqrt(sq_norms)[:, None])[order],
         weights=weights[order],
         orthonormal=False,
-        extras={
-            "component_rates": eig.eigenvalues[order],
-            "component_projections": projections[order],
-            "reconstruction": symmetric_gram(projections[:, None] * patterns),
-        },
+        extras={"reconstruction": symmetric_gram(projections[:, None] * patterns)},
     )
 
 
@@ -294,57 +290,32 @@ def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
         vectors=tiles.T,
         weights=np.sqrt(multiplicity * values * factor),
         orthonormal=True,
-        extras={
-            "core_eigenvalues": values,
-            "core_vectors": eig.eigenvectors.T,
-            "eigenvalue_factor": factor,
-        },
+        extras={"core_eigenvalues": values, "eigenvalue_factor": factor},
     )
-
-
-def _check_nu_and_copies(nu: float, copies: int) -> None:
-    if not isinstance(copies, int) or copies < 1:
-        raise ContractViolation("copies must be an integer >= 1")
-    check_nu(nu)
 
 
 def predict_cycle(state_dim: int, nu: float, coupling, copies: int) -> MotifPrediction:
     """Exact motifs for the scaled cycle reservoir at horizon ``copies * N``.
 
-    The horizon-``N`` tensor ``R[i, j] = nu^(i+j-2) <w, P^(j-i) w>`` is
-    diagonalized and each of its eigenvectors is tiled ``copies`` times
-    with damping ``nu^N`` per tile.  The tiled vectors are exact
-    eigenvectors of the full tensor with eigenvalues scaled by
-    ``(1 - nu^(2 tau)) / (1 - nu^(2 N))``.
+    The coupling's shortest period ``p`` is read from the vector: the
+    smallest divisor of ``N`` under whose cyclic shift it is unchanged, and
+    ``N`` itself for an aperiodic coupling.  The coupling is then ``k = N /
+    p`` copies of a block of length ``p``, and the spectrum collapses to at
+    most ``p`` motifs: the eigenvectors of the length-``p`` core driven by
+    the block, tiled ``tau / p`` times with damping ``nu^p`` per tile.  They
+    are exact eigenvectors of the full tensor, with the core's eigenvalues
+    scaled by ``k * (1 - nu^(2 tau)) / (1 - nu^(2 p))``; ``extras`` reports
+    ``k`` as ``copies_per_coupling``.
     """
-    _check_nu_and_copies(nu, copies)
+    check_positive_int(state_dim, "state_dim")
+    check_positive_int(copies, "copies")
+    check_nu(nu)
     w_vec = np.asarray(coupling, dtype=float)
     if w_vec.ndim != 1 or w_vec.shape[0] != state_dim:
         raise ContractViolation("coupling length does not match state_dim")
-    return _predict_cycle_core(w_vec, nu, copies, 1)
-
-
-def predict_cycle_periodic(state_dim: int, nu: float, block, copies: int) -> MotifPrediction:
-    """Exact motifs for the cycle reservoir with a periodic coupling.
-
-    A coupling made of ``k = state_dim / p`` copies of a block of length
-    ``p`` collapses the spectrum to at most ``p`` distinct motifs: those of
-    the length-``p`` cycle driven by the block, tiled ``tau / p`` times with
-    damping ``nu^p`` per tile, with eigenvalues carrying the factor
-    ``k * (1 - nu^(2 tau)) / (1 - nu^(2 p))``.  The multiplicity ``k``
-    belongs in that factor; for a unit-normalized coupling it cancels
-    against the block normalization.
-    """
-    _check_nu_and_copies(nu, copies)
-    s_vec = np.asarray(block, dtype=float)
-    if s_vec.ndim != 1 or s_vec.size == 0:
-        raise ContractViolation("block must be a non-empty vector")
-    p = s_vec.shape[0]
-    if not isinstance(state_dim, int) or state_dim < 1:
-        raise ContractViolation("state_dim must be a positive integer")
-    if state_dim % p != 0:
-        raise ContractViolation(f"block length {p} does not divide state_dim {state_dim}")
-    prediction = _predict_cycle_core(s_vec, nu, copies * state_dim // p, state_dim // p)
+    p = next((d for d in range(1, state_dim)
+              if state_dim % d == 0 and np.array_equal(w_vec, np.roll(w_vec, d))), state_dim)
+    prediction = _predict_cycle_core(w_vec[:p], nu, copies * state_dim // p, state_dim // p)
     prediction.extras["copies_per_coupling"] = state_dim // p
     return prediction
 

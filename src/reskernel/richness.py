@@ -19,7 +19,7 @@ from . import coupling as cp
 from .errors import ContractViolation
 from .motifs import MotifSet, check_threshold_ratio, extract_motifs
 from .numerics import dft
-from .temporal_kernel import build_metric_tensor, check_horizon, scale_metric_tensor
+from .temporal_kernel import build_from_specs, check_horizon, scale_metric_tensor
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.nu_values) == 0:
             raise ContractViolation("nu grid must not be empty")
-        if self.trials is not None and self.trials < 1:
-            raise ContractViolation("trials must be positive when given")
+        if self.trials is not None:
+            cp.check_positive_int(self.trials, "trials")
         if self.horizon is not None:
             check_horizon(self.horizon)
         check_threshold_ratio(self.threshold_ratio)
@@ -175,13 +175,8 @@ class SweepConfig:
             for nu in self.nu_values:
                 cp.ReservoirSpec(regime, self.state_dim, nu, self.distribution)
         for kind in self.input_kinds:
-            self.coupling_spec(kind)
+            cp.coupling_spec(kind, self.state_dim, self.period, self.normalize_unit)
         cp.Seed(self.base_seed)
-
-    def coupling_spec(self, kind: str) -> cp.InputCouplingSpec:
-        """The coupling spec of ``kind``; only the periodic kinds take ``period``."""
-        period = self.period if kind in cp.PERIODIC_KINDS else None
-        return cp.InputCouplingSpec(kind, self.state_dim, period, self.normalize_unit)
 
 
 @dataclass(frozen=True)
@@ -200,11 +195,9 @@ class RichnessReport:
     seed: int
 
 
-def trial_count(regime: str, input_kind: str, override: int | None = None) -> int:
+def trial_count(regime: str, input_kind: str) -> int:
     """Repeats for one configuration: 1, 30, or 60 by number of random
-    sources, unless overridden."""
-    if override is not None:
-        return override
+    sources."""
     sources = int(regime != cp.CYCLE_PERMUTATION) + int(input_kind in cp.RANDOM_INPUT_KINDS)
     return {0: 1, 1: 30, 2: 60}[sources]
 
@@ -213,26 +206,24 @@ def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessRe
     """Run the richness sweep and return reports in canonical order.
 
     For every regime and input kind the configured number of trials is run.
-    Trial ``t`` draws its raw reservoir and coupling once, from
-    ``trial_seed(base_seed, t)``, builds one tensor for the unit-scale draw
-    ``raw * (1 / sigma)``, and scales that tensor to every grid value of
-    ``nu`` with :func:`scale_metric_tensor`.  That is the route of
-    ``build_from_specs``, so each row equals the tensor it gives at the
-    row's ``nu``, and adding a grid value leaves the other rows unchanged.
-    Reports are sorted by (nu, regime, input_kind, trial).
+    Trial ``t`` builds one tensor, with ``build_from_specs`` at ``nu = 1``
+    and seed ``trial_seed(base_seed, t)``, and scales it to every grid value
+    of ``nu`` with :func:`scale_metric_tensor`.  ``build_from_specs`` scales
+    its own unit-scale tensor the same way, so each row equals the tensor it
+    gives at the row's ``nu``, and adding a grid value leaves the other rows
+    unchanged.  Reports are sorted by (nu, regime, input_kind, trial).
     """
     nu_values = tuple(sorted(set(config.nu_values)))
     horizon = config.horizon if config.horizon is not None else 2 * config.state_dim
     reports: list[RichnessReport] = []
     for regime in config.regimes:
+        unit_spec = cp.ReservoirSpec(regime, config.state_dim, 1.0, config.distribution)
         for kind in config.input_kinds:
-            in_spec = config.coupling_spec(kind)
-            for trial in range(trial_count(regime, kind, config.trials)):
+            in_spec = cp.coupling_spec(kind, config.state_dim, config.period,
+                                       config.normalize_unit)
+            for trial in range(config.trials or trial_count(regime, kind)):
                 seed = cp.trial_seed(config.base_seed, trial)
-                raw, sigma = cp.draw_reservoir(regime, config.state_dim,
-                                               config.distribution, seed)
-                unit = build_metric_tensor(raw * (1.0 / sigma),
-                                           cp.generate_input(in_spec, seed), horizon)
+                _, _, unit = build_from_specs(unit_spec, in_spec, horizon, seed)
                 for nu in nu_values:
                     motif_set = extract_motifs(scale_metric_tensor(unit, nu),
                                                config.threshold_ratio)

@@ -84,8 +84,7 @@ class MetricTensor:
             raise ContractViolation("metric tensor must be a square matrix")
         if not np.all(np.isfinite(m)):
             raise ContractViolation("metric tensor contains non-finite entries")
-        if self.state_dim < 1:
-            raise ContractViolation("state dimension must be positive")
+        cp.check_positive_int(self.state_dim, "state_dim")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -126,8 +125,7 @@ def simulate_state(reservoir, coupling, series: TimeSeries, initial_state=None) 
 
 def check_horizon(horizon) -> None:
     """Reject a history length that is not a positive integer."""
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ContractViolation("horizon must be a positive integer")
+    cp.check_positive_int(horizon, "horizon")
 
 
 def _row_gather(w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -238,8 +236,7 @@ def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
 def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
                 offset: float, degree: int) -> float:
     """Polynomial kernel ``(u^T Q v + offset)^degree`` with integer degree >= 1."""
-    if not isinstance(degree, int) or degree < 1:
-        raise ContractViolation("degree must be an integer >= 1")
+    cp.check_positive_int(degree, "degree")
     if not np.isfinite(offset):
         raise ContractViolation("offset must be finite")
     return float((kernel_eval(tensor, u, v) + offset) ** degree)

@@ -24,7 +24,6 @@ from reskernel import (
     extract_motifs,
     numerical_rank,
     predict_cycle,
-    predict_cycle_periodic,
     predict_symmetric,
     sweep,
 )
@@ -193,8 +192,8 @@ def test_periodic_coupling_collapses_the_spectrum():
     weight_err = float(np.max(np.abs(motifs.weights - predicted) / predicted)) \
         if len(motifs.weights) == 10 else np.inf
 
-    pred_binary = predict_cycle_periodic(n, nu, np.array([1.0, 0.0, 0.0, 0.0]), 2)
-    pred_bipolar = predict_cycle_periodic(n, nu, np.array([1.0, -1.0, -1.0, -1.0]), 2)
+    pred_binary = predict_cycle(n, nu, np.tile([1.0, 0.0, 0.0, 0.0], n // 4), 2)
+    pred_bipolar = predict_cycle(n, nu, np.tile([1.0, -1.0, -1.0, -1.0], n // 4), 2)
     doubled_exactly = bool(np.array_equal(pred_bipolar.weights,
                                           2.0 * pred_binary.weights))
     emp = {}

@@ -7,20 +7,24 @@ import oracles
 from reskernel import (
     ContractViolation,
     InputCouplingSpec,
+    MetricTensor,
     ReservoirSpec,
     Seed,
     SweepConfig,
+    TimeSeries,
+    build_metric_tensor,
     irrational_bits,
+    kernel_poly,
     largest_singular_value,
     mix_seed,
     predict_cycle,
-    predict_cycle_periodic,
     predict_random,
 )
 from reskernel.coupling import (
     ENTRY_DISTRIBUTIONS,
     INPUT_KINDS,
     RESERVOIR_REGIMES,
+    coupling_spec,
     draw_reservoir,
     generate_input,
     generate_reservoir,
@@ -152,7 +156,6 @@ _NU_USERS = {
     "ReservoirSpec": lambda nu: ReservoirSpec(regime="cycle_permutation", size=4, nu=nu),
     "predict_random": lambda nu: predict_random(4, nu, 1.0, 8),
     "predict_cycle": lambda nu: predict_cycle(4, nu, np.full(4, 0.5), 2),
-    "predict_cycle_periodic": lambda nu: predict_cycle_periodic(4, nu, np.array([1.0, 0.0]), 2),
     "SweepConfig": lambda nu: SweepConfig(nu_values=(nu,), state_dim=4),
 }
 
@@ -167,6 +170,46 @@ def test_every_nu_user_rejects_nu_outside_the_unit_interval(user, nu):
 @pytest.mark.parametrize("user", sorted(_NU_USERS))
 def test_every_nu_user_accepts_nu_one(user):
     _NU_USERS[user](1.0)
+
+
+# Every public entry point that checks a count, size or degree, each with
+# otherwise valid arguments.
+_POSITIVE_INT_USERS = {
+    "ReservoirSpec.size": lambda k: ReservoirSpec("cycle_permutation", k, 0.9),
+    "draw_reservoir.size": lambda k: draw_reservoir("random_iid", k, "gaussian", Seed(0)),
+    "InputCouplingSpec.size": lambda k: InputCouplingSpec("gaussian", k),
+    "InputCouplingSpec.period": lambda k: InputCouplingSpec("periodic_binary", 4, period=k),
+    "irrational_bits.count": lambda k: irrational_bits("pi", k),
+    "build_metric_tensor.horizon": lambda k: build_metric_tensor(np.eye(2), np.ones(2), k),
+    "predict_random.state_dim": lambda k: predict_random(k, 0.9, 1.0, 8),
+    "predict_cycle.state_dim": lambda k: predict_cycle(k, 0.9, np.full(2, 0.5), 2),
+    "predict_cycle.copies": lambda k: predict_cycle(4, 0.9, np.full(4, 0.5), k),
+    "kernel_poly.degree": lambda k: kernel_poly(MetricTensor(np.eye(2), 2), TimeSeries(np.ones(2)),
+                                                TimeSeries(np.ones(2)), 0.0, k),
+    "MetricTensor.state_dim": lambda k: MetricTensor(np.eye(2), state_dim=k),
+    "SweepConfig.trials": lambda k: SweepConfig(nu_values=(0.9,), trials=k, state_dim=4),
+}
+
+
+@pytest.mark.parametrize("user", sorted(_POSITIVE_INT_USERS))
+@pytest.mark.parametrize("value", [0, -3, 1.5, 2.0, True, "2"])
+def test_every_count_user_rejects_what_is_not_a_positive_int(user, value):
+    with pytest.raises(ContractViolation, match="must be a positive integer"):
+        _POSITIVE_INT_USERS[user](value)
+
+
+@pytest.mark.parametrize("user", sorted(_POSITIVE_INT_USERS))
+def test_every_count_user_accepts_a_positive_int(user):
+    _POSITIVE_INT_USERS[user](2)
+
+
+def test_coupling_spec_gives_a_shared_period_to_the_periodic_kinds_only():
+    assert coupling_spec("periodic_binary", 6, 3) == InputCouplingSpec("periodic_binary", 6, 3)
+    assert coupling_spec("ones_pi_signs", 6, 3) == InputCouplingSpec("ones_pi_signs", 6)
+    assert coupling_spec("gaussian", 6, None, False) == InputCouplingSpec(
+        "gaussian", 6, normalize_unit=False)
+    with pytest.raises(ContractViolation, match="periodic_bipolar requires a period"):
+        coupling_spec("periodic_bipolar", 6, None)
 
 
 def test_reservoir_spec_allows_nu_one():

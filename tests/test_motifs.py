@@ -22,7 +22,6 @@ from reskernel import (
     kernel_eval,
     mix_seed,
     predict_cycle,
-    predict_cycle_periodic,
     predict_random,
     predict_symmetric,
     represent,
@@ -371,7 +370,7 @@ def test_periodic_prediction_closed_form_for_binary_blocks():
     seed = Seed(0)
     res, coup, tensor = _tensor_for("cycle_permutation", n, nu, tau, seed,
                                     kind="periodic_binary", period=p)
-    pred = predict_cycle_periodic(n, nu, coup[:p], tau // n)
+    pred = predict_cycle(n, nu, np.tile(coup[:p], n // p), tau // n)
     expected = np.array([oracles.periodic_cycle_weight(nu, i, p, tau)
                          for i in range(1, p + 1)])
     assert np.allclose(pred.weights, expected, rtol=1e-12)
@@ -386,7 +385,7 @@ def test_periodic_prediction_counts_pattern_copies():
     # The copies argument tiles the whole cycle, so the horizon is n * copies.
     n, p = 12, 3
     block = np.array([1.0, 0.0, 0.0])
-    pred = predict_cycle_periodic(n, 0.8, block, 8)
+    pred = predict_cycle(n, 0.8, np.tile(block, n // p), 8)
     assert pred.extras["copies_per_coupling"] == n // p
     assert pred.vectors.shape == (p, n * 8)
     assert pred.horizon == n * 8
@@ -401,8 +400,8 @@ def test_bipolar_weights_are_exactly_twice_binary_at_period_four():
     bipolar = generate_input(InputCouplingSpec(kind="periodic_bipolar", size=n,
                                                period=p, normalize_unit=False),
                              seed)
-    pred_bin = predict_cycle_periodic(n, nu, binary[:p], tau // n)
-    pred_bip = predict_cycle_periodic(n, nu, bipolar[:p], tau // n)
+    pred_bin = predict_cycle(n, nu, np.tile(binary[:p], n // p), tau // n)
+    pred_bip = predict_cycle(n, nu, np.tile(bipolar[:p], n // p), tau // n)
     assert np.array_equal(pred_bip.weights, 2.0 * pred_bin.weights)
 
 
@@ -410,7 +409,7 @@ def test_periodic_prediction_at_nu_one_counts_blocks():
     # Undamped cycle: the factor is the number of pattern blocks in the
     # horizon, here 6 * 5 / 2.
     block = np.array([1.0, 0.0])
-    pred = predict_cycle_periodic(6, 1.0, block, 5)
+    pred = predict_cycle(6, 1.0, np.tile(block, 3), 5)
     assert pred.extras["eigenvalue_factor"] == 15.0
 
 
@@ -426,17 +425,38 @@ def test_periodic_prediction_is_the_cycle_prediction_of_one_block(n, p, nu, copi
     # by one block, over the same horizon; only the weights carry the N/p
     # copies of the block.
     block = np.random.default_rng(n + p).normal(size=p)
-    periodic = predict_cycle_periodic(n, nu, block, copies)
+    periodic = predict_cycle(n, nu, np.tile(block, n // p), copies)
     single = predict_cycle(p, nu, block, copies * n // p)
     assert periodic.horizon == single.horizon == copies * n
+    assert periodic.extras["copies_per_coupling"] == n // p
+    assert single.extras["copies_per_coupling"] == 1
     assert periodic.vectors.tobytes() == single.vectors.tobytes()
+    for key in ("core_eigenvalues", "eigenvalue_factor"):
+        assert np.asarray(periodic.extras[key]).tobytes() == \
+            np.asarray(single.extras[key]).tobytes()
+    core = single.extras["core_eigenvalues"]
+    assert periodic.weights.tobytes() == \
+        np.sqrt((n // p) * core * single.extras["eigenvalue_factor"]).tobytes()
     assert np.allclose(periodic.weights ** 2 / (n // p), single.weights ** 2,
                        rtol=1e-12, atol=0.0)
 
 
-def test_periodic_prediction_rejects_period_not_dividing_size():
-    with pytest.raises(ContractViolation):
-        predict_cycle_periodic(10, 0.9, np.ones(3), 4)
+def test_cycle_prediction_reads_a_period_the_coupling_has_by_chance():
+    # The first six fractional bits of pi are 001001, so the pi-sign coupling
+    # at N = 6 repeats a block of three: the tensor has rank 3, and the
+    # prediction gives exactly three motifs.
+    n, nu, copies = 6, 0.9, 2
+    _, coup, tensor = _tensor_for("cycle_permutation", n, nu, n * copies, Seed(0),
+                                  kind="ones_pi_signs")
+    assert np.array_equal(coup, np.roll(coup, 3))
+    pred = predict_cycle(n, nu, coup, copies)
+    assert len(pred) == 3
+    assert pred.extras["copies_per_coupling"] == 2
+    motifs = extract_motifs(tensor, threshold_ratio=1e-6)
+    assert len(motifs) == 3
+    comparison = compare_motifs(motifs, pred)
+    assert comparison.min_alignment >= 1.0 - 1e-8
+    assert comparison.max_weight_rel_error <= 1e-8
 
 
 def test_prediction_container_validation():
@@ -468,7 +488,7 @@ def test_records_store_no_horizon_and_derive_it_from_their_arrays():
         predict_random(4, 0.9, 1.0, 8),
         predict_symmetric(res, coup, 8),
         predict_cycle(4, 0.9, coup, 2),
-        predict_cycle_periodic(4, 0.9, np.array([1.0, 0.0]), 2),
+        predict_cycle(4, 0.9, np.tile([1.0, 0.0], 2), 2),
     ]
     for prediction in predictions:
         assert prediction.horizon == prediction.vectors.shape[1] == 8

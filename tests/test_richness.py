@@ -184,7 +184,6 @@ def test_trial_counts_by_regime_and_input():
     assert trial_count("random_iid", "ones_pi_signs") == 30
     assert trial_count("random_iid", "uniform") == 60
     assert trial_count("symmetric_wigner", "gaussian") == 60
-    assert trial_count("random_iid", "ones_pi_signs", override=7) == 7
 
 
 def test_sweep_rows_are_sorted_and_seeded_deterministically():
@@ -262,16 +261,17 @@ def test_sweep_measures_each_random_draw_once(monkeypatch):
 
 
 def test_default_sweep_builds_one_tensor_per_trial(monkeypatch):
-    from reskernel import richness
+    from reskernel import temporal_kernel
 
     horizons = []
-    build = richness.build_metric_tensor
+    build = temporal_kernel.build_metric_tensor
 
     def counted(reservoir, coupling, horizon):
         horizons.append(horizon)
         return build(reservoir, coupling, horizon)
 
-    monkeypatch.setattr(richness, "build_metric_tensor", counted)
+    # The sweep builds through build_from_specs, which calls this binding.
+    monkeypatch.setattr(temporal_kernel, "build_metric_tensor", counted)
     # The default regimes, input kind, nu grid and trial counts, at a small N.
     reports = sweep(SweepConfig(state_dim=6))
     assert len(reports) == 22 * 31
