@@ -361,9 +361,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     resolved, _ = _resolve(args)
-    if min(args.configs, args.spectrum_configs, args.containment_trials) < 1:
-        raise UsageError("--configs, --spectrum-configs and --containment-trials "
-                         "must each be at least 1")
+    cp.check_positive_int(args.configs, "--configs")
+    cp.check_positive_int(args.spectrum_configs, "--spectrum-configs")
+    cp.check_positive_int(args.containment_trials, "--containment-trials")
     cp.Seed(resolved["seed"])
     # A passing run writes no file, yet still leaves its --out directory.
     out = Path(resolved["out"])

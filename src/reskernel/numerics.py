@@ -131,10 +131,14 @@ def symmetric_gram(a: np.ndarray) -> np.ndarray:
 def largest_singular_value(a) -> float:
     """Largest singular value of a real matrix.
 
-    Computed as ``sqrt(max eigenvalue of A^T A)`` so the whole package rests
-    on a single spectral routine.  Returns exactly 0.0 for a zero matrix.
+    Computed as ``sqrt(max eigenvalue of A^T A)`` from the eigenvalues
+    alone: one value is needed, so no eigenvectors are formed and no
+    decomposition is checked.  Returns exactly 0.0 for a zero matrix.
     """
-    top = sym_eig(symmetric_gram(_as_matrix(a))).eigenvalues[0]
+    try:
+        top = np.linalg.eigvalsh(symmetric_gram(_as_matrix(a)))[-1]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     return float(np.sqrt(max(top, 0.0)))
 
 

@@ -20,6 +20,7 @@ zero; see :func:`kernel_error_bounds`.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,35 +93,53 @@ class MetricTensor:
         return int(self.matrix.shape[0])
 
 
-def simulate_state(reservoir, coupling, series: TimeSeries, initial_state=None) -> np.ndarray:
-    """Run the state recursion over a finite history.
+def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries],
+                   initial_state=None) -> np.ndarray:
+    """Run the state recursion over one finite history, or over several
+    that share a horizon.
 
     The oldest sample is consumed first, so after the loop ``values[0]`` is
-    the most recent input absorbed into the state.
+    the most recent input absorbed into the state.  The drives ``u_t w`` of
+    every step are formed up front, then one loop ``x = W x + drive_t``
+    advances every history at once, one column each.  A single history
+    gives the bits of the plain loop ``x = W @ x + u * w``.
 
     Parameters
     ----------
     reservoir : (N, N) array_like
     coupling : (N,) array_like
-    series : TimeSeries
+    series : TimeSeries, or a non-empty sequence of them with one horizon
     initial_state : (N,) array_like, optional
-        State before the first (oldest) input; defaults to zero.
+        State before the first (oldest) input of every history; defaults
+        to zero.
 
     Returns
     -------
-    (N,) ndarray
+    (N,) ndarray for one ``TimeSeries``, else (N, k) with column ``j`` the
+    state of history ``j``
         ``W^tau x_init + sum_i values[i-1] W^(i-1) w``.
     """
     w_mat, w_vec = _check_pair(reservoir, coupling)
+    single = isinstance(series, TimeSeries)
+    histories = [series] if single else list(series)
+    if not histories:
+        raise ContractViolation("at least one history is required")
+    if len({h.horizon for h in histories}) > 1:
+        raise ContractViolation("histories must share one horizon")
     if initial_state is None:
-        x = np.zeros(w_mat.shape[0])
+        x = np.zeros((w_mat.shape[0], len(histories)))
     else:
-        x = _as_vector(initial_state, "initial state").copy()
-        if x.shape[0] != w_mat.shape[0]:
+        x0 = _as_vector(initial_state, "initial state")
+        if x0.shape[0] != w_mat.shape[0]:
             raise ContractViolation("initial state length does not match state dimension")
-    for u in series.values[::-1]:
-        x = w_mat @ x + u * w_vec
-    return x
+        x = np.repeat(x0[:, np.newaxis], len(histories), axis=1)
+    # inputs[t, j] is the sample history j feeds in at step t, oldest first.
+    inputs = np.stack([h.values[::-1] for h in histories], axis=1)
+    drive = inputs[:, np.newaxis, :] * w_vec[:, np.newaxis]
+    for step in drive:
+        x = w_mat @ x
+        x += step
+    return x[:, 0] if single else x
 
 
 def check_horizon(horizon) -> None:

@@ -72,6 +72,11 @@ def _sample_config(rng: np.random.Generator, max_state_dim: int, max_horizon: in
     return res_spec, in_spec, horizon
 
 
+def _check_counts(**counts) -> None:
+    for name, value in counts.items():
+        cp.check_positive_int(value, name)
+
+
 def _build(res_spec, in_spec, horizon, seed, tamper: Tamper | None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -103,7 +108,14 @@ def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
                                  max_state_dim: int = 100, max_horizon: int = 200,
                                  tamper: Tamper | None = None) -> PropertyResult:
     """Quadratic form through the tensor versus explicit state simulation,
-    on configurations sampled from ``Seed(base_seed)``."""
+    on configurations sampled from ``Seed(base_seed)``.
+
+    The pairs of a configuration are drawn first, then their states come
+    from one batched :func:`simulate_state` recursion; the oracle is the
+    recursion, never the feature matrix.
+    """
+    _check_counts(n_configs=n_configs, pairs_per_config=pairs_per_config,
+                  max_state_dim=max_state_dim, max_horizon=max_horizon)
     name = "kernel-state equivalence"
     sampler = cp._rng(cp.Seed(base_seed), 901)
     worst = 0.0
@@ -113,12 +125,12 @@ def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
         res_spec, in_spec, horizon = _sample_config(sampler, max_state_dim, max_horizon)
         seed = cp.mix_seed(base_seed, 17, i)
         reservoir, coupling_vec, tensor = _build(res_spec, in_spec, horizon, seed, tamper)
-        for _ in range(pairs_per_config):
-            u = TimeSeries(sampler.uniform(-1.0, 1.0, horizon))
-            v = TimeSeries(sampler.uniform(-1.0, 1.0, horizon))
-            through_tensor = kernel_eval(tensor, u, v)
-            through_states = float(simulate_state(reservoir, coupling_vec, u)
-                                   @ simulate_state(reservoir, coupling_vec, v))
+        histories = [TimeSeries(sampler.uniform(-1.0, 1.0, horizon))
+                     for _ in range(2 * pairs_per_config)]
+        states = simulate_state(reservoir, coupling_vec, histories)
+        for j in range(0, len(histories), 2):
+            through_tensor = kernel_eval(tensor, histories[j], histories[j + 1])
+            through_states = float(states[:, j] @ states[:, j + 1])
             tol = EQUIVALENCE_RTOL * max(1.0, abs(through_tensor))
             ratio = abs(through_tensor - through_states) / tol
             checked += 1
@@ -137,7 +149,13 @@ def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
                             max_state_dim: int = 100, max_horizon: int = 200,
                             tamper: Tamper | None = None) -> list[PropertyResult]:
     """Symmetry, positive spectrum, rank bound, and entrywise decay, on
-    configurations sampled from ``Seed(base_seed)``."""
+    configurations sampled from ``Seed(base_seed)``.
+
+    An asymmetric tensor fails the first suite and skips its spectrum; its
+    decay envelope is still evaluated, so both suites check every
+    configuration.
+    """
+    _check_counts(n_configs=n_configs, max_state_dim=max_state_dim, max_horizon=max_horizon)
     psd_name = "tensor symmetry, positive spectrum, rank bound"
     decay_name = "entrywise decay envelope"
     sampler = cp._rng(cp.Seed(base_seed), 902)
@@ -158,20 +176,18 @@ def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
             if psd_replay is None:
                 psd_replay = _replay(psd_name, res_spec, in_spec, horizon, seed,
                                      asymmetry=asym)
-            continue
-
-        eig = sym_eig(tensor.matrix)
-        values = eig.eigenvalues
-        top = max(float(values[0]), 0.0)
-        neg = max(0.0, -float(values[-1]))
-        rel_neg = neg / top if top > 0.0 else (0.0 if neg == 0.0 else np.inf)
-        rank = numerical_rank(values)
-        if rel_neg > CLAMP_RTOL or rank > res_spec.size:
-            psd_failed = True
-            if psd_replay is None:
-                psd_replay = _replay(psd_name, res_spec, in_spec, horizon, seed,
-                                     relative_negativity=rel_neg, rank=rank)
-        worst_psd = max(worst_psd, rel_neg)
+        else:
+            values = sym_eig(tensor.matrix).eigenvalues
+            top = max(float(values[0]), 0.0)
+            neg = max(0.0, -float(values[-1]))
+            rel_neg = neg / top if top > 0.0 else (0.0 if neg == 0.0 else np.inf)
+            rank = numerical_rank(values)
+            if rel_neg > CLAMP_RTOL or rank > res_spec.size:
+                psd_failed = True
+                if psd_replay is None:
+                    psd_replay = _replay(psd_name, res_spec, in_spec, horizon, seed,
+                                         relative_negativity=rel_neg, rank=rank)
+            worst_psd = max(worst_psd, rel_neg)
 
         damp = res_spec.nu ** np.arange(horizon)
         envelope = np.outer(damp, damp) * float(coupling_vec @ coupling_vec) + DECAY_ATOL
@@ -198,7 +214,12 @@ def run_initial_state_error_containment(trials: int = 50, state_dim: int = 50,
                                         signal_bound: float = 1.0,
                                         base_seed: int = 0) -> PropertyResult:
     """Kernel error from a worst-norm random initial state stays inside the
-    closed-form bounds on every trial, drawn from ``mix_seed(base_seed, ...)``."""
+    closed-form bounds on every trial, drawn from ``mix_seed(base_seed, ...)``.
+
+    Each trial runs two batched :func:`simulate_state` recursions over
+    ``(u, v)``: one from the initial state and one from zero.
+    """
+    _check_counts(trials=trials, state_dim=state_dim)
     name = "initial-state error containment"
     coupling_bound = 1.0
     scale = minimal_state_scale(signal_bound, coupling_bound, nu, contraction_rate)
@@ -220,10 +241,10 @@ def run_initial_state_error_containment(trials: int = 50, state_dim: int = 50,
         v = TimeSeries(rng.uniform(-signal_bound, signal_bound, horizon))
         direction = rng.standard_normal(state_dim)
         x0 = direction * (radius / float(np.linalg.norm(direction)))
-        from_x0 = float(simulate_state(reservoir, coupling_vec, u, x0)
-                        @ simulate_state(reservoir, coupling_vec, v, x0))
-        from_zero = float(simulate_state(reservoir, coupling_vec, u)
-                          @ simulate_state(reservoir, coupling_vec, v))
+        x_u, x_v = simulate_state(reservoir, coupling_vec, [u, v], x0).T
+        z_u, z_v = simulate_state(reservoir, coupling_vec, [u, v]).T
+        from_x0 = float(x_u @ x_v)
+        from_zero = float(z_u @ z_v)
         err = from_x0 - from_zero
         margin = min(err - lower, upper - err)
         if margin < worst_margin:

@@ -283,15 +283,22 @@ def test_sweep_rejects_unknown_regime_alias(tmp_path, capsys):
 # verify
 # ---------------------------------------------------------------------------
 
-def test_verify_prints_one_line_per_property(tmp_path, capsys):
+def test_verify_prints_one_line_per_property(tmp_path, capsys, monkeypatch):
+    # The benchmark's verify check parses these lines with its own pattern.
+    monkeypatch.syspath_prepend(str(_REPO / "benchmarks"))
+    from workloads import _VERIFY_LINE
+
     code, stdout, _ = run_cli(capsys, "verify", "--configs", "4",
-                              "--spectrum-configs", "4",
+                              "--spectrum-configs", "3",
                               "--containment-trials", "2",
                               "--out", str(tmp_path / "v"))
     assert code == 0
     lines = [l for l in stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 4
     assert all(l.startswith("PASS") for l in lines)
+    parsed = [m.groups() for m in map(_VERIFY_LINE.match, stdout.splitlines()) if m]
+    assert [status for status, _, _ in parsed] == ["PASS"] * 4
+    assert [int(n) for _, _, n in parsed] == [4 * 2, 3, 3, 2]
 
 
 def test_verify_negative_control_fails_and_dumps_replay(tmp_path, capsys):

@@ -103,6 +103,23 @@ def test_largest_singular_value_is_rescaled_to_nu(regime, distribution):
     assert largest_singular_value(w) == pytest.approx(0.83, abs=1e-9)
 
 
+@pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner"])
+def test_a_random_draw_makes_no_eigendecomposition(monkeypatch, regime):
+    from reskernel import numerics
+
+    calls = []
+    decompose = numerics.sym_eig
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return decompose(matrix)
+
+    monkeypatch.setattr(numerics, "sym_eig", counted)
+    _, sigma = draw_reservoir(regime, 20, "gaussian", Seed(5))
+    assert sigma > 0.0
+    assert calls == []
+
+
 def test_symmetric_reservoir_is_exactly_symmetric():
     spec = ReservoirSpec(regime="symmetric_wigner", size=12, nu=0.9)
     w = generate_reservoir(spec, Seed(4))

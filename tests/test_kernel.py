@@ -123,6 +123,46 @@ def test_simulate_state_rejects_mismatched_shapes():
         simulate_state(res[:4], coup, TimeSeries(np.ones(3)))
 
 
+@pytest.mark.parametrize("n", [1, 7, 40])
+@pytest.mark.parametrize("with_initial_state", [False, True])
+def test_one_history_gives_the_bits_of_the_plain_loop(n, with_initial_state):
+    rng = np.random.default_rng(n)
+    res, coup = _random_pair(n, 0.9, n)
+    values = rng.uniform(-1.0, 1.0, 53)
+    x0 = rng.normal(size=n) if with_initial_state else None
+    x = np.zeros(n) if x0 is None else x0.copy()
+    for u in values[::-1]:
+        x = res @ x + u * coup
+    got = simulate_state(res, coup, TimeSeries(values), initial_state=x0)
+    assert got.shape == (n,)
+    assert got.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+@pytest.mark.parametrize("with_initial_state", [False, True])
+def test_each_column_of_a_batch_is_its_history_alone(n, with_initial_state):
+    rng = np.random.default_rng(100 + n)
+    res, coup = _random_pair(n, 0.95, n)
+    histories = [TimeSeries(rng.uniform(-1.0, 1.0, 61)) for _ in range(5)]
+    x0 = rng.normal(size=n) if with_initial_state else None
+    batch = simulate_state(res, coup, histories, initial_state=x0)
+    assert batch.shape == (n, len(histories))
+    for j, history in enumerate(histories):
+        alone = simulate_state(res, coup, history, initial_state=x0)
+        assert np.max(np.abs(batch[:, j] - alone)) <= 1e-13 * max(1.0, np.max(np.abs(alone)))
+
+
+@pytest.mark.parametrize("histories, x0", [
+    ([TimeSeries(np.ones(3)), TimeSeries(np.ones(4))], None),
+    ([], None),
+    ([TimeSeries(np.ones(3)), TimeSeries(np.ones(3))], np.ones(4)),
+])
+def test_a_malformed_batch_is_rejected(histories, x0):
+    res, coup = _random_pair(5, 0.7, 0)
+    with pytest.raises(ContractViolation):
+        simulate_state(res, coup, histories, initial_state=x0)
+
+
 # ---------------------------------------------------------------------------
 # metric tensor
 # ---------------------------------------------------------------------------

@@ -126,6 +126,17 @@ def test_largest_singular_value_matches_svd():
         assert largest_singular_value(a) == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 7), (50, 50), (100, 100), (9, 4), (4, 9)])
+def test_largest_singular_value_matches_svd_tightly(shape):
+    a = np.random.default_rng(shape[0] * shape[1]).normal(size=shape)
+    ref = np.linalg.svd(a, compute_uv=False)[0]
+    assert abs(largest_singular_value(a) - ref) <= 1e-12 * ref
+
+
+def test_largest_singular_value_of_a_zero_matrix_is_exactly_zero():
+    assert largest_singular_value(np.zeros((6, 6))) == 0.0
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 90), (90, 40)])
 def test_symmetric_gram_is_exactly_symmetric_and_equals_the_product(shape):
     a = np.random.default_rng(17).normal(size=shape)

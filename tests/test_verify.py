@@ -89,3 +89,56 @@ def test_inject_asymmetry_effects():
     assert two[1, 0] == 0.0
     one = inject_asymmetry(np.zeros((1, 1)))
     assert one[0, 0] == -1.0
+
+
+@pytest.mark.parametrize("suite, count", [
+    (run_kernel_state_equivalence, "n_configs"),
+    (run_kernel_state_equivalence, "pairs_per_config"),
+    (run_kernel_state_equivalence, "max_state_dim"),
+    (run_kernel_state_equivalence, "max_horizon"),
+    (run_spectrum_properties, "n_configs"),
+    (run_spectrum_properties, "max_state_dim"),
+    (run_spectrum_properties, "max_horizon"),
+    (run_initial_state_error_containment, "trials"),
+    (run_initial_state_error_containment, "state_dim"),
+])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+def test_suites_reject_a_count_that_is_not_a_positive_integer(suite, count, bad):
+    with pytest.raises(ContractViolation, match=count):
+        suite(**{count: bad})
+
+
+def test_tampered_decay_suite_evaluates_every_configuration():
+    _, decay = run_spectrum_properties(n_configs=4, tamper=inject_asymmetry)
+    assert decay.n_checked == 4
+    assert np.isfinite(decay.worst)
+
+
+def _count_simulations(monkeypatch):
+    """Histories per ``simulate_state`` call made by the suites."""
+    from reskernel import verify
+
+    calls = []
+    simulate = verify.simulate_state
+
+    def counted(reservoir, coupling, series, initial_state=None):
+        calls.append(len(series))
+        return simulate(reservoir, coupling, series, initial_state)
+
+    monkeypatch.setattr(verify, "simulate_state", counted)
+    return calls
+
+
+def test_equivalence_simulates_each_configuration_in_one_call(monkeypatch):
+    calls = _count_simulations(monkeypatch)
+    result = run_kernel_state_equivalence(n_configs=5, pairs_per_config=3)
+    assert result.passed and result.n_checked == 15
+    assert calls == [6] * 5
+
+
+def test_containment_simulates_each_trial_in_two_calls(monkeypatch):
+    calls = _count_simulations(monkeypatch)
+    result = run_initial_state_error_containment(trials=3, state_dim=8, horizon=40,
+                                                 nu=0.8, contraction_rate=0.9)
+    assert result.passed
+    assert calls == [2] * 6
