@@ -25,12 +25,14 @@ from . import coupling as cp
 from .errors import ContractViolation, ConvergenceError, PsdViolationError
 from .motifs import (
     check_threshold_ratio,
+    check_whole_copies,
     compare_motifs,
     extract_motifs,
     predict_cycle,
     predict_random,
     predict_symmetric,
 )
+from .numerics import symmetric_gram
 from .richness import SweepConfig, sweep
 from .temporal_kernel import (
     ReadoutModel,
@@ -213,8 +215,7 @@ def cmd_motifs(args) -> int:
     horizon = _horizon(resolved)
     check_threshold_ratio(resolved["threshold"])
     trials = resolved["trials"] if resolved["trials"] is not None else 1
-    if trials < 1:
-        raise UsageError("--trials must be positive")
+    cp.check_positive_int(trials, "--trials")
     weight_runs = []
     first = None
     for trial in range(trials):
@@ -240,33 +241,27 @@ def cmd_motifs(args) -> int:
     return 0
 
 
-def _prediction_for(res_spec, reservoir, coupling_vec, horizon: int):
-    if res_spec.regime == cp.RANDOM_IID:
-        return predict_random(res_spec.size, res_spec.nu,
-                              float(np.linalg.norm(coupling_vec)), horizon)
-    if res_spec.regime == cp.CYCLE_PERMUTATION:
-        return predict_cycle(res_spec.size, res_spec.nu, coupling_vec,
-                             horizon // res_spec.size)
-    return predict_symmetric(reservoir, coupling_vec, horizon)
-
-
 def cmd_predict(args) -> int:
     resolved, _ = _resolve(args)
     res_spec, in_spec = _specs(resolved)
     horizon = _horizon(resolved)
     check_threshold_ratio(resolved["threshold"])
-    if res_spec.regime == cp.CYCLE_PERMUTATION and horizon % res_spec.size:
-        raise UsageError("cycle predictions need tau to be a multiple of N; "
-                         "use --ell (or a matching --tau)")
+    if res_spec.regime == cp.CYCLE_PERMUTATION:
+        check_whole_copies(horizon, res_spec.size)
     reservoir, coupling_vec, tensor = build_from_specs(
         res_spec, in_spec, horizon, cp.trial_seed(resolved["seed"], 0))
     empirical = extract_motifs(tensor, resolved["threshold"])
-    prediction = _prediction_for(res_spec, reservoir, coupling_vec, tensor.horizon)
+    if res_spec.regime == cp.RANDOM_IID:
+        prediction = predict_random(res_spec.nu, coupling_vec, horizon)
+    elif res_spec.regime == cp.CYCLE_PERMUTATION:
+        prediction = predict_cycle(res_spec.nu, coupling_vec, horizon)
+    else:
+        prediction = predict_symmetric(reservoir, coupling_vec, horizon)
     report = "comparison.csv" if prediction.orthonormal else "reconstruction.csv"
     if prediction.orthonormal:
         comparison = compare_motifs(empirical, prediction)
     else:
-        recon = prediction.extras["reconstruction"]
+        recon = symmetric_gram(np.sqrt(prediction.weights)[:, None] * prediction.vectors)
         residual = float(np.max(np.abs(recon - tensor.matrix)))
         scale = float(np.max(np.abs(tensor.matrix)))
     out = Path(resolved["out"])

@@ -116,14 +116,6 @@ def check_positive_int(value, name: str) -> None:
         raise ContractViolation(f"{name} must be a positive integer")
 
 
-def _check_draw(regime: str, size: int, distribution: str) -> None:
-    if regime not in RESERVOIR_REGIMES:
-        raise ContractViolation(f"unknown reservoir regime {regime!r}")
-    check_positive_int(size, "reservoir size")
-    if distribution not in ENTRY_DISTRIBUTIONS:
-        raise ContractViolation(f"unknown entry distribution {distribution!r}")
-
-
 @dataclass(frozen=True)
 class ReservoirSpec:
     """Recipe for one reservoir matrix.
@@ -148,7 +140,11 @@ class ReservoirSpec:
     distribution: str = GAUSSIAN
 
     def __post_init__(self):
-        _check_draw(self.regime, self.size, self.distribution)
+        if self.regime not in RESERVOIR_REGIMES:
+            raise ContractViolation(f"unknown reservoir regime {self.regime!r}")
+        check_positive_int(self.size, "reservoir size")
+        if self.distribution not in ENTRY_DISTRIBUTIONS:
+            raise ContractViolation(f"unknown entry distribution {self.distribution!r}")
         check_nu(self.nu)
 
 
@@ -243,9 +239,10 @@ def irrational_bits(constant: str, count: int) -> np.ndarray:
     return np.array([int(d) for d in digits], dtype=np.int64)
 
 
-def draw_reservoir(regime: str, size: int, distribution: str,
-                   seed: Seed) -> tuple[np.ndarray, float]:
-    """The unscaled reservoir of ``seed`` and its largest singular value.
+def draw_reservoir(spec: ReservoirSpec, seed: Seed) -> tuple[np.ndarray, float]:
+    """The unscaled reservoir of ``spec`` and ``seed`` (``spec.nu`` is not
+    applied; the spec's constructor checked the rest) and its largest
+    singular value.
 
     The cycle is the cyclic shift, whose singular values are all exactly 1.
     The random regimes sample entries; the symmetric regime mirrors the
@@ -253,11 +250,10 @@ def draw_reservoir(regime: str, size: int, distribution: str,
     is then reached by ``raw * (nu / sigma)``, which lets a sweep draw and
     measure once per trial.
     """
-    _check_draw(regime, size, distribution)
-    if regime == CYCLE_PERMUTATION:
-        return np.roll(np.eye(size), 1, axis=0), 1.0
-    raw = _sample(_rng(seed, _RESERVOIR_DOMAIN), distribution, (size, size))
-    if regime == SYMMETRIC_WIGNER:
+    if spec.regime == CYCLE_PERMUTATION:
+        return np.roll(np.eye(spec.size), 1, axis=0), 1.0
+    raw = _sample(_rng(seed, _RESERVOIR_DOMAIN), spec.distribution, (spec.size, spec.size))
+    if spec.regime == SYMMETRIC_WIGNER:
         upper = np.triu(raw)
         raw = upper + np.triu(upper, 1).T
     sigma = largest_singular_value(raw)
@@ -270,7 +266,7 @@ def generate_reservoir(spec: ReservoirSpec, seed: Seed) -> np.ndarray:
     """Materialize the reservoir matrix for ``spec``: the draw of
     :func:`draw_reservoir` rescaled so that ``largest_singular_value(W) ==
     spec.nu`` up to one rounding (exactly, for the cycle)."""
-    raw, sigma = draw_reservoir(spec.regime, spec.size, spec.distribution, seed)
+    raw, sigma = draw_reservoir(spec, seed)
     return raw * (spec.nu / sigma)
 
 

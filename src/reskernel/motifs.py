@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import check_nu, check_positive_int
+from .coupling import check_nu
 from .errors import ContractViolation, PsdViolationError
-from .numerics import sym_eig, symmetric_gram
-from .temporal_kernel import MetricTensor, TimeSeries, check_horizon
+from .numerics import sym_eig
+from .temporal_kernel import MetricTensor, TimeSeries, _as_vector, check_horizon
 
 # Negative eigenvalues within this relative band of the top eigenvalue are
 # treated as rounding noise and clamped to zero.
@@ -43,6 +43,13 @@ def check_threshold_ratio(threshold_ratio) -> None:
     """Reject a motif retention ratio outside (0, 1]."""
     if not (0.0 < threshold_ratio <= 1.0):
         raise ContractViolation("threshold_ratio must lie in (0, 1]")
+
+
+def check_whole_copies(horizon, state_dim: int) -> None:
+    """Reject a horizon that is not a positive multiple of ``N = state_dim``."""
+    check_horizon(horizon)
+    if horizon % state_dim:
+        raise ContractViolation(f"horizon {horizon} is not a multiple of N = {state_dim}")
 
 
 def _clamp_spectrum(values: np.ndarray, what: str) -> np.ndarray:
@@ -157,9 +164,9 @@ class MotifPrediction:
 
     ``orthonormal`` distinguishes eigenvector claims (random and cycle
     regimes) from non-orthogonal component decompositions (symmetric
-    regime).  ``extras`` carries regime-specific artifacts such as the
-    cycle core's eigenvalues or a reconstructed tensor.  The horizon is the
-    length of the rows of ``vectors``.
+    regime).  ``extras`` carries what the vectors and weights do not give
+    back bit for bit: the cycle core's eigenvalues and its eigenvalue
+    factor.  The horizon is the length of the rows of ``vectors``.
     """
 
     vectors: np.ndarray
@@ -187,30 +194,28 @@ class MotifPrediction:
         return int(self.vectors.shape[1])
 
 
-def predict_random(state_dim: int, nu: float, coupling_norm: float,
-                   horizon: int) -> MotifPrediction:
-    """Markovian prediction for dense i.i.d. reservoirs.
+def predict_random(nu: float, coupling, horizon: int) -> MotifPrediction:
+    """Markovian prediction for dense i.i.d. reservoirs of dimension
+    ``N = len(coupling)``.
 
     Rescaling a large i.i.d. matrix to largest singular value ``nu`` leaves
     it with spectral radius about ``nu / 2``, so repeated application
     shrinks the coupling by that factor per step and the tensor is close to
-    diagonal: motif ``i`` is the ``i``-th standard basis vector (memory of
-    the lone sample ``i`` steps back) with weight
-    ``coupling_norm * (nu / 2)**(i - 1)``.
+    diagonal: motif ``i`` (of ``min(N, horizon)``) is the ``i``-th standard
+    basis vector (memory of the lone sample ``i`` steps back) with weight
+    ``||coupling|| * (nu / 2)**(i - 1)``.
     """
-    check_positive_int(state_dim, "state_dim")
     check_horizon(horizon)
     check_nu(nu)
-    if not np.isfinite(coupling_norm) or coupling_norm <= 0.0:
-        raise ContractViolation("coupling_norm must be positive")
-    count = min(state_dim, horizon)
-    vectors = np.eye(horizon)[:count]
-    weights = coupling_norm * (nu / 2.0) ** np.arange(count)
+    w_vec = _as_vector(coupling, "coupling")
+    norm = float(np.linalg.norm(w_vec))
+    if not 0.0 < norm < np.inf:
+        raise ContractViolation("coupling norm must be positive and finite")
+    count = min(w_vec.shape[0], horizon)
     return MotifPrediction(
-        vectors=vectors,
-        weights=weights,
+        vectors=np.eye(horizon)[:count],
+        weights=norm * (nu / 2.0) ** np.arange(count),
         orthonormal=True,
-        extras={"decay_ratio": nu / 2.0},
     )
 
 
@@ -222,7 +227,8 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
     ``<s_a, w>^2 * ||pattern||^2``; negative ``sigma_a`` gives an
     alternating-sign pattern.  The sum of these rank-one kernels equals the
     metric tensor exactly, but the patterns are not mutually orthogonal, so
-    they must not be read as eigenvector predictions.
+    they must not be read as eigenvector predictions.  The tensor is
+    ``sum_a weights[a] * outer(vectors[a], vectors[a])``.
     """
     check_horizon(horizon)
     eig = sym_eig(reservoir)
@@ -246,7 +252,6 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
         vectors=(patterns / np.sqrt(sq_norms)[:, None])[order],
         weights=weights[order],
         orthonormal=False,
-        extras={"reconstruction": symmetric_gram(projections[:, None] * patterns)},
     )
 
 
@@ -294,8 +299,9 @@ def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
     )
 
 
-def predict_cycle(state_dim: int, nu: float, coupling, copies: int) -> MotifPrediction:
-    """Exact motifs for the scaled cycle reservoir at horizon ``copies * N``.
+def predict_cycle(nu: float, coupling, horizon: int) -> MotifPrediction:
+    """Exact motifs for the scaled cycle reservoir with ``N = len(coupling)``
+    units, at a horizon that is a multiple of ``N``.
 
     The coupling's shortest period ``p`` is read from the vector: the
     smallest divisor of ``N`` under whose cyclic shift it is unchanged, and
@@ -304,20 +310,16 @@ def predict_cycle(state_dim: int, nu: float, coupling, copies: int) -> MotifPred
     most ``p`` motifs: the eigenvectors of the length-``p`` core driven by
     the block, tiled ``tau / p`` times with damping ``nu^p`` per tile.  They
     are exact eigenvectors of the full tensor, with the core's eigenvalues
-    scaled by ``k * (1 - nu^(2 tau)) / (1 - nu^(2 p))``; ``extras`` reports
-    ``k`` as ``copies_per_coupling``.
+    scaled by ``k * (1 - nu^(2 tau)) / (1 - nu^(2 p))``.  The prediction
+    has ``p`` rows, so ``k`` is ``len(coupling) // len(prediction)``.
     """
-    check_positive_int(state_dim, "state_dim")
-    check_positive_int(copies, "copies")
     check_nu(nu)
-    w_vec = np.asarray(coupling, dtype=float)
-    if w_vec.ndim != 1 or w_vec.shape[0] != state_dim:
-        raise ContractViolation("coupling length does not match state_dim")
-    p = next((d for d in range(1, state_dim)
-              if state_dim % d == 0 and np.array_equal(w_vec, np.roll(w_vec, d))), state_dim)
-    prediction = _predict_cycle_core(w_vec[:p], nu, copies * state_dim // p, state_dim // p)
-    prediction.extras["copies_per_coupling"] = state_dim // p
-    return prediction
+    w_vec = _as_vector(coupling, "coupling")
+    n = w_vec.shape[0]
+    check_whole_copies(horizon, n)
+    p = next((d for d in range(1, n)
+              if n % d == 0 and np.array_equal(w_vec, np.roll(w_vec, d))), n)
+    return _predict_cycle_core(w_vec[:p], nu, horizon // p, n // p)
 
 
 @dataclass(frozen=True)
@@ -333,9 +335,18 @@ class MotifComparison:
     alignments: np.ndarray
     weight_rel_errors: np.ndarray
     cluster_ids: np.ndarray
-    min_alignment: float
-    max_weight_rel_error: float
-    n_compared: int
+
+    @property
+    def n_compared(self) -> int:
+        return int(self.alignments.shape[0])
+
+    @property
+    def min_alignment(self) -> float:
+        return float(np.min(self.alignments))
+
+    @property
+    def max_weight_rel_error(self) -> float:
+        return float(np.max(self.weight_rel_errors))
 
 
 def compare_motifs(empirical: MotifSet, predicted: MotifPrediction) -> MotifComparison:
@@ -359,13 +370,9 @@ def compare_motifs(empirical: MotifSet, predicted: MotifPrediction) -> MotifComp
         raise ContractViolation("nothing to compare: one of the motif sets is empty")
 
     pred_values = predicted.weights[:n] ** 2
-    cluster_ids = np.zeros(n, dtype=np.int64)
-    for i in range(1, n):
-        gap = pred_values[i - 1] - pred_values[i]
-        if gap > DEGENERACY_RTOL * pred_values[i - 1]:
-            cluster_ids[i] = cluster_ids[i - 1] + 1
-        else:
-            cluster_ids[i] = cluster_ids[i - 1]
+    # A cluster ends where the next value falls by more than the relative gap.
+    ends = pred_values[:-1] - pred_values[1:] > DEGENERACY_RTOL * pred_values[:-1]
+    cluster_ids = np.concatenate(([0], np.cumsum(ends))).astype(np.int64)
 
     alignments = np.empty(n)
     for cid in range(int(cluster_ids[-1]) + 1):
@@ -386,7 +393,4 @@ def compare_motifs(empirical: MotifSet, predicted: MotifPrediction) -> MotifComp
         alignments=alignments,
         weight_rel_errors=errors,
         cluster_ids=cluster_ids,
-        min_alignment=float(np.min(alignments)),
-        max_weight_rel_error=float(np.max(errors)),
-        n_compared=n,
     )

@@ -229,8 +229,7 @@ def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCo
     :func:`richness.sweep` takes for every value of its grid, so each sweep
     row equals this build at its ``nu``.
     """
-    raw, sigma = cp.draw_reservoir(reservoir_spec.regime, reservoir_spec.size,
-                                   reservoir_spec.distribution, seed)
+    raw, sigma = cp.draw_reservoir(reservoir_spec, seed)
     coupling = cp.generate_input(coupling_spec, seed)
     unit = build_metric_tensor(raw * (1.0 / sigma), coupling, horizon)
     return (raw * (reservoir_spec.nu / sigma), coupling,

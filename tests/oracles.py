@@ -9,6 +9,7 @@ genuine two-route check rather than a tautology.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -252,3 +253,16 @@ CYCLE_TWO_COPIES_WEIGHT_FACTOR = 1.0307764064044151
 # Geometric weight ratio of the random-reservoir prediction at nu = 0.995:
 # (0.995 / 2) ** 2.
 RANDOM_WEIGHT_RATIO_NU995 = 0.24750625
+
+
+# ---------------------------------------------------------------------------
+# bytes pinned across a change of signature
+# ---------------------------------------------------------------------------
+
+def digest(*arrays):
+    """First 16 hex digits of the sha256 of the arrays' float64 bytes, in
+    order: a short pin for outputs that must stay bit for bit the same."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]

@@ -166,7 +166,7 @@ def test_cycle_block_predictions_are_exact_eigenvectors():
     horizon = n * copies
     seed = cp.mix_seed(0, 6, 0)
     tensor, _, w = _tensor("cycle_permutation", n, nu, "gaussian", horizon, seed)
-    pred = predict_cycle(n, nu, w, copies)
+    pred = predict_cycle(nu, w, horizon)
     residual = np.max(np.abs(tensor.matrix @ pred.vectors.T
                              - pred.vectors.T * pred.weights[None, :] ** 2))
     allowance = 1e-8 * np.max(np.abs(tensor.matrix))
@@ -192,8 +192,8 @@ def test_periodic_coupling_collapses_the_spectrum():
     weight_err = float(np.max(np.abs(motifs.weights - predicted) / predicted)) \
         if len(motifs.weights) == 10 else np.inf
 
-    pred_binary = predict_cycle(n, nu, np.tile([1.0, 0.0, 0.0, 0.0], n // 4), 2)
-    pred_bipolar = predict_cycle(n, nu, np.tile([1.0, -1.0, -1.0, -1.0], n // 4), 2)
+    pred_binary = predict_cycle(nu, np.tile([1.0, 0.0, 0.0, 0.0], n // 4), horizon)
+    pred_bipolar = predict_cycle(nu, np.tile([1.0, -1.0, -1.0, -1.0], n // 4), horizon)
     doubled_exactly = bool(np.array_equal(pred_bipolar.weights,
                                           2.0 * pred_binary.weights))
     emp = {}

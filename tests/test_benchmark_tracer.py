@@ -7,6 +7,7 @@ working when the records change shape.  It only imports from
 ``benchmarks/``.
 """
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ def test_tracer_counts_bytes_and_retained_motifs_of_a_cycle_build(spans):
     with spans.Tracer("test") as tracer:
         tensor = rk.build_metric_tensor(reservoir, coupling, tau)
         motif_set = rk.extract_motifs(tensor)
-        rk.predict_cycle(n, 0.9, coupling, tau // n)
+        rk.predict_cycle(0.9, coupling, tau)
     metrics = tracer.layer_metrics()
     assert metrics["temporal_kernel.build_metric_tensor.calls"] == 1
     assert metrics["temporal_kernel.build_metric_tensor.bytes_computed"] == 8 * (n * tau + tau**2)
@@ -39,3 +40,13 @@ def test_tracer_counts_bytes_and_retained_motifs_of_a_cycle_build(spans):
     assert metrics["motifs.extract_motifs.retained_ratio"] == len(motif_set) / tau
     assert 0 < len(motif_set) <= n
     assert metrics["motifs.predict_cycle.calls"] == 1
+
+
+def test_every_traced_name_resolves_in_the_package(spans):
+    # A rename or deletion of a traced function must fail here, not first
+    # in a traced benchmark run.
+    missing = [f"{module}.{name}" for module, names in spans.LAYERS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"reskernel.{module}"),
+                                       name, None))]
+    assert missing == []

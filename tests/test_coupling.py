@@ -115,7 +115,7 @@ def test_a_random_draw_makes_no_eigendecomposition(monkeypatch, regime):
         return decompose(matrix)
 
     monkeypatch.setattr(numerics, "sym_eig", counted)
-    _, sigma = draw_reservoir(regime, 20, "gaussian", Seed(5))
+    _, sigma = draw_reservoir(ReservoirSpec(regime, 20, 0.9), Seed(5))
     assert sigma > 0.0
     assert calls == []
 
@@ -163,16 +163,37 @@ def test_reservoir_spec_rejects_bad_parameters(kwargs):
     ("cycle_permutation", 3, "cauchy"),
     ("random_iid", 3, "cauchy"),
 ])
-def test_draw_reservoir_rejects_bad_parameters(regime, size, distribution):
+def test_reservoir_spec_rejects_bad_draw_parameters(regime, size, distribution):
+    # The spec is the one place a draw's regime, size and distribution are
+    # checked, the cycle's unused distribution included.
     with pytest.raises(ContractViolation):
-        draw_reservoir(regime, size, distribution, Seed(0))
+        ReservoirSpec(regime, size, 0.9, distribution)
+
+
+# (sha256 prefix of the raw matrix's bytes, float.hex of sigma) per regime
+# and distribution at N = 7, seed 11, as the draw gave them when it took
+# (regime, size, distribution, seed).
+_DRAW_BYTES = {
+    ("random_iid", "gaussian"): ("dc48fee546c2f810", "0x1.c9e81c9387b5ap+1"),
+    ("random_iid", "rademacher"): ("d0de28dfd2a4abff", "0x1.03dbf005d498dp+2"),
+    ("symmetric_wigner", "gaussian"): ("d2e8f78563828364", "0x1.e39c96956557ap+1"),
+    ("symmetric_wigner", "rademacher"): ("ee7ebc7ce6a29c6b", "0x1.0fe096a869fabp+2"),
+    ("cycle_permutation", "gaussian"): ("d6831bf806f742b6", "0x1.0000000000000p+0"),
+    ("cycle_permutation", "rademacher"): ("d6831bf806f742b6", "0x1.0000000000000p+0"),
+}
+
+
+@pytest.mark.parametrize("regime, distribution", sorted(_DRAW_BYTES))
+def test_draw_from_a_spec_keeps_the_bytes_of_the_draw(regime, distribution):
+    raw, sigma = draw_reservoir(ReservoirSpec(regime, 7, 0.5, distribution), Seed(11))
+    assert (oracles.digest(raw), sigma.hex()) == _DRAW_BYTES[regime, distribution]
 
 
 # Every public entry point that takes nu, each with otherwise valid arguments.
 _NU_USERS = {
     "ReservoirSpec": lambda nu: ReservoirSpec(regime="cycle_permutation", size=4, nu=nu),
-    "predict_random": lambda nu: predict_random(4, nu, 1.0, 8),
-    "predict_cycle": lambda nu: predict_cycle(4, nu, np.full(4, 0.5), 2),
+    "predict_random": lambda nu: predict_random(nu, np.ones(4), 8),
+    "predict_cycle": lambda nu: predict_cycle(nu, np.full(4, 0.5), 8),
     "SweepConfig": lambda nu: SweepConfig(nu_values=(nu,), state_dim=4),
 }
 
@@ -193,14 +214,12 @@ def test_every_nu_user_accepts_nu_one(user):
 # otherwise valid arguments.
 _POSITIVE_INT_USERS = {
     "ReservoirSpec.size": lambda k: ReservoirSpec("cycle_permutation", k, 0.9),
-    "draw_reservoir.size": lambda k: draw_reservoir("random_iid", k, "gaussian", Seed(0)),
     "InputCouplingSpec.size": lambda k: InputCouplingSpec("gaussian", k),
     "InputCouplingSpec.period": lambda k: InputCouplingSpec("periodic_binary", 4, period=k),
     "irrational_bits.count": lambda k: irrational_bits("pi", k),
     "build_metric_tensor.horizon": lambda k: build_metric_tensor(np.eye(2), np.ones(2), k),
-    "predict_random.state_dim": lambda k: predict_random(k, 0.9, 1.0, 8),
-    "predict_cycle.state_dim": lambda k: predict_cycle(k, 0.9, np.full(2, 0.5), 2),
-    "predict_cycle.copies": lambda k: predict_cycle(4, 0.9, np.full(4, 0.5), k),
+    "predict_random.horizon": lambda k: predict_random(0.9, np.ones(4), k),
+    "predict_cycle.horizon": lambda k: predict_cycle(0.9, np.full(2, 0.5), k),
     "kernel_poly.degree": lambda k: kernel_poly(MetricTensor(np.eye(2), 2), TimeSeries(np.ones(2)),
                                                 TimeSeries(np.ones(2)), 0.0, k),
     "MetricTensor.state_dim": lambda k: MetricTensor(np.eye(2), state_dim=k),

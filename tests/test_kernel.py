@@ -276,7 +276,7 @@ def test_two_nonzeros_in_a_row_take_the_dense_path():
 # ---------------------------------------------------------------------------
 
 def _unit_pair(regime, n, seed=4):
-    raw, sigma = draw_reservoir(regime, n, "gaussian", Seed(seed))
+    raw, sigma = draw_reservoir(ReservoirSpec(regime, n, 1.0), Seed(seed))
     coupling = generate_input(InputCouplingSpec(kind="gaussian", size=n), Seed(seed))
     return raw * (1.0 / sigma), coupling
 

@@ -10,6 +10,7 @@ from reskernel import (
     ContractViolation,
     InputCouplingSpec,
     MetricTensor,
+    MotifComparison,
     MotifPrediction,
     MotifSet,
     PsdViolationError,
@@ -28,6 +29,7 @@ from reskernel import (
     scale_metric_tensor,
 )
 from reskernel.coupling import generate_input, generate_reservoir
+from reskernel.motifs import DEGENERACY_RTOL
 
 
 def _tensor_for(regime, n, nu, horizon, seed, kind="gaussian", period=None,
@@ -187,47 +189,62 @@ def test_represent_rejects_horizon_mismatch_and_empty_set_passthrough():
 # ---------------------------------------------------------------------------
 
 def test_random_prediction_weights_are_geometric():
-    pred = predict_random(state_dim=100, nu=0.995, coupling_norm=1.0, horizon=200)
+    pred = predict_random(nu=0.995, coupling=np.eye(100)[0], horizon=200)
     assert len(pred) == 100
     assert pred.weights[0] == 1.0
     ratios = (pred.weights[1:] / pred.weights[:-1]) ** 2
     assert np.allclose(ratios, oracles.RANDOM_WEIGHT_RATIO_NU995, rtol=1e-12)
-    assert pred.extras["decay_ratio"] == pytest.approx(0.4975, rel=1e-15)
 
 
 def test_random_prediction_scales_with_coupling_norm():
-    unit = predict_random(10, 0.9, 1.0, 20)
-    scaled = predict_random(10, 0.9, 3.0, 20)
+    unit = predict_random(0.9, np.eye(10)[0], 20)
+    scaled = predict_random(0.9, 3.0 * np.eye(10)[0], 20)
     assert np.allclose(scaled.weights, 3.0 * unit.weights, rtol=1e-14)
 
 
 def test_random_prediction_count_truncates_both_ways():
-    assert len(predict_random(5, 0.9, 1.0, 12)) == 5
-    assert len(predict_random(12, 0.9, 1.0, 5)) == 5
+    assert len(predict_random(0.9, np.ones(5), 12)) == 5
+    assert len(predict_random(0.9, np.ones(12), 5)) == 5
 
 
 def test_random_prediction_vectors_are_time_axes():
-    pred = predict_random(3, 0.9, 1.0, 6)
+    pred = predict_random(0.9, np.ones(3), 6)
     assert np.array_equal(pred.vectors, np.eye(6)[:3])
     assert pred.orthonormal
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(state_dim=0, nu=0.9, coupling_norm=1.0, horizon=5),
-    dict(state_dim=3, nu=0.0, coupling_norm=1.0, horizon=5),
-    dict(state_dim=3, nu=0.9, coupling_norm=0.0, horizon=5),
-    dict(state_dim=3, nu=0.9, coupling_norm=1.0, horizon=0),
+    dict(nu=0.9, coupling=np.ones(0), horizon=5),
+    dict(nu=0.0, coupling=np.ones(3), horizon=5),
+    dict(nu=0.9, coupling=np.zeros(3), horizon=5),
+    dict(nu=0.9, coupling=np.array([1.0, np.inf, 0.0]), horizon=5),
+    dict(nu=0.9, coupling=np.array([1.0, np.nan, 0.0]), horizon=5),
+    dict(nu=0.9, coupling=np.ones((3, 1)), horizon=5),
+    dict(nu=0.9, coupling=np.ones(3), horizon=0),
 ])
 def test_random_prediction_rejects_bad_parameters(kwargs):
     with pytest.raises(ContractViolation):
         predict_random(**kwargs)
 
 
+# sha256 prefix of (vectors, weights) as the prediction gave them when it
+# took (state_dim, nu, coupling_norm, horizon), with coupling_norm
+# np.linalg.norm of the coupling below.
+_RANDOM_BYTES = {12: "d54f66f1fec96225", 3: "0086b6434034cd92"}
+
+
+@pytest.mark.parametrize("horizon", sorted(_RANDOM_BYTES))
+def test_random_prediction_from_the_coupling_keeps_its_bytes(horizon):
+    coup = generate_input(InputCouplingSpec("gaussian", 5, normalize_unit=False), Seed(2))
+    pred = predict_random(0.9, coup, horizon)
+    assert oracles.digest(pred.vectors, pred.weights) == _RANDOM_BYTES[horizon]
+
+
 def test_single_random_instance_aligns_with_prediction():
     seed = mix_seed(0, 55, 0)
     res, coup, tensor = _tensor_for("random_iid", 100, 0.995, 200, seed)
     motifs = extract_motifs(tensor)
-    pred = predict_random(100, 0.995, float(np.linalg.norm(coup)), 200)
+    pred = predict_random(0.995, coup, 200)
     comparison = compare_motifs(motifs, pred)
     assert np.all(comparison.alignments[:4] >= 0.9)
 
@@ -240,7 +257,7 @@ def test_random_instance_weights_track_prediction_on_average():
         seed = mix_seed(0, 56, s)
         res, coup, tensor = _tensor_for("random_iid", 100, 0.995, 200, seed)
         motifs = extract_motifs(tensor)
-        pred = predict_random(100, 0.995, float(np.linalg.norm(coup)), 200)
+        pred = predict_random(0.995, coup, 200)
         comparison = compare_motifs(motifs, pred)
         errors += comparison.weight_rel_errors[:4]
     errors /= n_seeds
@@ -275,8 +292,7 @@ def test_symmetric_reconstruction_matches_built_tensor():
         seed = mix_seed(0, 57, s)
         res, coup, tensor = _tensor_for("symmetric_wigner", 12, 0.9, 24, seed)
         pred = predict_symmetric(res, coup, 24)
-        recon = pred.extras["reconstruction"]
-        assert np.array_equal(recon, recon.T)
+        recon = (pred.vectors * pred.weights[:, None]).T @ pred.vectors
         assert np.max(np.abs(recon - tensor.matrix)) <= 1e-9
 
 
@@ -304,7 +320,7 @@ def test_compare_rejects_symmetric_components():
 # ---------------------------------------------------------------------------
 
 def test_cycle_two_copy_weight_factor_worked_example():
-    pred = predict_cycle(2, 0.5, np.array([1.0, 0.0]), 2)
+    pred = predict_cycle(0.5, np.array([1.0, 0.0]), 4)
     assert pred.extras["eigenvalue_factor"] == oracles.CYCLE_TWO_COPIES_FACTOR
     assert pred.weights[0] == pytest.approx(
         oracles.CYCLE_TWO_COPIES_WEIGHT_FACTOR, rel=1e-15)
@@ -314,7 +330,7 @@ def test_cycle_prediction_single_copy_returns_core_vectors():
     rng = np.random.default_rng(19)
     coup = rng.normal(size=6)
     coup /= np.linalg.norm(coup)
-    pred = predict_cycle(6, 0.9, coup, 1)
+    pred = predict_cycle(0.9, coup, 6)
     assert pred.vectors.shape == (6, 6)
     gram = pred.vectors @ pred.vectors.T
     assert np.max(np.abs(gram - np.eye(6))) < 1e-12
@@ -322,7 +338,7 @@ def test_cycle_prediction_single_copy_returns_core_vectors():
 
 def test_cycle_prediction_at_nu_one_uses_copy_count():
     coup = np.array([1.0, 0.0, 0.0])
-    pred = predict_cycle(3, 1.0, coup, 4)
+    pred = predict_cycle(1.0, coup, 12)
     assert pred.extras["eigenvalue_factor"] == 4.0
 
 
@@ -330,7 +346,7 @@ def test_cycle_prediction_matches_extracted_motifs():
     seed = mix_seed(0, 58, 1)
     res, coup, tensor = _tensor_for("cycle_permutation", 10, 0.9, 30, seed)
     motifs = extract_motifs(tensor, threshold_ratio=1e-4)
-    pred = predict_cycle(10, 0.9, coup, 3)
+    pred = predict_cycle(0.9, coup, 30)
     core = pred.extras["core_eigenvalues"]
     gaps = np.abs(np.diff(core)) / core[:-1]
     assert np.min(gaps) > 1e-6  # non-degenerate spectrum for this seed
@@ -354,11 +370,46 @@ def test_cycle_pi_sign_tensor_at_nu_one_has_exactly_degenerate_eigenpairs():
     assert gaps[gaps >= 1e-9].min() > 1e-3
 
 
-def test_cycle_prediction_rejects_bad_shapes_and_copies():
+def test_cycle_prediction_rejects_bad_shapes_and_horizons():
     with pytest.raises(ContractViolation):
-        predict_cycle(4, 0.9, np.ones(3), 2)
+        predict_cycle(0.9, np.ones(0), 2)
     with pytest.raises(ContractViolation):
-        predict_cycle(3, 0.9, np.ones(3), 0)
+        predict_cycle(0.9, np.ones((3, 1)), 3)
+    with pytest.raises(ContractViolation):
+        predict_cycle(0.9, np.ones(3), 0)
+
+
+@pytest.mark.parametrize("coup, horizon", [
+    (np.ones(3), 4),
+    (np.ones(4), 6),
+    (np.tile([1.0, 0.0], 2), 2),  # a whole number of blocks, not of couplings
+    (np.tile([1.0, 0.0], 3), 15),
+])
+def test_cycle_prediction_rejects_a_horizon_of_partial_copies(coup, horizon):
+    with pytest.raises(ContractViolation, match="multiple of N"):
+        predict_cycle(0.9, coup, horizon)
+
+
+# sha256 prefix of (vectors, weights, core eigenvalues) and float.hex of the
+# eigenvalue factor, as the prediction gave them when it took (state_dim,
+# nu, coupling, copies): the aperiodic pi-sign coupling at N = 7, and a
+# period-3 coupling at N = 6 below and at nu = 1.
+_CYCLE_BYTES = {
+    "pi": ("1de7391436f17d20", "0x1.7cd8447660f15p+0"),
+    "periodic": ("9eec760552cb6cbd", "0x1.0b06122f046c5p+1"),
+    "edge": ("7769adcbe0c5c651", "0x1.0000000000000p+2"),
+}
+
+
+@pytest.mark.parametrize("case, nu, copies", [("pi", 0.95, 2), ("periodic", 0.9, 3),
+                                              ("edge", 1.0, 2)])
+def test_cycle_prediction_from_the_horizon_keeps_its_bytes(case, nu, copies):
+    coup = (generate_input(InputCouplingSpec("ones_pi_signs", 7), Seed(0)) if case == "pi"
+            else np.tile([1.0, -0.5, 0.25], 2))
+    pred = predict_cycle(nu, coup, copies * len(coup))
+    got = (oracles.digest(pred.vectors, pred.weights, pred.extras["core_eigenvalues"]),
+           pred.extras["eigenvalue_factor"].hex())
+    assert got == _CYCLE_BYTES[case]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +421,7 @@ def test_periodic_prediction_closed_form_for_binary_blocks():
     seed = Seed(0)
     res, coup, tensor = _tensor_for("cycle_permutation", n, nu, tau, seed,
                                     kind="periodic_binary", period=p)
-    pred = predict_cycle(n, nu, np.tile(coup[:p], n // p), tau // n)
+    pred = predict_cycle(nu, np.tile(coup[:p], n // p), tau)
     expected = np.array([oracles.periodic_cycle_weight(nu, i, p, tau)
                          for i in range(1, p + 1)])
     assert np.allclose(pred.weights, expected, rtol=1e-12)
@@ -382,11 +433,13 @@ def test_periodic_prediction_closed_form_for_binary_blocks():
 
 
 def test_periodic_prediction_counts_pattern_copies():
-    # The copies argument tiles the whole cycle, so the horizon is n * copies.
+    # One row per position of the block, so the coupling holds
+    # len(coupling) // len(prediction) copies of it.
     n, p = 12, 3
     block = np.array([1.0, 0.0, 0.0])
-    pred = predict_cycle(n, 0.8, np.tile(block, n // p), 8)
-    assert pred.extras["copies_per_coupling"] == n // p
+    coup = np.tile(block, n // p)
+    pred = predict_cycle(0.8, coup, n * 8)
+    assert len(coup) // len(pred) == n // p
     assert pred.vectors.shape == (p, n * 8)
     assert pred.horizon == n * 8
 
@@ -400,8 +453,8 @@ def test_bipolar_weights_are_exactly_twice_binary_at_period_four():
     bipolar = generate_input(InputCouplingSpec(kind="periodic_bipolar", size=n,
                                                period=p, normalize_unit=False),
                              seed)
-    pred_bin = predict_cycle(n, nu, np.tile(binary[:p], n // p), tau // n)
-    pred_bip = predict_cycle(n, nu, np.tile(bipolar[:p], n // p), tau // n)
+    pred_bin = predict_cycle(nu, np.tile(binary[:p], n // p), tau)
+    pred_bip = predict_cycle(nu, np.tile(bipolar[:p], n // p), tau)
     assert np.array_equal(pred_bip.weights, 2.0 * pred_bin.weights)
 
 
@@ -409,7 +462,7 @@ def test_periodic_prediction_at_nu_one_counts_blocks():
     # Undamped cycle: the factor is the number of pattern blocks in the
     # horizon, here 6 * 5 / 2.
     block = np.array([1.0, 0.0])
-    pred = predict_cycle(6, 1.0, np.tile(block, 3), 5)
+    pred = predict_cycle(1.0, np.tile(block, 3), 30)
     assert pred.extras["eigenvalue_factor"] == 15.0
 
 
@@ -425,11 +478,10 @@ def test_periodic_prediction_is_the_cycle_prediction_of_one_block(n, p, nu, copi
     # by one block, over the same horizon; only the weights carry the N/p
     # copies of the block.
     block = np.random.default_rng(n + p).normal(size=p)
-    periodic = predict_cycle(n, nu, np.tile(block, n // p), copies)
-    single = predict_cycle(p, nu, block, copies * n // p)
+    periodic = predict_cycle(nu, np.tile(block, n // p), copies * n)
+    single = predict_cycle(nu, block, copies * n)
     assert periodic.horizon == single.horizon == copies * n
-    assert periodic.extras["copies_per_coupling"] == n // p
-    assert single.extras["copies_per_coupling"] == 1
+    assert len(periodic) == len(single) == p
     assert periodic.vectors.tobytes() == single.vectors.tobytes()
     for key in ("core_eigenvalues", "eigenvalue_factor"):
         assert np.asarray(periodic.extras[key]).tobytes() == \
@@ -449,9 +501,9 @@ def test_cycle_prediction_reads_a_period_the_coupling_has_by_chance():
     _, coup, tensor = _tensor_for("cycle_permutation", n, nu, n * copies, Seed(0),
                                   kind="ones_pi_signs")
     assert np.array_equal(coup, np.roll(coup, 3))
-    pred = predict_cycle(n, nu, coup, copies)
+    pred = predict_cycle(nu, coup, n * copies)
     assert len(pred) == 3
-    assert pred.extras["copies_per_coupling"] == 2
+    assert len(coup) // len(pred) == 2
     motifs = extract_motifs(tensor, threshold_ratio=1e-6)
     assert len(motifs) == 3
     comparison = compare_motifs(motifs, pred)
@@ -472,11 +524,13 @@ def test_prediction_container_validation():
 
 def test_records_store_no_horizon_and_derive_it_from_their_arrays():
     stored = {record.__name__: [f.name for f in dataclasses.fields(record)]
-              for record in (MetricTensor, MotifSet, MotifPrediction)}
+              for record in (MetricTensor, MotifSet, MotifPrediction,
+                             MotifComparison)}
     assert stored == {
         "MetricTensor": ["matrix", "state_dim"],
         "MotifSet": ["vectors", "weights", "spectrum", "threshold_ratio"],
         "MotifPrediction": ["vectors", "weights", "orthonormal", "extras"],
+        "MotifComparison": ["alignments", "weight_rel_errors", "cluster_ids"],
     }
     res, coup, tensor = _tensor_for("symmetric_wigner", 4, 0.9, 8, Seed(3))
     scaled = scale_metric_tensor(tensor, 0.5)
@@ -485,10 +539,10 @@ def test_records_store_no_horizon_and_derive_it_from_their_arrays():
     assert scaled.horizon == scaled.matrix.shape[0] == 8
     assert motifs.horizon == motifs.spectrum.shape[0] == motifs.vectors.shape[1] == 8
     predictions = [
-        predict_random(4, 0.9, 1.0, 8),
+        predict_random(0.9, coup, 8),
         predict_symmetric(res, coup, 8),
-        predict_cycle(4, 0.9, coup, 2),
-        predict_cycle(4, 0.9, np.tile([1.0, 0.0], 2), 2),
+        predict_cycle(0.9, coup, 8),
+        predict_cycle(0.9, np.tile([1.0, 0.0], 2), 8),
     ]
     for prediction in predictions:
         assert prediction.horizon == prediction.vectors.shape[1] == 8
@@ -515,6 +569,20 @@ def test_comparison_of_a_set_with_itself_is_perfect():
     assert np.array_equal(comparison.weight_rel_errors, np.zeros(len(motifs)))
     assert comparison.min_alignment >= 1.0 - 1e-12
     assert comparison.max_weight_rel_error == 0.0
+
+
+def test_comparison_summaries_are_read_from_its_arrays():
+    comparison = MotifComparison(alignments=np.array([0.99, 0.5, 1.0]),
+                                 weight_rel_errors=np.array([0.1, 0.3, 0.2]),
+                                 cluster_ids=np.array([0, 1, 2]))
+    assert comparison.n_compared == 3
+    assert comparison.min_alignment == 0.5
+    assert comparison.max_weight_rel_error == 0.3
+    _, coup, tensor = _tensor_for("cycle_permutation", 5, 0.8, 10, Seed(2))
+    real = compare_motifs(extract_motifs(tensor), predict_cycle(0.8, coup, 10))
+    assert real.n_compared == len(real.alignments) == len(real.weight_rel_errors)
+    assert real.min_alignment == float(np.min(real.alignments))
+    assert real.max_weight_rel_error == float(np.max(real.weight_rel_errors))
 
 
 def test_comparison_ignores_global_sign_of_predicted_vectors():
@@ -544,6 +612,28 @@ def test_distinct_predicted_weights_get_distinct_clusters():
     comparison = compare_motifs(motifs, pred)
     assert np.array_equal(comparison.cluster_ids,
                           np.arange(comparison.n_compared))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cluster_ids_equal_the_gap_by_gap_loop(seed):
+    # Runs of equal or nearly equal values, as degenerate spectra give them.
+    rng = np.random.default_rng(seed)
+    values = np.repeat(np.sort(rng.uniform(0.1, 1.0, 6))[::-1], rng.integers(1, 4, 6))
+    values = values * (1.0 + rng.choice([0.0, 1e-10, 1e-6], values.size))
+    weights = np.sort(np.sqrt(values))[::-1]
+    k = weights.size
+    motifs = MotifSet(vectors=np.eye(k), weights=weights, spectrum=weights**2,
+                      threshold_ratio=1e-2)
+    pred = MotifPrediction(vectors=np.eye(k), weights=weights, orthonormal=True)
+    pred_values = weights**2
+    expected = np.zeros(k, dtype=np.int64)
+    for i in range(1, k):
+        split = pred_values[i - 1] - pred_values[i] > DEGENERACY_RTOL * pred_values[i - 1]
+        expected[i] = expected[i - 1] + int(split)
+    got = compare_motifs(motifs, pred).cluster_ids
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+    assert 0 < got[-1] < k - 1  # some clusters merge and some split
 
 
 def test_zero_predicted_weight_flags_infinite_error():

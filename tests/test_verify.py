@@ -37,6 +37,7 @@ def test_kernel_state_equivalence_honors_pair_count():
 def test_spectrum_properties_pass():
     psd, decay = run_spectrum_properties(n_configs=10)
     assert psd.passed, psd.detail
+    assert psd.detail.startswith("worst asymmetry 0.000e+00, worst relative negativity ")
     assert decay.passed, decay.detail
     assert psd.n_checked == 10
     assert decay.n_checked == 10
@@ -81,6 +82,22 @@ def test_tampered_tensor_fails_spectrum_checks():
     psd, _ = run_spectrum_properties(n_configs=4, tamper=inject_asymmetry)
     assert not psd.passed
     assert psd.replay is not None
+
+
+def test_tampered_spectrum_suite_reports_asymmetry_apart_from_negativity():
+    sizes = []
+
+    def tamper(matrix):
+        sizes.append(matrix.shape[0])
+        return inject_asymmetry(matrix)
+
+    psd, _ = run_spectrum_properties(n_configs=6, tamper=tamper)
+    assert min(sizes) > 1  # every tensor is tampered by asymmetry alone
+    assert not psd.passed
+    assert "worst asymmetry 1.000e-03" in psd.detail
+    assert "worst relative negativity 1.000e-03" not in psd.detail
+    assert "worst relative negativity 0.000e+00" in psd.detail
+    assert psd.worst == 0.0
 
 
 def test_inject_asymmetry_effects():
