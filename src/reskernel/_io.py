@@ -2,11 +2,14 @@
 
 All writers are atomic (write to a sibling temp file, then rename) and emit
 LF line endings with floats at 17 significant digits, so identical inputs
-produce byte-identical files.
+produce byte-identical files.  CSV files are streamed to the temp file one
+row at a time, so the largest string alive is one row and peak memory does
+not grow with the size of the file.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 from pathlib import Path
@@ -31,14 +34,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, text) -> None:
+    """Write ``text`` to ``path`` through a sibling temp file and a rename.
+
+    ``text`` is one ``str`` or an iterable of ``str`` written in turn, so a
+    caller can stream a file that it never holds whole.  If writing fails,
+    the temp file is removed and an existing ``path`` keeps its old bytes.
+    """
     target = Path(path)
+    chunks = [text] if isinstance(text, str) else text
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", newline="\n") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
@@ -48,13 +58,15 @@ def atomic_write_text(path, text: str) -> None:
         raise ContractViolation(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(path, header: list[str] | None, rows) -> None:
-    lines = []
-    if header is not None:
-        lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(c) for c in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header line, then one line per row, each ending in LF.
+
+    ``rows`` may be any iterable, a generator included; each row is
+    formatted and written before the next is read.
+    """
+    body = (",".join(_cell(c) for c in row) for row in rows)
+    lines = itertools.chain([",".join(header)], body)
+    atomic_write_text(path, (line + "\n" for line in lines))
 
 
 def read_time_series(path) -> TimeSeries:
@@ -85,6 +97,7 @@ def write_motifs_csv(vectors: np.ndarray, weights: np.ndarray, path) -> None:
     A motif file can hold millions of floats, so each row is formatted by
     one ``%`` over the whole row and handed to :func:`write_csv` as a
     single cell.  ``"%.17g" % x`` gives the same bytes as :func:`fmt_float`.
+    The rows are a generator, so only one formatted row is alive at a time.
     """
     horizon = vectors.shape[1] if vectors.shape[0] else 0
     header = ["index", "weight"] + [f"m_{j}" for j in range(1, horizon + 1)]

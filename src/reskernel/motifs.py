@@ -63,7 +63,7 @@ def _clamp_spectrum(values: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MotifSet:
-    """Retained motifs of one metric tensor.
+    """Retained motifs of one metric tensor.  Every array must be finite.
 
     Attributes
     ----------
@@ -95,6 +95,9 @@ class MotifSet:
         check_threshold_ratio(self.threshold_ratio)
         if spec.ndim != 1:
             raise ContractViolation("spectrum must be a 1-dimensional array")
+        if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(wts))
+                and np.all(np.isfinite(spec))):
+            raise ContractViolation("motif vectors, weights and spectrum must be finite")
         if vec.shape[0] > 0 and vec.shape[1] != spec.shape[0]:
             raise ContractViolation("motif length does not match spectrum length")
         if np.any(np.diff(spec) > 0.0) or np.any(spec < 0.0):
@@ -166,7 +169,8 @@ class MotifPrediction:
     regimes) from non-orthogonal component decompositions (symmetric
     regime).  ``extras`` carries what the vectors and weights do not give
     back bit for bit: the cycle core's eigenvalues and its eigenvalue
-    factor.  The horizon is the length of the rows of ``vectors``.
+    factor.  The horizon is the length of the rows of ``vectors``.  Vectors
+    and weights must be finite.
     """
 
     vectors: np.ndarray
@@ -181,6 +185,8 @@ class MotifPrediction:
             raise ContractViolation("predicted vectors must form a 2-dimensional array")
         if wts.shape != (vec.shape[0],):
             raise ContractViolation("one weight per predicted vector is required")
+        if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(wts))):
+            raise ContractViolation("predicted vectors and weights must be finite")
         if np.any(wts < 0.0) or np.any(np.diff(wts) > 0.0):
             raise ContractViolation("predicted weights must be non-negative and descending")
         object.__setattr__(self, "vectors", vec)
@@ -232,20 +238,20 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
     """
     check_horizon(horizon)
     eig = sym_eig(reservoir)
-    w_vec = np.asarray(coupling, dtype=float)
-    if w_vec.ndim != 1 or w_vec.shape[0] != eig.eigenvectors.shape[0]:
+    w_vec = _as_vector(coupling, "coupling")
+    if w_vec.shape[0] != eig.eigenvectors.shape[0]:
         raise ContractViolation("coupling length does not match reservoir dimension")
     projections = eig.eigenvectors.T @ w_vec
     # Row a holds sigma_a^0 .. sigma_a^(horizon-1); 0**0 evaluates to 1.
     with np.errstate(over="raise"):
         try:
             patterns = eig.eigenvalues[:, None] ** np.arange(horizon)[None, :]
+            sq_norms = np.sum(patterns**2, axis=1)
         except FloatingPointError:
             raise ContractViolation(
                 "reservoir spectral radius too large for this horizon") from None
     if not np.all(np.isfinite(patterns)):
         raise ContractViolation("reservoir spectral radius too large for this horizon")
-    sq_norms = np.sum(patterns**2, axis=1)
     weights = projections**2 * sq_norms
     order = np.argsort(-weights, kind="stable")
     return MotifPrediction(

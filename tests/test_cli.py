@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,60 @@ def test_motif_writer_bytes_equal_the_generic_csv_path(tmp_path, vectors, weight
     _io.write_motifs_csv(vectors, weights, tmp_path / "fast.csv")
     _generic_motifs_csv(vectors, weights, tmp_path / "generic.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [["1", "0.10000000000000001"]],
+    [[str(i), f"{i / 7:.17g}", "cycle"] for i in range(1000)],
+])
+def test_csv_writer_bytes_are_the_joined_lines(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    _io.write_csv(path, ["index", "value"], iter(rows))
+    lines = ["index,value"] + [",".join(row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_writer_formats_ints_and_floats_exactly(tmp_path):
+    _io.write_csv(tmp_path / "t.csv", ["index", "value"], [[1, 0.1], [np.int64(2), -0.0]])
+    assert (tmp_path / "t.csv").read_bytes() == b"index,value\n1,0.10000000000000001\n2,-0\n"
+
+
+def test_an_empty_motif_file_is_its_header(tmp_path):
+    _io.write_motifs_csv(np.zeros((0, 5)), np.zeros(0), tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == b"index,weight\n"
+
+
+def _two_rows_then_a_failure():
+    yield [1, 0.5]
+    yield [2, 0.25]
+    raise RuntimeError("row source failed")
+
+
+def test_a_failure_mid_stream_leaves_nothing_behind(tmp_path):
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old\n")
+    for target in (tmp_path / "fresh.csv", kept, tmp_path / "new" / "fresh.csv"):
+        with pytest.raises(RuntimeError, match="row source failed"):
+            _io.write_csv(target, ["index", "weight"], _two_rows_then_a_failure())
+    assert kept.read_bytes() == b"old\n"
+    # The parent is made before the first row is written, so a new one may
+    # stay behind, but empty.
+    assert [p.name for p in tmp_path.rglob("*") if not p.is_dir()] == ["kept.csv"]
+
+
+def test_a_motif_file_is_streamed_not_joined(tmp_path):
+    rng = np.random.default_rng(5)
+    vectors = rng.normal(size=(200, 2000))
+    weights = np.sort(rng.random(200))[::-1]
+    path = tmp_path / "motifs.csv"
+    tracemalloc.start()
+    try:
+        _io.write_motifs_csv(vectors, weights, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 8
 
 
 def test_time_series_round_trip_is_exact(tmp_path):

@@ -130,6 +130,21 @@ def test_motif_set_validation():
         MotifSet(**dict(good, vectors=skew))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(vectors=[[np.nan, 0.0]], weights=[np.nan], spectrum=[np.nan, 0.0]),
+    dict(vectors=[[np.nan, 0.0]]),
+    dict(weights=[np.nan]),
+    dict(spectrum=[np.nan, 0.0]),
+    dict(spectrum=[np.inf, 0.0]),
+])
+def test_motif_set_rejects_non_finite_entries(bad):
+    good = dict(vectors=[[1.0, 0.0]], weights=[1.0], spectrum=[1.0, 0.0],
+                threshold_ratio=0.01)
+    MotifSet(**good)
+    with pytest.raises(ContractViolation, match="finite"):
+        MotifSet(**dict(good, **bad))
+
+
 # ---------------------------------------------------------------------------
 # represent
 # ---------------------------------------------------------------------------
@@ -305,6 +320,18 @@ def test_symmetric_prediction_rejects_asymmetric_reservoir():
 def test_symmetric_prediction_rejects_divergent_rates():
     with pytest.raises(ContractViolation):
         predict_symmetric(np.diag([1.5]), np.array([1.0]), 2000)
+
+
+def test_symmetric_prediction_rejects_an_overflowing_pattern_norm():
+    # 1.5**999 is finite, but the sum of the squared pattern entries is not.
+    with pytest.raises(ContractViolation, match="spectral radius too large"):
+        predict_symmetric(np.diag([1.5]), np.array([1.0]), 1000)
+
+
+@pytest.mark.parametrize("coupling", [[np.nan, 1.0], [np.inf, 1.0], [], [[1.0, 0.0]]])
+def test_symmetric_prediction_rejects_a_bad_coupling(coupling):
+    with pytest.raises(ContractViolation, match="coupling"):
+        predict_symmetric(np.diag([0.5, 0.3]), np.array(coupling), 4)
 
 
 def test_compare_rejects_symmetric_components():
@@ -520,6 +547,17 @@ def test_prediction_container_validation():
         MotifPrediction(vectors=np.eye(2),
                         weights=np.array([1.0, -0.5]),
                         orthonormal=True, extras={})
+
+
+@pytest.mark.parametrize("vectors, weights", [
+    (np.eye(2), [np.nan, np.nan]),
+    (np.eye(2), [np.inf, 1.0]),
+    ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 0.5]),
+])
+def test_prediction_container_rejects_non_finite_entries(vectors, weights):
+    with pytest.raises(ContractViolation, match="finite"):
+        MotifPrediction(vectors=np.array(vectors), weights=np.array(weights),
+                        orthonormal=True)
 
 
 def test_records_store_no_horizon_and_derive_it_from_their_arrays():
