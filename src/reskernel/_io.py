@@ -40,15 +40,20 @@ def atomic_write_text(path, text) -> None:
     ``text`` is one ``str`` or an iterable of ``str`` written in turn, so a
     caller can stream a file that it never holds whole.  If writing fails,
     the temp file is removed and an existing ``path`` keeps its old bytes.
+    The file gets the mode a plain ``open`` would give it, ``0o666`` less
+    the umask, not the temp file's private ``0o600``.
     """
     target = Path(path)
     chunks = [text] if isinstance(text, str) else text
+    umask = os.umask(0)  # the only way to read the umask is to set it and restore it
+    os.umask(umask)
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", newline="\n") as handle:
                 handle.writelines(chunks)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):

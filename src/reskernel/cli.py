@@ -261,7 +261,7 @@ def cmd_predict(args) -> int:
     if prediction.orthonormal:
         comparison = compare_motifs(empirical, prediction)
     else:
-        recon = symmetric_gram(np.sqrt(prediction.weights)[:, None] * prediction.vectors)
+        recon = symmetric_gram(prediction.weights[:, None] * prediction.vectors)
         residual = float(np.max(np.abs(recon - tensor.matrix)))
         scale = float(np.max(np.abs(tensor.matrix)))
     out = Path(resolved["out"])

@@ -52,12 +52,19 @@ def check_whole_copies(horizon, state_dim: int) -> None:
         raise ContractViolation(f"horizon {horizon} is not a multiple of N = {state_dim}")
 
 
+def relative_negativity(values: np.ndarray) -> float:
+    """How far a descending spectrum falls below zero relative to its top
+    (``inf`` under a top that is not positive).  The one PSD rule: a
+    spectrum is positive semidefinite when this is at most ``CLAMP_RTOL``."""
+    top = max(float(values[0]), 0.0)
+    neg = max(0.0, -float(values[-1]))
+    return neg / top if top > 0.0 else (0.0 if neg == 0.0 else np.inf)
+
+
 def _clamp_spectrum(values: np.ndarray, what: str) -> np.ndarray:
-    top = float(values[0]) if values.size else 0.0
-    floor = -CLAMP_RTOL * max(top, 0.0)
-    worst = float(values[-1]) if values.size else 0.0
-    if worst < floor:
-        raise PsdViolationError(f"{what} is not positive semidefinite", worst, floor)
+    if relative_negativity(values) > CLAMP_RTOL:
+        raise PsdViolationError(f"{what} is not positive semidefinite", float(values[-1]),
+                                -CLAMP_RTOL * max(float(values[0]), 0.0))
     return np.where(values < 0.0, 0.0, values)
 
 
@@ -69,42 +76,33 @@ class MotifSet:
     ----------
     vectors : (k, tau) ndarray
         Row ``i`` is the i-th motif, unit norm, mutually orthonormal.
-    weights : (k,) ndarray
-        Positive, descending; ``weights[i]**2`` is the i-th eigenvalue.
     spectrum : (tau,) ndarray
-        The full clamped eigenvalue list, including discarded tail.  Its
-        length is the horizon ``tau``, which :attr:`horizon` reads.
-    threshold_ratio : float
-        Retention cut that produced this set: motifs with weight below
-        ``threshold_ratio * weights[0]`` were dropped.
+        The full clamped eigenvalue list, descending, including the
+        discarded tail; positive for the ``k`` retained motifs and
+        non-negative after.  Its length is the horizon ``tau``.
+    weights : (k,) ndarray, read-only
+        ``np.sqrt(spectrum[:k])``, the square roots of the eigenvalues.
     """
 
     vectors: np.ndarray
-    weights: np.ndarray
     spectrum: np.ndarray
-    threshold_ratio: float
 
     def __post_init__(self):
         vec = np.asarray(self.vectors, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
         spec = np.asarray(self.spectrum, dtype=float)
         if vec.ndim != 2:
             raise ContractViolation("motif vectors must form a 2-dimensional array")
-        if wts.ndim != 1 or wts.shape[0] != vec.shape[0]:
-            raise ContractViolation("one weight per motif is required")
-        check_threshold_ratio(self.threshold_ratio)
         if spec.ndim != 1:
             raise ContractViolation("spectrum must be a 1-dimensional array")
-        if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(wts))
-                and np.all(np.isfinite(spec))):
-            raise ContractViolation("motif vectors, weights and spectrum must be finite")
+        if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(spec))):
+            raise ContractViolation("motif vectors and spectrum must be finite")
         if vec.shape[0] > 0 and vec.shape[1] != spec.shape[0]:
             raise ContractViolation("motif length does not match spectrum length")
-        if np.any(np.diff(spec) > 0.0) or np.any(spec < 0.0):
-            raise ContractViolation("spectrum must be non-negative and descending")
-        if wts.size:
-            if np.any(wts <= 0.0) or np.any(np.diff(wts) > 0.0):
-                raise ContractViolation("weights must be positive and descending")
+        if (np.any(np.diff(spec) > 0.0) or np.any(spec < 0.0)
+                or np.any(spec[:vec.shape[0]] <= 0.0)):
+            raise ContractViolation("spectrum must be descending, non-negative, "
+                                    "and positive for retained motifs")
+        if vec.shape[0]:
             norms = np.linalg.norm(vec, axis=1)
             if np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
                 raise ContractViolation("motifs must have unit norm")
@@ -112,11 +110,14 @@ class MotifSet:
             if np.max(np.abs(gram - np.eye(vec.shape[0]))) > _GRAM_TOL:
                 raise ContractViolation("motifs must be mutually orthonormal")
         object.__setattr__(self, "vectors", vec)
-        object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "spectrum", spec)
 
     def __len__(self) -> int:
-        return int(self.weights.shape[0])
+        return int(self.vectors.shape[0])
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.sqrt(self.spectrum[:len(self)])
 
     @property
     def horizon(self) -> int:
@@ -137,12 +138,7 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     clamped = _clamp_spectrum(eig.eigenvalues, "metric tensor")
     omega = np.sqrt(clamped)
     count = int(np.sum(omega >= threshold_ratio * omega[0])) if omega[0] > 0.0 else 0
-    return MotifSet(
-        vectors=eig.eigenvectors[:, :count].T,
-        weights=omega[:count],
-        spectrum=clamped,
-        threshold_ratio=threshold_ratio,
-    )
+    return MotifSet(vectors=eig.eigenvectors[:, :count].T, spectrum=clamped)
 
 
 def represent(motif_set: MotifSet, series: TimeSeries) -> np.ndarray:
@@ -167,10 +163,12 @@ class MotifPrediction:
 
     ``orthonormal`` distinguishes eigenvector claims (random and cycle
     regimes) from non-orthogonal component decompositions (symmetric
-    regime).  ``extras`` carries what the vectors and weights do not give
-    back bit for bit: the cycle core's eigenvalues and its eigenvalue
-    factor.  The horizon is the length of the rows of ``vectors``.  Vectors
-    and weights must be finite.
+    regime).  Weights are on the motif scale in every regime: the tensor
+    is (or, for random reservoirs, approximates) ``sum_i weights[i]**2 *
+    outer(vectors[i], vectors[i])``.  ``extras`` carries what the vectors
+    and weights do not give back bit for bit: the cycle core's eigenvalues
+    and its eigenvalue factor.  The horizon is the length of the rows of
+    ``vectors``.  Vectors and weights must be finite.
     """
 
     vectors: np.ndarray
@@ -233,8 +231,9 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
     ``<s_a, w>^2 * ||pattern||^2``; negative ``sigma_a`` gives an
     alternating-sign pattern.  The sum of these rank-one kernels equals the
     metric tensor exactly, but the patterns are not mutually orthogonal, so
-    they must not be read as eigenvector predictions.  The tensor is
-    ``sum_a weights[a] * outer(vectors[a], vectors[a])``.
+    they must not be read as eigenvector predictions.  Each weight is the
+    square root of its magnitude, so the tensor is ``sum_a weights[a]**2 *
+    outer(vectors[a], vectors[a])``; ties in magnitude keep eigenvalue order.
     """
     check_horizon(horizon)
     eig = sym_eig(reservoir)
@@ -252,11 +251,11 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
                 "reservoir spectral radius too large for this horizon") from None
     if not np.all(np.isfinite(patterns)):
         raise ContractViolation("reservoir spectral radius too large for this horizon")
-    weights = projections**2 * sq_norms
-    order = np.argsort(-weights, kind="stable")
+    magnitudes = projections**2 * sq_norms
+    order = np.argsort(-magnitudes, kind="stable")
     return MotifPrediction(
         vectors=(patterns / np.sqrt(sq_norms)[:, None])[order],
-        weights=weights[order],
+        weights=np.sqrt(magnitudes[order]),
         orthonormal=False,
     )
 

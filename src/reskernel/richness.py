@@ -37,6 +37,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.half_width > 0.0 and self.cell_side > 0.0):
             raise ContractViolation("grid dimensions must be positive")
+        if not np.isfinite(2.0 * self.half_width / self.cell_side):
+            raise ContractViolation("grid must have a finite number of cells")
         if self.cells_per_axis < 1:
             raise ContractViolation("grid must contain at least one cell per axis")
 
@@ -110,14 +112,10 @@ def grid_summary(cloud: CoefficientCloud, grid: GridSpec = DEFAULT_GRID) -> Grid
     averages over the grid.
     """
     n_axis = grid.cells_per_axis
-    if len(cloud) == 0:
-        return GridSummary(0, 0.0, 0.0, 0)
     ix = np.floor((cloud.points.real + grid.half_width) / grid.cell_side).astype(np.int64)
     iy = np.floor((cloud.points.imag + grid.half_width) / grid.cell_side).astype(np.int64)
     inside = (ix >= 0) & (ix < n_axis) & (iy >= 0) & (iy < n_axis)
     discarded = int(np.sum(~inside))
-    if not np.any(inside):
-        return GridSummary(0, 0.0, 0.0, discarded)
     keys = ix[inside] * n_axis + iy[inside]
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse, weights=cloud.weights[inside])
@@ -202,7 +200,7 @@ def trial_count(regime: str, input_kind: str) -> int:
     return {0: 1, 1: 30, 2: 60}[sources]
 
 
-def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessReport]:
+def sweep(config: SweepConfig) -> list[RichnessReport]:
     """Run the richness sweep and return reports in canonical order.
 
     For every regime and input kind the configured number of trials is run.
@@ -211,7 +209,8 @@ def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessRe
     of ``nu`` with :func:`scale_metric_tensor`.  ``build_from_specs`` scales
     its own unit-scale tensor the same way, so each row equals the tensor it
     gives at the row's ``nu``, and adding a grid value leaves the other rows
-    unchanged.  Reports are sorted by (nu, regime, input_kind, trial).
+    unchanged.  Coverage is measured on :data:`DEFAULT_GRID`.  Reports are
+    sorted by (nu, regime, input_kind, trial).
     """
     nu_values = tuple(sorted(set(config.nu_values)))
     horizon = config.horizon if config.horizon is not None else 2 * config.state_dim
@@ -227,7 +226,7 @@ def sweep(config: SweepConfig, grid: GridSpec = DEFAULT_GRID) -> list[RichnessRe
                 for nu in nu_values:
                     motif_set = extract_motifs(scale_metric_tensor(unit, nu),
                                                config.threshold_ratio)
-                    summary = grid_summary(coefficient_cloud(motif_set), grid)
+                    summary = grid_summary(coefficient_cloud(motif_set))
                     reports.append(RichnessReport(
                         nu=nu,
                         regime=regime,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
-from .motifs import CLAMP_RTOL
+from .motifs import CLAMP_RTOL, relative_negativity
 from .numerics import SYMMETRY_ATOL, numerical_rank, sym_eig
 from .temporal_kernel import (
     BoundParams,
@@ -41,6 +41,9 @@ Tamper = Callable[[np.ndarray], np.ndarray]
 DECAY_ATOL = 1e-9
 # Kernel-versus-state agreement: error / max(1, |value|).
 EQUIVALENCE_RTOL = 1e-10
+# Sampled configurations have 1..MAX_STATE_DIM units and horizon 1..MAX_HORIZON.
+MAX_STATE_DIM = 100
+MAX_HORIZON = 200
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,12 @@ class PropertyResult:
     replay: dict | None = None
 
 
-def _sample_config(rng: np.random.Generator, max_state_dim: int, max_horizon: int):
+def _sample_config(rng: np.random.Generator):
     regime = cp.RESERVOIR_REGIMES[int(rng.integers(0, len(cp.RESERVOIR_REGIMES)))]
     kind = cp.INPUT_KINDS[int(rng.integers(0, len(cp.INPUT_KINDS)))]
-    n = int(rng.integers(1, max_state_dim + 1))
+    n = int(rng.integers(1, MAX_STATE_DIM + 1))
     nu = float(rng.uniform(0.3, 0.9995))
-    horizon = int(rng.integers(1, max_horizon + 1))
+    horizon = int(rng.integers(1, MAX_HORIZON + 1))
     period = None
     if kind in cp.PERIODIC_KINDS:
         divisors = [d for d in range(1, n + 1) if n % d == 0]
@@ -70,11 +73,6 @@ def _sample_config(rng: np.random.Generator, max_state_dim: int, max_horizon: in
     res_spec = cp.ReservoirSpec(regime=regime, size=n, nu=nu, distribution=distribution)
     in_spec = cp.InputCouplingSpec(kind=kind, size=n, period=period, normalize_unit=normalize)
     return res_spec, in_spec, horizon
-
-
-def _check_counts(**counts) -> None:
-    for name, value in counts.items():
-        cp.check_positive_int(value, name)
 
 
 def _build(res_spec, in_spec, horizon, seed, tamper: Tamper | None):
@@ -105,7 +103,6 @@ def _replay(name: str, res_spec, in_spec, horizon, seed, **extra) -> dict:
 
 def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
                                  pairs_per_config: int = 2,
-                                 max_state_dim: int = 100, max_horizon: int = 200,
                                  tamper: Tamper | None = None) -> PropertyResult:
     """Quadratic form through the tensor versus explicit state simulation,
     on configurations sampled from ``Seed(base_seed)``.
@@ -114,15 +111,15 @@ def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
     from one batched :func:`simulate_state` recursion; the oracle is the
     recursion, never the feature matrix.
     """
-    _check_counts(n_configs=n_configs, pairs_per_config=pairs_per_config,
-                  max_state_dim=max_state_dim, max_horizon=max_horizon)
+    cp.check_positive_int(n_configs, "n_configs")
+    cp.check_positive_int(pairs_per_config, "pairs_per_config")
     name = "kernel-state equivalence"
     sampler = cp._rng(cp.Seed(base_seed), 901)
     worst = 0.0
     replay = None
     checked = 0
     for i in range(n_configs):
-        res_spec, in_spec, horizon = _sample_config(sampler, max_state_dim, max_horizon)
+        res_spec, in_spec, horizon = _sample_config(sampler)
         seed = cp.mix_seed(base_seed, 17, i)
         reservoir, coupling_vec, tensor = _build(res_spec, in_spec, horizon, seed, tamper)
         histories = [TimeSeries(sampler.uniform(-1.0, 1.0, horizon))
@@ -146,7 +143,6 @@ def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
 
 
 def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
-                            max_state_dim: int = 100, max_horizon: int = 200,
                             tamper: Tamper | None = None) -> list[PropertyResult]:
     """Symmetry, positive spectrum, rank bound, and entrywise decay, on
     configurations sampled from ``Seed(base_seed)``.
@@ -156,7 +152,7 @@ def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
     configuration.  The first suite reports the worst ``max |Q - Q^T|`` and
     the worst relative negativity apart; its ``worst`` is the negativity.
     """
-    _check_counts(n_configs=n_configs, max_state_dim=max_state_dim, max_horizon=max_horizon)
+    cp.check_positive_int(n_configs, "n_configs")
     psd_name = "tensor symmetry, positive spectrum, rank bound"
     decay_name = "entrywise decay envelope"
     sampler = cp._rng(cp.Seed(base_seed), 902)
@@ -167,7 +163,7 @@ def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
     decay_replay = None
     psd_failed = False
     for i in range(n_configs):
-        res_spec, in_spec, horizon = _sample_config(sampler, max_state_dim, max_horizon)
+        res_spec, in_spec, horizon = _sample_config(sampler)
         seed = cp.mix_seed(base_seed, 23, i)
         _, coupling_vec, tensor = _build(res_spec, in_spec, horizon, seed, tamper)
 
@@ -180,9 +176,7 @@ def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
                                      asymmetry=asym)
         else:
             values = sym_eig(tensor.matrix).eigenvalues
-            top = max(float(values[0]), 0.0)
-            neg = max(0.0, -float(values[-1]))
-            rel_neg = neg / top if top > 0.0 else (0.0 if neg == 0.0 else np.inf)
+            rel_neg = relative_negativity(values)
             rank = numerical_rank(values)
             if rel_neg > CLAMP_RTOL or rank > res_spec.size:
                 psd_failed = True
@@ -222,7 +216,8 @@ def run_initial_state_error_containment(trials: int = 50, state_dim: int = 50,
     Each trial runs two batched :func:`simulate_state` recursions over
     ``(u, v)``: one from the initial state and one from zero.
     """
-    _check_counts(trials=trials, state_dim=state_dim)
+    cp.check_positive_int(trials, "trials")
+    cp.check_positive_int(state_dim, "state_dim")
     name = "initial-state error containment"
     coupling_bound = 1.0
     scale = minimal_state_scale(signal_bound, coupling_bound, nu, contraction_rate)

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -189,6 +191,17 @@ def test_predict_symmetric_regime_reports_reconstruction(tmp_path, capsys):
     assert not (out / "comparison.csv").exists()
 
 
+def test_symmetric_predicted_weights_share_the_motif_scale(tmp_path, capsys):
+    model = ["--regime", "symmetric", "--N", "6", "--nu", "0.8", "--tau", "12"]
+    assert run_cli(capsys, "predict", *model, "--out", str(tmp_path / "p"))[0] == 0
+    assert run_cli(capsys, "motifs", *model, "--out", str(tmp_path / "m"))[0] == 0
+    predicted = np.array([float(r[1]) for r in
+                          read_rows(tmp_path / "p" / "predicted_weights.csv")[1:]])
+    extracted = np.array([float(r[1]) for r in read_rows(tmp_path / "m" / "weights.csv")[1:]])
+    # Both sums of squares are the trace of the tensor.
+    assert np.sum(predicted ** 2) == pytest.approx(np.sum(extracted ** 2), rel=1e-12)
+
+
 def test_predict_cycle_requires_whole_copies(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "predict", "--regime", "cycle",
                               "--N", "4", "--tau", "10",
@@ -314,6 +327,27 @@ def test_verify_negative_control_fails_and_dumps_replay(tmp_path, capsys):
     assert dumps
     replay = json.loads(dumps[0].read_text())
     assert "property" in replay and "seed" in replay
+
+
+@pytest.fixture(params=[0o022, 0o027])
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+def test_output_files_get_the_mode_the_umask_allows(umask, tmp_path, capsys):
+    expected = 0o666 & ~umask
+    out = tmp_path / "modes"
+    assert run_cli(capsys, "motifs", "--N", "4", "--tau", "8", "--out", str(out))[0] == 0
+    assert stat.S_IMODE((out / "motifs.csv").stat().st_mode) == expected
+    code, _, _ = run_cli(capsys, "verify", "--configs", "1", "--spectrum-configs", "1",
+                         "--containment-trials", "1", "--inject-asymmetry",
+                         "--out", str(out))
+    assert code == 2
+    dumps = list(out.glob("verify_failure_*.json"))
+    assert dumps
+    assert all(stat.S_IMODE(d.stat().st_mode) == expected for d in dumps)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from reskernel import (
 )
 from reskernel.coupling import generate_input, generate_reservoir
 from reskernel.motifs import DEGENERACY_RTOL
+from reskernel.numerics import sym_eig
 
 
 def _tensor_for(regime, n, nu, horizon, seed, kind="gaussian", period=None,
@@ -114,32 +115,41 @@ def test_extract_rejects_bad_threshold(ratio):
         extract_motifs(tensor, threshold_ratio=ratio)
 
 
+def test_motif_set_weights_are_the_roots_of_the_retained_eigenvalues():
+    _, _, tensor = _tensor_for("cycle_permutation", 10, 0.95, 20, Seed(2))
+    motifs = extract_motifs(tensor, threshold_ratio=1e-3)
+    k = len(motifs)
+    assert 0 < k < motifs.horizon
+    assert motifs.weights.tobytes() == np.sqrt(motifs.spectrum[:k]).tobytes()
+    eigenvalues = sym_eig(tensor.matrix).eigenvalues
+    assert motifs.weights.tobytes() == np.sqrt(eigenvalues[:k]).tobytes()
+
+
 def test_motif_set_validation():
-    good = dict(vectors=np.eye(2), weights=np.array([2.0, 1.0]),
-                spectrum=np.array([4.0, 1.0]), threshold_ratio=1e-2)
+    good = dict(vectors=np.eye(2), spectrum=np.array([4.0, 1.0]))
     MotifSet(**good)
     bad_norm = dict(good, vectors=np.array([[2.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ContractViolation):
         MotifSet(**bad_norm)
-    bad_order = dict(good, weights=np.array([1.0, 2.0]),
-                     spectrum=np.array([1.0, 4.0]))
+    bad_order = dict(good, spectrum=np.array([1.0, 4.0]))
     with pytest.raises(ContractViolation):
         MotifSet(**bad_order)
+    with pytest.raises(ContractViolation, match="positive for retained motifs"):
+        MotifSet(**dict(good, spectrum=np.array([4.0, 0.0])))
     skew = np.array([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
     with pytest.raises(ContractViolation):
         MotifSet(**dict(good, vectors=skew))
 
 
 @pytest.mark.parametrize("bad", [
-    dict(vectors=[[np.nan, 0.0]], weights=[np.nan], spectrum=[np.nan, 0.0]),
+    dict(vectors=[[np.nan, 0.0]], spectrum=[np.nan, 0.0]),
     dict(vectors=[[np.nan, 0.0]]),
-    dict(weights=[np.nan]),
+    dict(spectrum=[1.0, -np.inf]),
     dict(spectrum=[np.nan, 0.0]),
     dict(spectrum=[np.inf, 0.0]),
 ])
 def test_motif_set_rejects_non_finite_entries(bad):
-    good = dict(vectors=[[1.0, 0.0]], weights=[1.0], spectrum=[1.0, 0.0],
-                threshold_ratio=0.01)
+    good = dict(vectors=[[1.0, 0.0]], spectrum=[1.0, 0.0])
     MotifSet(**good)
     with pytest.raises(ContractViolation, match="finite"):
         MotifSet(**dict(good, **bad))
@@ -290,7 +300,7 @@ def test_symmetric_prediction_diagonal_reservoir_components():
     pattern = 0.8 ** np.arange(6)
     assert np.allclose(pred.vectors[0], pattern / np.linalg.norm(pattern),
                        atol=1e-14)
-    assert pred.weights[0] == pytest.approx(float(pattern @ pattern), rel=1e-13)
+    assert pred.weights[0] == pytest.approx(np.sqrt(float(pattern @ pattern)), rel=1e-13)
     assert pred.weights[1] == 0.0
     assert not pred.orthonormal
 
@@ -307,8 +317,24 @@ def test_symmetric_reconstruction_matches_built_tensor():
         seed = mix_seed(0, 57, s)
         res, coup, tensor = _tensor_for("symmetric_wigner", 12, 0.9, 24, seed)
         pred = predict_symmetric(res, coup, 24)
-        recon = (pred.vectors * pred.weights[:, None]).T @ pred.vectors
+        recon = (pred.vectors * pred.weights[:, None] ** 2).T @ pred.vectors
         assert np.max(np.abs(recon - tensor.matrix)) <= 1e-9
+
+
+def test_one_unit_symmetric_prediction_has_the_extracted_weight():
+    res, coup, tensor = _tensor_for("symmetric_wigner", 1, 0.9, 10, Seed(4))
+    pred = predict_symmetric(res, coup, 10)
+    motifs = extract_motifs(tensor)
+    assert len(pred) == len(motifs) == 1
+    assert pred.weights[0] == pytest.approx(motifs.weights[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_symmetric_squared_weights_sum_to_the_trace(seed):
+    res, coup, tensor = _tensor_for("symmetric_wigner", 8, 0.9, 16, mix_seed(0, 61, seed))
+    pred = predict_symmetric(res, coup, 16)
+    assert float(np.sum(pred.weights ** 2)) == pytest.approx(
+        float(np.trace(tensor.matrix)), rel=1e-12)
 
 
 def test_symmetric_prediction_rejects_asymmetric_reservoir():
@@ -566,7 +592,7 @@ def test_records_store_no_horizon_and_derive_it_from_their_arrays():
                              MotifComparison)}
     assert stored == {
         "MetricTensor": ["matrix", "state_dim"],
-        "MotifSet": ["vectors", "weights", "spectrum", "threshold_ratio"],
+        "MotifSet": ["vectors", "spectrum"],
         "MotifPrediction": ["vectors", "weights", "orthonormal", "extras"],
         "MotifComparison": ["alignments", "weight_rel_errors", "cluster_ids"],
     }
@@ -633,8 +659,7 @@ def test_comparison_ignores_global_sign_of_predicted_vectors():
 
 
 def test_degenerate_predicted_weights_are_compared_as_a_subspace():
-    motifs = MotifSet(vectors=np.eye(2), weights=np.array([1.0, 1.0]),
-                      spectrum=np.array([1.0, 1.0]), threshold_ratio=1e-2)
+    motifs = MotifSet(vectors=np.eye(2), spectrum=np.array([1.0, 1.0]))
     s = np.sqrt(0.5)
     rotated = np.array([[s, s], [s, -s]])
     pred = MotifPrediction(vectors=rotated,
@@ -660,8 +685,7 @@ def test_cluster_ids_equal_the_gap_by_gap_loop(seed):
     values = values * (1.0 + rng.choice([0.0, 1e-10, 1e-6], values.size))
     weights = np.sort(np.sqrt(values))[::-1]
     k = weights.size
-    motifs = MotifSet(vectors=np.eye(k), weights=weights, spectrum=weights**2,
-                      threshold_ratio=1e-2)
+    motifs = MotifSet(vectors=np.eye(k), spectrum=weights**2)
     pred = MotifPrediction(vectors=np.eye(k), weights=weights, orthonormal=True)
     pred_values = weights**2
     expected = np.zeros(k, dtype=np.int64)
@@ -675,8 +699,7 @@ def test_cluster_ids_equal_the_gap_by_gap_loop(seed):
 
 
 def test_zero_predicted_weight_flags_infinite_error():
-    motifs = MotifSet(vectors=np.eye(2), weights=np.array([1.0, 0.5]),
-                      spectrum=np.array([1.0, 0.25]), threshold_ratio=1e-2)
+    motifs = MotifSet(vectors=np.eye(2), spectrum=np.array([1.0, 0.25]))
     pred = MotifPrediction(vectors=np.eye(2),
                            weights=np.array([1.0, 0.0]),
                            orthonormal=True, extras={})

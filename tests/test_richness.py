@@ -1,6 +1,7 @@
 """Coefficient clouds, grid occupancy, and the damping-factor sweep."""
 
 import csv
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from reskernel import (
     ContractViolation,
     CoefficientCloud,
     GridSpec,
+    GridSummary,
     MetricTensor,
     MotifSet,
     RichnessReport,
@@ -34,8 +36,7 @@ def _motif_set(vectors, weights):
     weights = np.asarray(weights, dtype=float)
     spectrum = np.zeros(vectors.shape[1])
     spectrum[:len(weights)] = weights ** 2
-    return MotifSet(vectors=vectors, weights=weights, spectrum=spectrum,
-                    threshold_ratio=1e-2)
+    return MotifSet(vectors=vectors, spectrum=spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +56,8 @@ def test_default_grid_dimensions():
     dict(half_width=7.0, cell_side=0.0),
     dict(half_width=7.0, cell_side=-1.0),
     dict(half_width=0.01, cell_side=0.05),
+    dict(half_width=float("inf"), cell_side=0.05),
+    dict(half_width=1e308, cell_side=1e-10),
 ])
 def test_grid_spec_rejects_degenerate_geometry(kwargs):
     with pytest.raises(ContractViolation):
@@ -140,6 +143,17 @@ def test_grid_summary_counts_cells_and_discards_on_a_hand_grid():
     assert summary.discarded_points == 2
 
 
+def test_a_cloud_entirely_off_the_grid_visits_nothing():
+    grid = GridSpec(half_width=1.0, cell_side=0.25)
+    outside = CoefficientCloud(points=np.array([1.0 + 0.0j, -2.0 + 0.5j, 0.5 + 1.0j]),
+                               weights=np.array([0.2, 0.3, 0.5]))
+    summary = grid_summary(outside, grid)
+    assert summary == GridSummary(cells_visited=0, relative_area=0.0,
+                                  weighted_relative_area=0.0, discarded_points=3)
+    empty = CoefficientCloud(points=np.empty(0, dtype=complex), weights=np.empty(0))
+    assert grid_summary(empty, grid) == GridSummary(0, 0.0, 0.0, 0)
+
+
 def test_cell_boundaries_are_half_open():
     grid = GridSpec(half_width=1.0, cell_side=0.25)
     on_boundary = CoefficientCloud(points=np.array([0.25 + 0.25j]),
@@ -213,6 +227,12 @@ def test_sweep_defaults_fill_horizon_and_trial_counts():
         by_kind.setdefault(r.input_kind, []).append(r)
     assert len(by_kind["ones_pi_signs"]) == 1
     assert len(by_kind["gaussian"]) == 30
+
+
+def test_sweep_takes_no_grid_parameter():
+    assert list(inspect.signature(sweep).parameters) == ["config"]
+    with pytest.raises(TypeError):
+        sweep(SweepConfig(nu_values=(0.9,), state_dim=4), grid=GridSpec())
 
 
 @pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])

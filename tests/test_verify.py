@@ -1,17 +1,22 @@
 """Randomized property harness: equivalence, spectrum bounds, containment."""
 
+import inspect
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from reskernel import verify
 from reskernel import (
     ContractViolation,
+    PsdViolationError,
     run_all,
     run_initial_state_error_containment,
     run_kernel_state_equivalence,
     run_spectrum_properties,
 )
+from reskernel.motifs import CLAMP_RTOL, _clamp_spectrum
 from reskernel.verify import inject_asymmetry
 
 
@@ -100,6 +105,26 @@ def test_tampered_spectrum_suite_reports_asymmetry_apart_from_negativity():
     assert psd.worst == 0.0
 
 
+@pytest.mark.parametrize("spectrum, positive", [
+    ([1.0, -CLAMP_RTOL], True),
+    ([1.0, -2e-9], False),
+    ([0.0, -1e-300], False),
+    ([0.0, 0.0], True),
+])
+def test_extraction_and_the_spectrum_suite_share_one_psd_rule(monkeypatch, spectrum,
+                                                              positive):
+    values = np.array(spectrum)
+    try:
+        _clamp_spectrum(values, "spectrum")
+        clamp_accepts = True
+    except PsdViolationError:
+        clamp_accepts = False
+    monkeypatch.setattr(verify, "sym_eig",
+                        lambda matrix: SimpleNamespace(eigenvalues=values.copy()))
+    psd, _ = run_spectrum_properties(n_configs=1)
+    assert clamp_accepts == psd.passed == positive
+
+
 def test_inject_asymmetry_effects():
     two = inject_asymmetry(np.zeros((2, 2)))
     assert two[0, 1] == pytest.approx(1e-3)
@@ -111,11 +136,7 @@ def test_inject_asymmetry_effects():
 @pytest.mark.parametrize("suite, count", [
     (run_kernel_state_equivalence, "n_configs"),
     (run_kernel_state_equivalence, "pairs_per_config"),
-    (run_kernel_state_equivalence, "max_state_dim"),
-    (run_kernel_state_equivalence, "max_horizon"),
     (run_spectrum_properties, "n_configs"),
-    (run_spectrum_properties, "max_state_dim"),
-    (run_spectrum_properties, "max_horizon"),
     (run_initial_state_error_containment, "trials"),
     (run_initial_state_error_containment, "state_dim"),
 ])
@@ -123,6 +144,29 @@ def test_inject_asymmetry_effects():
 def test_suites_reject_a_count_that_is_not_a_positive_integer(suite, count, bad):
     with pytest.raises(ContractViolation, match=count):
         suite(**{count: bad})
+
+
+@pytest.mark.parametrize("suite, params", [
+    (run_kernel_state_equivalence, ["n_configs", "base_seed", "pairs_per_config", "tamper"]),
+    (run_spectrum_properties, ["n_configs", "base_seed", "tamper"]),
+])
+def test_sampler_bounds_are_constants_not_suite_parameters(suite, params):
+    assert list(inspect.signature(suite).parameters) == params
+    with pytest.raises(TypeError):
+        suite(n_configs=1, max_state_dim=10)
+
+
+def test_sampled_configurations_stay_within_the_sampler_bounds():
+    assert (verify.MAX_STATE_DIM, verify.MAX_HORIZON) == (100, 200)
+    rng = np.random.default_rng(0)
+    drawn = [verify._sample_config(rng) for _ in range(400)]
+    sizes = [res_spec.size for res_spec, _, _ in drawn]
+    horizons = [horizon for _, _, horizon in drawn]
+    assert 1 <= min(sizes) and max(sizes) <= verify.MAX_STATE_DIM
+    assert 1 <= min(horizons) and max(horizons) <= verify.MAX_HORIZON
+    # The bounds are reached, so they are the sampler's real ranges.
+    assert max(sizes) > 0.9 * verify.MAX_STATE_DIM
+    assert max(horizons) > 0.9 * verify.MAX_HORIZON
 
 
 def test_tampered_decay_suite_evaluates_every_configuration():
