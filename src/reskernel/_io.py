@@ -74,14 +74,18 @@ def write_csv(path, header: list[str], rows) -> None:
     atomic_write_text(path, (line + "\n" for line in lines))
 
 
+def _read_text(path, what: str) -> str:
+    """A UTF-8 input file's text; failing to open or decode it is a ContractViolation."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ContractViolation(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_time_series(path) -> TimeSeries:
     """Parse a time-series file: one real per line, most recent first."""
     values = []
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ContractViolation(f"cannot read time series {path}: {exc}") from exc
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, "time series").splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -161,12 +165,8 @@ def write_sweep_csv(reports, path) -> None:
 
 def parse_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` file; blank lines and ``#`` comments ignored."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ContractViolation(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, "config").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -372,19 +372,16 @@ def cmd_verify(args) -> int:
                       spectrum_configs=args.spectrum_configs,
                       containment_trials=args.containment_trials,
                       tamper=tamper)
-    all_passed = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.n_checked} checked, {result.detail}")
         if not result.passed:
-            all_passed = False
-            if result.replay is not None:
-                slug = result.name.replace(" ", "_").replace(",", "")
-                path = out / f"verify_failure_{slug}.json"
-                _io.atomic_write_text(path, json.dumps(result.replay, indent=2,
-                                                       default=float) + "\n")
-                print(f"  offending instance written to {path}")
-    return 0 if all_passed else 2
+            slug = result.name.replace(" ", "_").replace(",", "")
+            path = out / f"verify_failure_{slug}.json"
+            _io.atomic_write_text(path, json.dumps(result.replay, indent=2,
+                                                   default=float) + "\n")
+            print(f"  offending instance written to {path}")
+    return 0 if all(result.passed for result in results) else 2
 
 
 def cmd_kernel(args) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 from .coupling import check_nu
 from .errors import ContractViolation, PsdViolationError
 from .numerics import sym_eig
-from .temporal_kernel import MetricTensor, TimeSeries, _as_vector, check_horizon
+from .temporal_kernel import MetricTensor, TimeSeries, _as_vector, _check_pair, check_horizon
 
 # Negative eigenvalues within this relative band of the top eigenvalue are
 # treated as rounding noise and clamped to zero.
@@ -236,12 +236,11 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
     outer(vectors[a], vectors[a])``; ties in magnitude keep eigenvalue order.
     """
     check_horizon(horizon)
-    eig = sym_eig(reservoir)
-    w_vec = _as_vector(coupling, "coupling")
-    if w_vec.shape[0] != eig.eigenvectors.shape[0]:
-        raise ContractViolation("coupling length does not match reservoir dimension")
+    w_mat, w_vec = _check_pair(reservoir, coupling)
+    eig = sym_eig(w_mat)
     projections = eig.eigenvectors.T @ w_vec
-    # Row a holds sigma_a^0 .. sigma_a^(horizon-1); 0**0 evaluates to 1.
+    # Row a holds sigma_a^0 .. sigma_a^(horizon-1); 0**0 evaluates to 1.  Powers
+    # of finite eigenvalues turn non-finite only by overflowing, which raises.
     with np.errstate(over="raise"):
         try:
             patterns = eig.eigenvalues[:, None] ** np.arange(horizon)[None, :]
@@ -249,8 +248,6 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
         except FloatingPointError:
             raise ContractViolation(
                 "reservoir spectral radius too large for this horizon") from None
-    if not np.all(np.isfinite(patterns)):
-        raise ContractViolation("reservoir spectral radius too large for this horizon")
     magnitudes = projections**2 * sq_norms
     order = np.argsort(-magnitudes, kind="stable")
     return MotifPrediction(

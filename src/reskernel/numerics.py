@@ -57,6 +57,14 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a non-empty, 2-D, square, finite matrix: the one square-matrix rule."""
+    m = _as_matrix(a, name)
+    if m.shape[0] != m.shape[1]:
+        raise ContractViolation(f"{name} must be square, got shape {m.shape}")
+    return m
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # argmax returns the first occurrence, so magnitude ties resolve to the
     # lowest index as required.
@@ -91,9 +99,7 @@ def sym_eig(a) -> EigenDecomposition:
         If the solver fails or the factorization misses the orthonormality
         or reconstruction targets.
     """
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ContractViolation(f"matrix must be square, got shape {m.shape}")
+    m = as_square_matrix(a)
     asym = float(np.max(np.abs(m - m.T)))
     if asym > SYMMETRY_ATOL:
         raise ContractViolation(

@@ -37,8 +37,9 @@ class GridSpec:
     def __post_init__(self):
         if not (self.half_width > 0.0 and self.cell_side > 0.0):
             raise ContractViolation("grid dimensions must be positive")
-        if not np.isfinite(2.0 * self.half_width / self.cell_side):
-            raise ContractViolation("grid must have a finite number of cells")
+        # grid_summary keys cell (ix, iy) as ix * cells_per_axis + iy in int64.
+        if not (np.isfinite(2.0 * self.half_width / self.cell_side) and self.total_cells < 2**63):
+            raise ContractViolation("grid must have fewer than 2**63 cells")
         if self.cells_per_axis < 1:
             raise ContractViolation("grid must contain at least one cell per axis")
 

@@ -19,6 +19,7 @@ zero; see :func:`kernel_error_bounds`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -27,30 +28,25 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
-from .numerics import symmetric_gram
+from .numerics import as_square_matrix, symmetric_gram
 
 
-def _as_vector(a, name: str = "vector") -> np.ndarray:
+def _as_vector(a, name: str = "vector", length: int | None = None) -> np.ndarray:
+    """``a`` as a non-empty, 1-D, finite vector, of ``length`` entries if given."""
     v = np.asarray(a, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ContractViolation(f"{name} must be a non-empty 1-dimensional vector")
     if not np.all(np.isfinite(v)):
         raise ContractViolation(f"{name} contains non-finite entries")
+    if length is not None and v.shape[0] != length:
+        raise ContractViolation(f"{name} length {v.shape[0]} is not the state dimension {length}")
     return v
 
 
 def _check_pair(reservoir, coupling) -> tuple[np.ndarray, np.ndarray]:
-    w_mat = np.asarray(reservoir, dtype=float)
-    if w_mat.ndim != 2 or w_mat.shape[0] != w_mat.shape[1] or w_mat.size == 0:
-        raise ContractViolation("reservoir must be a square matrix")
-    if not np.all(np.isfinite(w_mat)):
-        raise ContractViolation("reservoir contains non-finite entries")
-    w_vec = _as_vector(coupling, "input coupling")
-    if w_vec.shape[0] != w_mat.shape[0]:
-        raise ContractViolation(
-            f"coupling length {w_vec.shape[0]} does not match state dimension {w_mat.shape[0]}"
-        )
-    return w_mat, w_vec
+    """The one reservoir-coupling rule: a square reservoir and a coupling of its size."""
+    w_mat = as_square_matrix(reservoir, "reservoir")
+    return w_mat, _as_vector(coupling, "input coupling", w_mat.shape[0])
 
 
 @dataclass(frozen=True)
@@ -80,11 +76,7 @@ class MetricTensor:
     state_dim: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ContractViolation("metric tensor must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise ContractViolation("metric tensor contains non-finite entries")
+        m = as_square_matrix(self.matrix, "metric tensor")
         cp.check_positive_int(self.state_dim, "state_dim")
         object.__setattr__(self, "matrix", m)
 
@@ -129,9 +121,7 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
     if initial_state is None:
         x = np.zeros((w_mat.shape[0], len(histories)))
     else:
-        x0 = _as_vector(initial_state, "initial state")
-        if x0.shape[0] != w_mat.shape[0]:
-            raise ContractViolation("initial state length does not match state dimension")
+        x0 = _as_vector(initial_state, "initial state", w_mat.shape[0])
         x = np.repeat(x0[:, np.newaxis], len(histories), axis=1)
     # inputs[t, j] is the sample history j feeds in at step t, oldest first.
     inputs = np.stack([h.values[::-1] for h in histories], axis=1)
@@ -236,11 +226,20 @@ def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCo
             scale_metric_tensor(unit, reservoir_spec.nu))
 
 
+def _finite_value(value, what: str) -> float:
+    """The one rule for a kernel output: a finite float, else ContractViolation."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ContractViolation(f"{what} value is not finite: {value}")
+    return value
+
+
 def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
     """Evaluate ``u^T Q v``.
 
     Averaging the two evaluation orders makes the result exactly invariant
-    under swapping the arguments, not just up to rounding.
+    under swapping the arguments, not just up to rounding.  A value that is
+    not finite raises ContractViolation, as in kernel_poly and readout_eval.
     """
     if u.horizon != tensor.horizon or v.horizon != tensor.horizon:
         raise ContractViolation(
@@ -248,7 +247,8 @@ def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
             f"{tensor.horizon}"
         )
     q = tensor.matrix
-    return float(0.5 * (u.values @ (q @ v.values) + v.values @ (q @ u.values)))
+    return _finite_value(0.5 * (u.values @ (q @ v.values) + v.values @ (q @ u.values)),
+                         "kernel")
 
 
 def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
@@ -257,7 +257,11 @@ def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
     cp.check_positive_int(degree, "degree")
     if not np.isfinite(offset):
         raise ContractViolation("offset must be finite")
-    return float((kernel_eval(tensor, u, v) + offset) ** degree)
+    try:
+        value = (kernel_eval(tensor, u, v) + offset) ** degree
+    except OverflowError:  # a Python float power raises where numpy gives inf
+        value = math.inf
+    return _finite_value(value, "polynomial kernel")
 
 
 @dataclass(frozen=True)
@@ -303,7 +307,7 @@ def readout_eval(model: ReadoutModel, tensor: MetricTensor, v: TimeSeries) -> fl
     """
     if model.combined is None:
         return float(model.bias)
-    return float(model.bias + kernel_eval(tensor, model.combined, v))
+    return _finite_value(model.bias + kernel_eval(tensor, model.combined, v), "readout")
 
 
 @dataclass(frozen=True)
@@ -349,7 +353,7 @@ def minimal_state_scale(signal_bound: float, coupling_bound: float,
     ``c >= minimal`` check consistent in floating point.
     """
     if not (0.0 < nu < contraction_rate < 1.0):
-        raise ContractViolation("need 0 < nu < contraction_rate < 1")
+        raise ContractViolation(f"need 0 < nu {nu} < contraction_rate {contraction_rate} < 1")
     return coupling_bound * signal_bound / ((1.0 - nu) * (1.0 - nu / contraction_rate))
 
 
@@ -374,16 +378,10 @@ def kernel_error_bounds(params: BoundParams, nu: float) -> tuple[float, float]:
     Raises
     ------
     ContractViolation
-        If ``contraction_rate <= nu``, or ``state_scale`` is below
-        :func:`minimal_state_scale`.
+        If ``nu`` is not in ``(0, contraction_rate)``, or ``state_scale`` is
+        below :func:`minimal_state_scale`.
     """
-    if not np.isfinite(nu) or nu <= 0.0:
-        raise ContractViolation("nu must be positive and finite")
     zeta = params.contraction_rate
-    if zeta <= nu:
-        raise ContractViolation(
-            f"contraction_rate {zeta} must exceed the reservoir scale nu {nu}"
-        )
     c_min = minimal_state_scale(params.signal_bound, params.coupling_bound, nu, zeta)
     if params.state_scale < c_min:
         raise ContractViolation(

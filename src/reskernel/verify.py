@@ -7,16 +7,19 @@ semidefinite with rank bounded by the state dimension, tensor entries obey
 the geometric decay envelope, and the kernel error caused by an unknown
 bounded initial state stays inside its two-sided closed-form bounds.
 
-Every builder accepts an optional ``tamper`` callable applied to the
-freshly built tensor matrix.  It exists as a negative control: injecting
-an asymmetry must make the suites fail and produce a replayable report.
+The sampled suites share one sampling loop and accept an optional
+``tamper`` callable applied to each freshly built tensor matrix.  It exists
+as a negative control: injecting an asymmetry must make the suites fail and
+produce a replayable report.  A suite's verdict is its first failure: it
+passes exactly when it recorded no replay.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,14 +51,27 @@ MAX_HORIZON = 200
 
 @dataclass(frozen=True)
 class PropertyResult:
-    """Outcome of one property suite."""
+    """Outcome of one property suite.  ``replay`` describes the first failing
+    check, ``None`` when every check held, and ``passed`` is read from it."""
 
     name: str
-    passed: bool
     n_checked: int
     worst: float
     detail: str
     replay: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.replay is None
+
+
+class _Sample(NamedTuple):
+    """One configuration a suite checks, as its replay records it."""
+
+    res_spec: cp.ReservoirSpec
+    in_spec: cp.InputCouplingSpec
+    horizon: int
+    seed: cp.Seed
 
 
 def _sample_config(rng: np.random.Generator):
@@ -75,16 +91,25 @@ def _sample_config(rng: np.random.Generator):
     return res_spec, in_spec, horizon
 
 
-def _build(res_spec, in_spec, horizon, seed, tamper: Tamper | None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        reservoir, coupling_vec, tensor = build_from_specs(res_spec, in_spec, horizon, seed)
-    if tamper is not None:
-        tensor = replace(tensor, matrix=tamper(tensor.matrix.copy()))
-    return reservoir, coupling_vec, tensor
+def _sampled_builds(n_configs: int, base_seed: int, stream: int, salt: int,
+                    tamper: Tamper | None) -> Iterator[tuple]:
+    """Yield ``(sampler, sample, reservoir, coupling, tensor)`` per configuration:
+    sample ``i`` is drawn from stream ``stream`` of ``Seed(base_seed)`` with
+    seed ``mix_seed(base_seed, salt, i)``, built with warnings silenced, its
+    tensor passed through ``tamper``.  A suite may draw from ``sampler`` between builds."""
+    sampler = cp._rng(cp.Seed(base_seed), stream)
+    for i in range(n_configs):
+        sample = _Sample(*_sample_config(sampler), cp.mix_seed(base_seed, salt, i))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reservoir, coupling_vec, tensor = build_from_specs(*sample)
+        if tamper is not None:
+            tensor = replace(tensor, matrix=tamper(tensor.matrix.copy()))
+        yield sampler, sample, reservoir, coupling_vec, tensor
 
 
-def _replay(name: str, res_spec, in_spec, horizon, seed, **extra) -> dict:
+def _replay(name: str, sample: _Sample, **extra) -> dict:
+    res_spec, in_spec, horizon, seed = sample
     info = {
         "property": name,
         "regime": res_spec.regime,
@@ -114,15 +139,12 @@ def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
     cp.check_positive_int(n_configs, "n_configs")
     cp.check_positive_int(pairs_per_config, "pairs_per_config")
     name = "kernel-state equivalence"
-    sampler = cp._rng(cp.Seed(base_seed), 901)
     worst = 0.0
     replay = None
     checked = 0
-    for i in range(n_configs):
-        res_spec, in_spec, horizon = _sample_config(sampler)
-        seed = cp.mix_seed(base_seed, 17, i)
-        reservoir, coupling_vec, tensor = _build(res_spec, in_spec, horizon, seed, tamper)
-        histories = [TimeSeries(sampler.uniform(-1.0, 1.0, horizon))
+    for sampler, sample, reservoir, coupling_vec, tensor in _sampled_builds(
+            n_configs, base_seed, 901, 17, tamper):
+        histories = [TimeSeries(sampler.uniform(-1.0, 1.0, sample.horizon))
                      for _ in range(2 * pairs_per_config)]
         states = simulate_state(reservoir, coupling_vec, histories)
         for j in range(0, len(histories), 2):
@@ -131,15 +153,11 @@ def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
             tol = EQUIVALENCE_RTOL * max(1.0, abs(through_tensor))
             ratio = abs(through_tensor - through_states) / tol
             checked += 1
-            if ratio > worst:
-                worst = ratio
-                if ratio > 1.0 and replay is None:
-                    replay = _replay(name, res_spec, in_spec, horizon, seed,
-                                     error=abs(through_tensor - through_states), tolerance=tol)
-    passed = worst <= 1.0
-    return PropertyResult(name, passed, checked,
-                          worst, f"worst error/tolerance ratio {worst:.3e}",
-                          replay if not passed else None)
+            worst = max(worst, ratio)
+            if ratio > 1.0 and replay is None:
+                replay = _replay(name, sample, error=abs(through_tensor - through_states),
+                                 tolerance=tol)
+    return PropertyResult(name, checked, worst, f"worst error/tolerance ratio {worst:.3e}", replay)
 
 
 def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
@@ -155,53 +173,38 @@ def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
     cp.check_positive_int(n_configs, "n_configs")
     psd_name = "tensor symmetry, positive spectrum, rank bound"
     decay_name = "entrywise decay envelope"
-    sampler = cp._rng(cp.Seed(base_seed), 902)
     worst_asym = 0.0
     worst_neg = 0.0
     worst_decay = -np.inf
     psd_replay = None
     decay_replay = None
-    psd_failed = False
-    for i in range(n_configs):
-        res_spec, in_spec, horizon = _sample_config(sampler)
-        seed = cp.mix_seed(base_seed, 23, i)
-        _, coupling_vec, tensor = _build(res_spec, in_spec, horizon, seed, tamper)
-
+    for _, sample, _, coupling_vec, tensor in _sampled_builds(
+            n_configs, base_seed, 902, 23, tamper):
         asym = float(np.max(np.abs(tensor.matrix - tensor.matrix.T)))
         worst_asym = max(worst_asym, asym)
         if asym > SYMMETRY_ATOL:
-            psd_failed = True
             if psd_replay is None:
-                psd_replay = _replay(psd_name, res_spec, in_spec, horizon, seed,
-                                     asymmetry=asym)
+                psd_replay = _replay(psd_name, sample, asymmetry=asym)
         else:
             values = sym_eig(tensor.matrix).eigenvalues
             rel_neg = relative_negativity(values)
             rank = numerical_rank(values)
-            if rel_neg > CLAMP_RTOL or rank > res_spec.size:
-                psd_failed = True
-                if psd_replay is None:
-                    psd_replay = _replay(psd_name, res_spec, in_spec, horizon, seed,
-                                         relative_negativity=rel_neg, rank=rank)
+            if (rel_neg > CLAMP_RTOL or rank > tensor.state_dim) and psd_replay is None:
+                psd_replay = _replay(psd_name, sample, relative_negativity=rel_neg, rank=rank)
             worst_neg = max(worst_neg, rel_neg)
 
-        damp = res_spec.nu ** np.arange(horizon)
+        damp = sample.res_spec.nu ** np.arange(tensor.horizon)
         envelope = np.outer(damp, damp) * float(coupling_vec @ coupling_vec) + DECAY_ATOL
         excess = float(np.max(np.abs(tensor.matrix) - envelope))
-        if excess > worst_decay:
-            worst_decay = excess
-            if excess > 0.0 and decay_replay is None:
-                decay_replay = _replay(decay_name, res_spec, in_spec, horizon, seed,
-                                       excess=excess)
-    decay_passed = worst_decay <= 0.0
+        worst_decay = max(worst_decay, excess)
+        if excess > 0.0 and decay_replay is None:
+            decay_replay = _replay(decay_name, sample, excess=excess)
     return [
-        PropertyResult(psd_name, not psd_failed, n_configs, worst_neg,
+        PropertyResult(psd_name, n_configs, worst_neg,
                        f"worst asymmetry {worst_asym:.3e}, "
-                       f"worst relative negativity {worst_neg:.3e}",
-                       psd_replay if psd_failed else None),
-        PropertyResult(decay_name, decay_passed, n_configs, worst_decay,
-                       f"worst envelope excess {worst_decay:.3e}",
-                       decay_replay if not decay_passed else None),
+                       f"worst relative negativity {worst_neg:.3e}", psd_replay),
+        PropertyResult(decay_name, n_configs, worst_decay,
+                       f"worst envelope excess {worst_decay:.3e}", decay_replay),
     ]
 
 
@@ -245,16 +248,13 @@ def run_initial_state_error_containment(trials: int = 50, state_dim: int = 50,
         from_zero = float(z_u @ z_v)
         err = from_x0 - from_zero
         margin = min(err - lower, upper - err)
-        if margin < worst_margin:
-            worst_margin = margin
-            if margin < 0.0 and replay is None:
-                replay = _replay(name, res_spec, in_spec, horizon, seed,
-                                 error=err, lower=lower, upper=upper)
-    passed = worst_margin >= 0.0
-    return PropertyResult(name, passed, trials, worst_margin,
+        worst_margin = min(worst_margin, margin)
+        if margin < 0.0 and replay is None:
+            replay = _replay(name, _Sample(res_spec, in_spec, horizon, seed),
+                             error=err, lower=lower, upper=upper)
+    return PropertyResult(name, trials, worst_margin,
                           f"worst containment margin {worst_margin:.3e} "
-                          f"(bounds [{lower:.3e}, {upper:.3e}])",
-                          replay if not passed else None)
+                          f"(bounds [{lower:.3e}, {upper:.3e}])", replay)
 
 
 def run_all(base_seed: int = 0, equivalence_configs: int = 100,

@@ -1,14 +1,18 @@
 """Command-line interface: outputs, config handling, and exit codes."""
 
 import argparse
+import io
 import json
 import os
 import stat
 import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reskernel import (
     ContractViolation,
@@ -439,6 +443,59 @@ def test_kernel_reports_malformed_series_with_line_number(tmp_path, capsys):
                               "--N", "2", "--out", str(tmp_path / "x"))
     assert code == 1
     assert ":2:" in stderr
+
+
+_NOT_UTF8 = b"\xff\xfe\x00bad\n"
+
+
+@pytest.mark.parametrize("command", ["motifs", "kernel"])
+def test_a_file_that_is_not_utf8_is_a_usage_failure(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(_NOT_UTF8)
+    good = tmp_path / "u.txt"
+    _write_series(good, [1.0, 2.0])
+    argv = (["motifs", "--N", "4", "--config", str(bad)] if command == "motifs"
+            else ["kernel", str(bad), str(good), "--N", "2"])
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert stderr.startswith("error: cannot read ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("samples, extra", [
+    ([1.0, 2.0], ["--offset", "1e10", "--degree", "100"]),  # the power overflows
+    ([1e200, 1e200], []),  # the quadratic form overflows
+])
+def test_a_kernel_value_that_is_not_finite_is_a_usage_failure(tmp_path, capsys, samples,
+                                                              extra):
+    u_file = tmp_path / "u.txt"
+    _write_series(u_file, samples)
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(capsys, "kernel", str(u_file), str(u_file), "--N", "2",
+                              *extra, "--out", str(out))
+    assert code == 1
+    assert stderr.startswith("error: ") and "not finite" in stderr
+    assert not (out / "kernel.csv").exists()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.binary(max_size=120), st.sampled_from(["motifs", "kernel"]))
+def test_arbitrary_input_file_bytes_never_raise(tmp_path_factory, data, command):
+    """Whatever bytes an input file holds, the CLI exits 0 or 1 without a traceback."""
+    work = tmp_path_factory.mktemp("bytes")
+    raw = work / "input"
+    raw.write_bytes(data)
+    v_file = work / "v.txt"
+    _write_series(v_file, [0.5])
+    argv = (["motifs", "--N", "4", "--tau", "8", "--trials", "1", "--config", str(raw)]
+            if command == "motifs" else ["kernel", str(raw), str(v_file), "--N", "4"])
+    with warnings.catch_warnings(), redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        code = cli.main(argv + ["--out", str(work / "out")])
+    assert code in (0, 1)
 
 
 def test_kernel_missing_file_is_a_usage_failure(tmp_path, capsys):

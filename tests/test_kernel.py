@@ -217,6 +217,8 @@ def test_metric_tensor_container_validation():
         MetricTensor(np.array([[np.nan]]), state_dim=1)
     with pytest.raises(ContractViolation):
         MetricTensor(np.zeros((2, 2)), state_dim=0)
+    with pytest.raises(ContractViolation):
+        MetricTensor(np.zeros((0, 0)), state_dim=1)
 
 
 # ---------------------------------------------------------------------------

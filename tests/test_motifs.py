@@ -354,10 +354,17 @@ def test_symmetric_prediction_rejects_an_overflowing_pattern_norm():
         predict_symmetric(np.diag([1.5]), np.array([1.0]), 1000)
 
 
-@pytest.mark.parametrize("coupling", [[np.nan, 1.0], [np.inf, 1.0], [], [[1.0, 0.0]]])
+@pytest.mark.parametrize("coupling", [[np.nan, 1.0], [np.inf, 1.0], [], [[1.0, 0.0]],
+                                      [1.0, 0.0, 0.0]])
 def test_symmetric_prediction_rejects_a_bad_coupling(coupling):
     with pytest.raises(ContractViolation, match="coupling"):
         predict_symmetric(np.diag([0.5, 0.3]), np.array(coupling), 4)
+
+
+@pytest.mark.parametrize("reservoir", [np.zeros((2, 3)), np.diag([np.nan, 0.3])])
+def test_symmetric_prediction_rejects_a_bad_reservoir(reservoir):
+    with pytest.raises(ContractViolation, match="reservoir"):
+        predict_symmetric(reservoir, np.array([1.0, 0.0]), 4)
 
 
 def test_compare_rejects_symmetric_components():

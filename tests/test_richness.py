@@ -58,6 +58,8 @@ def test_default_grid_dimensions():
     dict(half_width=0.01, cell_side=0.05),
     dict(half_width=float("inf"), cell_side=0.05),
     dict(half_width=1e308, cell_side=1e-10),
+    dict(half_width=1e6, cell_side=1e-6),  # 2e12 cells per axis: int64 keys would wrap
+    dict(half_width=1e300, cell_side=1e-5),  # finite, but far past int64 keys
 ])
 def test_grid_spec_rejects_degenerate_geometry(kwargs):
     with pytest.raises(ContractViolation):

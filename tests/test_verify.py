@@ -1,5 +1,6 @@
 """Randomized property harness: equivalence, spectrum bounds, containment."""
 
+import dataclasses
 import inspect
 import json
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 from reskernel import verify
 from reskernel import (
     ContractViolation,
+    PropertyResult,
     PsdViolationError,
     run_all,
     run_initial_state_error_containment,
@@ -123,6 +125,15 @@ def test_extraction_and_the_spectrum_suite_share_one_psd_rule(monkeypatch, spect
                         lambda matrix: SimpleNamespace(eigenvalues=values.copy()))
     psd, _ = run_spectrum_properties(n_configs=1)
     assert clamp_accepts == psd.passed == positive
+
+
+@pytest.mark.parametrize("tamper", [None, inject_asymmetry])
+def test_a_verdict_is_read_from_the_replay(tamper):
+    assert "passed" not in [f.name for f in dataclasses.fields(PropertyResult)]
+    results = run_all(equivalence_configs=3, spectrum_configs=3, containment_trials=2,
+                      tamper=tamper)
+    assert all(r.passed == (r.replay is None) for r in results)
+    assert all(r.passed for r in results) == (tamper is None)
 
 
 def test_inject_asymmetry_effects():
