@@ -48,8 +48,12 @@ def atomic_write_text(path, text) -> None:
     umask = os.umask(0)  # the only way to read the umask is to set it and restore it
     os.umask(umask)
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
+                                       suffix=".tmp")
+        except ValueError as exc:  # a NUL byte in the path
+            raise OSError(exc) from exc
         try:
             with os.fdopen(fd, "w", newline="\n") as handle:
                 handle.writelines(chunks)

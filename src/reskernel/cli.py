@@ -42,7 +42,12 @@ from .temporal_kernel import (
     kernel_poly,
     readout_eval,
 )
-from .verify import inject_asymmetry, run_all
+from .verify import (
+    inject_asymmetry,
+    run_initial_state_error_containment,
+    run_kernel_state_equivalence,
+    run_spectrum_properties,
+)
 
 
 class UsageError(Exception):
@@ -364,14 +369,12 @@ def cmd_verify(args) -> int:
     out = Path(resolved["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot write {out}: {exc}") from exc
     tamper = inject_asymmetry if args.inject_asymmetry else None
-    results = run_all(base_seed=resolved["seed"],
-                      equivalence_configs=args.configs,
-                      spectrum_configs=args.spectrum_configs,
-                      containment_trials=args.containment_trials,
-                      tamper=tamper)
+    results = [run_kernel_state_equivalence(args.configs, resolved["seed"], tamper),
+               *run_spectrum_properties(args.spectrum_configs, resolved["seed"], tamper),
+               run_initial_state_error_containment(args.containment_trials, resolved["seed"])]
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.n_checked} checked, {result.detail}")

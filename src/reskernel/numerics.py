@@ -23,6 +23,8 @@ from .errors import ContractViolation, ConvergenceError
 
 # Absolute tolerance under which an input matrix counts as symmetric.
 SYMMETRY_ATOL = 1e-12
+# numerical_rank counts the eigenvalues above this share of the largest.
+RANK_RTOL = 1e-10
 
 # Post-conditions enforced on every decomposition we hand out.
 _ORTHONORMALITY_TOL = 1e-9
@@ -163,26 +165,22 @@ def dft(v) -> np.ndarray:
     return np.fft.fft(np.asarray(arr, dtype=complex))
 
 
-def numerical_rank(eigenvalues, rel_tol: float = 1e-10) -> int:
-    """Number of eigenvalues above ``rel_tol * max(largest eigenvalue, 0)``.
+def numerical_rank(eigenvalues) -> int:
+    """Number of eigenvalues above ``RANK_RTOL * max(largest eigenvalue, 0)``.
 
     Parameters
     ----------
     eigenvalues : (n,) array_like
         Must already be sorted in descending order.
-    rel_tol : float
-        Relative cut-off, strictly positive.
     """
     ev = np.asarray(eigenvalues, dtype=float)
     if ev.ndim != 1:
         raise ContractViolation("eigenvalues must form a 1-dimensional vector")
-    if not (rel_tol > 0.0):
-        raise ContractViolation("rel_tol must be positive")
     if ev.size == 0:
         return 0
     if not np.all(np.isfinite(ev)):
         raise ContractViolation("eigenvalues contain non-finite entries")
     if np.any(np.diff(ev) > 0.0):
         raise ContractViolation("eigenvalues must be sorted in descending order")
-    cut = rel_tol * max(float(ev[0]), 0.0)
+    cut = RANK_RTOL * max(float(ev[0]), 0.0)
     return int(np.sum(ev > cut))

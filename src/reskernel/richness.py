@@ -147,7 +147,9 @@ class SweepConfig:
     30 when exactly one of them is random, 60 when both are.
     ``horizon`` of ``None`` means twice the state dimension.  The settings
     are checked by building the specs they describe (a reservoir per regime
-    and ``nu``, a coupling per input kind, the seed) before any sweep work.
+    and ``nu``, a coupling per input kind, the seed) before any sweep work;
+    a regime or input kind given twice is rejected, while a repeated ``nu``
+    is swept once.
     """
 
     nu_values: tuple[float, ...] = field(default_factory=default_nu_grid)
@@ -175,6 +177,9 @@ class SweepConfig:
                 cp.ReservoirSpec(regime, self.state_dim, nu, self.distribution)
         for kind in self.input_kinds:
             cp.coupling_spec(kind, self.state_dim, self.period, self.normalize_unit)
+        for axis, names in (("regime", self.regimes), ("input kind", self.input_kinds)):
+            if len(set(names)) != len(names):
+                raise ContractViolation(f"each {axis} may appear once, got {', '.join(names)}")
         cp.Seed(self.base_seed)
 
 

@@ -247,8 +247,9 @@ def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
             f"{tensor.horizon}"
         )
     q = tensor.matrix
-    return _finite_value(0.5 * (u.values @ (q @ v.values) + v.values @ (q @ u.values)),
-                         "kernel")
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_value reports it
+        value = 0.5 * (u.values @ (q @ v.values) + v.values @ (q @ u.values))
+    return _finite_value(value, "kernel")
 
 
 def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,

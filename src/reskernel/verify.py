@@ -47,6 +47,15 @@ EQUIVALENCE_RTOL = 1e-10
 # Sampled configurations have 1..MAX_STATE_DIM units and horizon 1..MAX_HORIZON.
 MAX_STATE_DIM = 100
 MAX_HORIZON = 200
+# Input pairs the equivalence suite checks per configuration.
+PAIRS_PER_CONFIG = 2
+# The containment suite's one protocol: a random_iid reservoir of this size and
+# nu, signals in [-bound, bound] over the horizon, bounds at the contraction rate.
+CONTAINMENT_STATE_DIM = 50
+CONTAINMENT_HORIZON = 300
+CONTAINMENT_NU = 0.9
+CONTAINMENT_CONTRACTION_RATE = 0.95
+CONTAINMENT_SIGNAL_BOUND = 1.0
 
 
 @dataclass(frozen=True)
@@ -126,18 +135,17 @@ def _replay(name: str, sample: _Sample, **extra) -> dict:
     return info
 
 
-def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
-                                 pairs_per_config: int = 2,
+def run_kernel_state_equivalence(n_configs: int, base_seed: int = 0,
                                  tamper: Tamper | None = None) -> PropertyResult:
     """Quadratic form through the tensor versus explicit state simulation,
-    on configurations sampled from ``Seed(base_seed)``.
+    on ``n_configs`` configurations sampled from ``Seed(base_seed)``, with
+    :data:`PAIRS_PER_CONFIG` input pairs each.
 
     The pairs of a configuration are drawn first, then their states come
     from one batched :func:`simulate_state` recursion; the oracle is the
     recursion, never the feature matrix.
     """
     cp.check_positive_int(n_configs, "n_configs")
-    cp.check_positive_int(pairs_per_config, "pairs_per_config")
     name = "kernel-state equivalence"
     worst = 0.0
     replay = None
@@ -145,7 +153,7 @@ def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
     for sampler, sample, reservoir, coupling_vec, tensor in _sampled_builds(
             n_configs, base_seed, 901, 17, tamper):
         histories = [TimeSeries(sampler.uniform(-1.0, 1.0, sample.horizon))
-                     for _ in range(2 * pairs_per_config)]
+                     for _ in range(2 * PAIRS_PER_CONFIG)]
         states = simulate_state(reservoir, coupling_vec, histories)
         for j in range(0, len(histories), 2):
             through_tensor = kernel_eval(tensor, histories[j], histories[j + 1])
@@ -160,10 +168,10 @@ def run_kernel_state_equivalence(n_configs: int = 100, base_seed: int = 0,
     return PropertyResult(name, checked, worst, f"worst error/tolerance ratio {worst:.3e}", replay)
 
 
-def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
+def run_spectrum_properties(n_configs: int, base_seed: int = 0,
                             tamper: Tamper | None = None) -> list[PropertyResult]:
     """Symmetry, positive spectrum, rank bound, and entrywise decay, on
-    configurations sampled from ``Seed(base_seed)``.
+    ``n_configs`` configurations sampled from ``Seed(base_seed)``.
 
     An asymmetric tensor fails the first suite and skips its spectrum; its
     decay envelope is still evaluated, so both suites check every
@@ -208,39 +216,38 @@ def run_spectrum_properties(n_configs: int = 60, base_seed: int = 0,
     ]
 
 
-def run_initial_state_error_containment(trials: int = 50, state_dim: int = 50,
-                                        horizon: int = 300, nu: float = 0.9,
-                                        contraction_rate: float = 0.95,
-                                        signal_bound: float = 1.0,
-                                        base_seed: int = 0) -> PropertyResult:
+def run_initial_state_error_containment(trials: int, base_seed: int = 0) -> PropertyResult:
     """Kernel error from a worst-norm random initial state stays inside the
     closed-form bounds on every trial, drawn from ``mix_seed(base_seed, ...)``.
 
-    Each trial runs two batched :func:`simulate_state` recursions over
-    ``(u, v)``: one from the initial state and one from zero.
+    Each trial runs the ``CONTAINMENT_*`` protocol as two batched
+    :func:`simulate_state` recursions over ``(u, v)``: one from the initial
+    state and one from zero.
     """
     cp.check_positive_int(trials, "trials")
-    cp.check_positive_int(state_dim, "state_dim")
     name = "initial-state error containment"
     coupling_bound = 1.0
-    scale = minimal_state_scale(signal_bound, coupling_bound, nu, contraction_rate)
-    params = BoundParams(signal_bound=signal_bound, coupling_bound=coupling_bound,
-                         contraction_rate=contraction_rate, state_scale=scale,
-                         horizon=horizon)
-    lower, upper = kernel_error_bounds(params, nu)
+    scale = minimal_state_scale(CONTAINMENT_SIGNAL_BOUND, coupling_bound, CONTAINMENT_NU,
+                                CONTAINMENT_CONTRACTION_RATE)
+    params = BoundParams(signal_bound=CONTAINMENT_SIGNAL_BOUND, coupling_bound=coupling_bound,
+                         contraction_rate=CONTAINMENT_CONTRACTION_RATE, state_scale=scale,
+                         horizon=CONTAINMENT_HORIZON)
+    lower, upper = kernel_error_bounds(params, CONTAINMENT_NU)
     radius = initial_state_radius(params)
     worst_margin = np.inf
     replay = None
     for t in range(trials):
         seed = cp.mix_seed(base_seed, 19, t)
-        res_spec = cp.ReservoirSpec(regime=cp.RANDOM_IID, size=state_dim, nu=nu)
-        in_spec = cp.InputCouplingSpec(kind="gaussian", size=state_dim, normalize_unit=True)
+        res_spec = cp.ReservoirSpec(regime=cp.RANDOM_IID, size=CONTAINMENT_STATE_DIM,
+                                    nu=CONTAINMENT_NU)
+        in_spec = cp.InputCouplingSpec(kind="gaussian", size=CONTAINMENT_STATE_DIM,
+                                       normalize_unit=True)
         reservoir = cp.generate_reservoir(res_spec, seed)
         coupling_vec = cp.generate_input(in_spec, seed)
         rng = cp._rng(seed, 7)
-        u = TimeSeries(rng.uniform(-signal_bound, signal_bound, horizon))
-        v = TimeSeries(rng.uniform(-signal_bound, signal_bound, horizon))
-        direction = rng.standard_normal(state_dim)
+        u, v = (TimeSeries(rng.uniform(-CONTAINMENT_SIGNAL_BOUND, CONTAINMENT_SIGNAL_BOUND,
+                                       CONTAINMENT_HORIZON)) for _ in range(2))
+        direction = rng.standard_normal(CONTAINMENT_STATE_DIM)
         x0 = direction * (radius / float(np.linalg.norm(direction)))
         x_u, x_v = simulate_state(reservoir, coupling_vec, [u, v], x0).T
         z_u, z_v = simulate_state(reservoir, coupling_vec, [u, v]).T
@@ -250,23 +257,11 @@ def run_initial_state_error_containment(trials: int = 50, state_dim: int = 50,
         margin = min(err - lower, upper - err)
         worst_margin = min(worst_margin, margin)
         if margin < 0.0 and replay is None:
-            replay = _replay(name, _Sample(res_spec, in_spec, horizon, seed),
+            replay = _replay(name, _Sample(res_spec, in_spec, CONTAINMENT_HORIZON, seed),
                              error=err, lower=lower, upper=upper)
     return PropertyResult(name, trials, worst_margin,
                           f"worst containment margin {worst_margin:.3e} "
                           f"(bounds [{lower:.3e}, {upper:.3e}])", replay)
-
-
-def run_all(base_seed: int = 0, equivalence_configs: int = 100,
-            spectrum_configs: int = 60, containment_trials: int = 50,
-            tamper: Tamper | None = None) -> list[PropertyResult]:
-    results = [run_kernel_state_equivalence(n_configs=equivalence_configs,
-                                            base_seed=base_seed, tamper=tamper)]
-    results.extend(run_spectrum_properties(n_configs=spectrum_configs,
-                                           base_seed=base_seed, tamper=tamper))
-    results.append(run_initial_state_error_containment(trials=containment_trials,
-                                                       base_seed=base_seed))
-    return results
 
 
 def inject_asymmetry(matrix: np.ndarray) -> np.ndarray:

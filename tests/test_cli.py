@@ -463,7 +463,6 @@ def test_a_file_that_is_not_utf8_is_a_usage_failure(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("samples, extra", [
     ([1.0, 2.0], ["--offset", "1e10", "--degree", "100"]),  # the power overflows
     ([1e200, 1e200], []),  # the quadratic form overflows
@@ -543,6 +542,9 @@ _EARLY_USAGE_ERRORS = {
     "sweep nu grid": ["sweep", "--nu-grid", "a:b:c"],
     "sweep regimes": ["sweep", "--regimes", "cycle,weird"],
     "sweep inputs": ["sweep", "--inputs", "weird"],
+    "sweep repeated regime": ["sweep", "--regimes", "cycle,cycle_permutation"],
+    "sweep repeated input kind": ["sweep", "--inputs", "pi-signs,pi-signs", "--N", "4",
+                                  "--nu-grid", "0.9:0.1:1.0"],
     "sweep trials": ["sweep", "--trials", "0", "--nu-grid", "0.9:0.1:0.9"],
     "sweep threshold": ["sweep", "--threshold", "0"],
     "sweep period not dividing N": ["sweep", "--regimes", "cycle", "--inputs",
@@ -599,6 +601,15 @@ def test_unwritable_output_directory_is_a_usage_failure(tmp_path, capsys, comman
     code, _, stderr = run_cli(capsys, command, *argv, "--out", str(blocker / "sub"))
     assert code == 1
     assert stderr.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("command", ["motifs", "verify"])
+def test_an_output_path_with_a_nul_byte_is_a_usage_failure(tmp_path, capsys, command):
+    config = tmp_path / "nul.conf"
+    config.write_bytes(b"out = " + str(tmp_path).encode() + b"/a\x00b\nN = 4\n")
+    code, _, stderr = run_cli(capsys, command, "--config", str(config))
+    assert code == 1
+    assert stderr.startswith("error: cannot write ") and "null byte" in stderr
 
 
 def _generic_motifs_csv(vectors, weights, path):

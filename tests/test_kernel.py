@@ -617,8 +617,6 @@ def test_bound_params_validation(kwargs):
 
 
 def test_measured_error_stays_within_bounds_small_case():
-    result = run_initial_state_error_containment(trials=5, state_dim=10,
-                                                 horizon=50, nu=0.8,
-                                                 contraction_rate=0.9)
+    result = run_initial_state_error_containment(trials=5)
     assert result.passed, result.detail
     assert result.n_checked == 5

@@ -333,6 +333,8 @@ def test_cycle_rows_of_the_default_sweep_match_the_benchmark_reference():
     dict(nu_values=(0.9,), input_kinds=("periodic_bipolar",), state_dim=10, period=3),
     dict(nu_values=(0.9,), base_seed=-1),
     dict(nu_values=(0.9,), distribution="cauchy"),
+    dict(nu_values=(0.9,), regimes=("cycle_permutation", "cycle_permutation")),
+    dict(nu_values=(0.9,), input_kinds=("ones_pi_signs", "gaussian", "ones_pi_signs")),
 ])
 def test_sweep_config_validation(kwargs):
     with pytest.raises(ContractViolation):

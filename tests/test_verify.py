@@ -8,12 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reskernel import verify
+import reskernel
+from reskernel import numerics, verify
 from reskernel import (
     ContractViolation,
     PropertyResult,
     PsdViolationError,
-    run_all,
     run_initial_state_error_containment,
     run_kernel_state_equivalence,
     run_spectrum_properties,
@@ -36,11 +36,6 @@ def test_kernel_state_equivalence_is_deterministic():
     assert a == b
 
 
-def test_kernel_state_equivalence_honors_pair_count():
-    result = run_kernel_state_equivalence(n_configs=3, pairs_per_config=4)
-    assert result.n_checked == 12
-
-
 def test_spectrum_properties_pass():
     psd, decay = run_spectrum_properties(n_configs=10)
     assert psd.passed, psd.detail
@@ -51,17 +46,21 @@ def test_spectrum_properties_pass():
 
 
 def test_containment_reports_margin():
-    result = run_initial_state_error_containment(trials=4, state_dim=8,
-                                                 horizon=40, nu=0.8,
-                                                 contraction_rate=0.9)
+    result = run_initial_state_error_containment(trials=4)
     assert result.passed, result.detail
     assert result.n_checked == 4
     assert result.worst >= 0.0  # worst margin to either bound stays positive
 
 
+def _all_suites(n, tamper=None):
+    """The four results of the suites, in the order ``verify`` runs them."""
+    return [run_kernel_state_equivalence(n, tamper=tamper),
+            *run_spectrum_properties(n, tamper=tamper),
+            run_initial_state_error_containment(2)]
+
+
 def test_run_all_aggregates_every_property():
-    results = run_all(equivalence_configs=4, spectrum_configs=4,
-                      containment_trials=2)
+    results = _all_suites(4)
     assert len(results) == 4
     assert len({r.name for r in results}) == 4
     assert all(r.passed for r in results)
@@ -72,7 +71,7 @@ def test_run_all_aggregates_every_property():
 @pytest.mark.parametrize("base_seed", [-1, 2**64])
 def test_suites_reject_a_base_seed_outside_64_bits(suite, base_seed):
     with pytest.raises(ContractViolation, match="seed base"):
-        suite(base_seed=base_seed)
+        suite(1, base_seed=base_seed)
 
 
 def test_tampered_tensor_fails_equivalence_with_replay():
@@ -130,8 +129,7 @@ def test_extraction_and_the_spectrum_suite_share_one_psd_rule(monkeypatch, spect
 @pytest.mark.parametrize("tamper", [None, inject_asymmetry])
 def test_a_verdict_is_read_from_the_replay(tamper):
     assert "passed" not in [f.name for f in dataclasses.fields(PropertyResult)]
-    results = run_all(equivalence_configs=3, spectrum_configs=3, containment_trials=2,
-                      tamper=tamper)
+    results = _all_suites(3, tamper)
     assert all(r.passed == (r.replay is None) for r in results)
     assert all(r.passed for r in results) == (tamper is None)
 
@@ -146,10 +144,8 @@ def test_inject_asymmetry_effects():
 
 @pytest.mark.parametrize("suite, count", [
     (run_kernel_state_equivalence, "n_configs"),
-    (run_kernel_state_equivalence, "pairs_per_config"),
     (run_spectrum_properties, "n_configs"),
     (run_initial_state_error_containment, "trials"),
-    (run_initial_state_error_containment, "state_dim"),
 ])
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
 def test_suites_reject_a_count_that_is_not_a_positive_integer(suite, count, bad):
@@ -158,13 +154,23 @@ def test_suites_reject_a_count_that_is_not_a_positive_integer(suite, count, bad)
 
 
 @pytest.mark.parametrize("suite, params", [
-    (run_kernel_state_equivalence, ["n_configs", "base_seed", "pairs_per_config", "tamper"]),
+    (run_kernel_state_equivalence, ["n_configs", "base_seed", "tamper"]),
     (run_spectrum_properties, ["n_configs", "base_seed", "tamper"]),
+    (run_initial_state_error_containment, ["trials", "base_seed"]),
 ])
 def test_sampler_bounds_are_constants_not_suite_parameters(suite, params):
     assert list(inspect.signature(suite).parameters) == params
     with pytest.raises(TypeError):
-        suite(n_configs=1, max_state_dim=10)
+        suite(1, max_state_dim=10)
+
+
+def test_the_verify_protocol_is_pinned():
+    assert verify.PAIRS_PER_CONFIG == 2
+    assert (verify.CONTAINMENT_STATE_DIM, verify.CONTAINMENT_HORIZON, verify.CONTAINMENT_NU,
+            verify.CONTAINMENT_CONTRACTION_RATE, verify.CONTAINMENT_SIGNAL_BOUND) == (
+        50, 300, 0.9, 0.95, 1.0)
+    assert numerics.RANK_RTOL == 1e-10
+    assert not hasattr(reskernel, "run_all") and not hasattr(verify, "run_all")
 
 
 def test_sampled_configurations_stay_within_the_sampler_bounds():
@@ -203,14 +209,13 @@ def _count_simulations(monkeypatch):
 
 def test_equivalence_simulates_each_configuration_in_one_call(monkeypatch):
     calls = _count_simulations(monkeypatch)
-    result = run_kernel_state_equivalence(n_configs=5, pairs_per_config=3)
-    assert result.passed and result.n_checked == 15
-    assert calls == [6] * 5
+    result = run_kernel_state_equivalence(n_configs=5)
+    assert result.passed and result.n_checked == 10
+    assert calls == [4] * 5
 
 
 def test_containment_simulates_each_trial_in_two_calls(monkeypatch):
     calls = _count_simulations(monkeypatch)
-    result = run_initial_state_error_containment(trials=3, state_dim=8, horizon=40,
-                                                 nu=0.8, contraction_rate=0.9)
+    result = run_initial_state_error_containment(trials=3)
     assert result.passed
     assert calls == [2] * 6
