@@ -113,8 +113,7 @@ _KEYS = {
                  tuple(sorted(cp.ENTRY_DISTRIBUTIONS))),
     "N": _Key(int, 100, "state dimension", _BUILDERS),
     "nu": _Key(float, 0.995, "largest singular value target", ("motifs", "predict", "kernel")),
-    "tau": _Key(int, None, "kernel horizon (default ell * N)", _EXTRACTORS),
-    "ell": _Key(int, None, "horizon in multiples of N (default 2)", _EXTRACTORS),
+    "tau": _Key(int, None, "kernel horizon (default 2 * N)", _EXTRACTORS),
     "period": _Key(int, None, "block length for periodic input kinds", _BUILDERS),
     "seed": _Key(int, 0, "base seed", _BUILDERS + ("verify",)),
     "threshold": _Key(float, 1e-2, "motif retention ratio", _EXTRACTORS),
@@ -194,10 +193,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
 
 
 def _horizon(resolved: dict) -> int:
-    if resolved["tau"] is not None:
-        horizon = resolved["tau"]
-    else:
-        horizon = (resolved["ell"] if resolved["ell"] is not None else 2) * resolved["N"]
+    horizon = resolved["tau"] if resolved["tau"] is not None else 2 * resolved["N"]
     check_horizon(horizon)
     return horizon
 

@@ -91,7 +91,8 @@ def trial_seed(base: int, trial: int) -> Seed:
     return mix_seed(base, 0, trial)
 
 
-def _rng(seed: Seed, domain: int) -> np.random.Generator:
+def seed_generator(seed: Seed, domain: int) -> np.random.Generator:
+    """The one seed-to-generator rule: the PCG64 stream of ``(seed.base, domain)``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed.base, domain))))
 
 
@@ -252,7 +253,8 @@ def draw_reservoir(spec: ReservoirSpec, seed: Seed) -> tuple[np.ndarray, float]:
     """
     if spec.regime == CYCLE_PERMUTATION:
         return np.roll(np.eye(spec.size), 1, axis=0), 1.0
-    raw = _sample(_rng(seed, _RESERVOIR_DOMAIN), spec.distribution, (spec.size, spec.size))
+    raw = _sample(seed_generator(seed, _RESERVOIR_DOMAIN), spec.distribution,
+                  (spec.size, spec.size))
     if spec.regime == SYMMETRIC_WIGNER:
         upper = np.triu(raw)
         raw = upper + np.triu(upper, 1).T
@@ -280,11 +282,11 @@ def generate_input(spec: InputCouplingSpec, seed: Seed) -> np.ndarray:
     n = spec.size
     kind = spec.kind
     if kind == "gaussian":
-        vec = _rng(seed, _INPUT_DOMAIN).standard_normal(n)
+        vec = seed_generator(seed, _INPUT_DOMAIN).standard_normal(n)
     elif kind == "uniform":
-        vec = _rng(seed, _INPUT_DOMAIN).uniform(-1.0, 1.0, n)
+        vec = seed_generator(seed, _INPUT_DOMAIN).uniform(-1.0, 1.0, n)
     elif kind == "ones_random_signs":
-        vec = 2.0 * _rng(seed, _INPUT_DOMAIN).integers(0, 2, n).astype(float) - 1.0
+        vec = 2.0 * seed_generator(seed, _INPUT_DOMAIN).integers(0, 2, n).astype(float) - 1.0
     elif kind in ("ones_pi_signs", "ones_e_signs"):
         bits = irrational_bits("pi" if kind == "ones_pi_signs" else "e", n)
         vec = 2.0 * bits.astype(float) - 1.0

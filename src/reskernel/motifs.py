@@ -23,13 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import check_nu
-from .errors import ContractViolation, PsdViolationError
-from .numerics import sym_eig
-from .temporal_kernel import MetricTensor, TimeSeries, _as_vector, _check_pair, check_horizon
-
-# Negative eigenvalues within this relative band of the top eigenvalue are
-# treated as rounding noise and clamped to zero.
-CLAMP_RTOL = 1e-9
+from .errors import ContractViolation
+from .numerics import (as_finite_array, as_reservoir_pair, as_spectrum, as_vector,
+                       clamp_spectrum, sym_eig)
+from .temporal_kernel import MetricTensor, TimeSeries, check_horizon
 
 # Relative eigenvalue gap under which predicted motifs count as degenerate
 # and are compared as subspaces.
@@ -52,22 +49,6 @@ def check_whole_copies(horizon, state_dim: int) -> None:
         raise ContractViolation(f"horizon {horizon} is not a multiple of N = {state_dim}")
 
 
-def relative_negativity(values: np.ndarray) -> float:
-    """How far a descending spectrum falls below zero relative to its top
-    (``inf`` under a top that is not positive).  The one PSD rule: a
-    spectrum is positive semidefinite when this is at most ``CLAMP_RTOL``."""
-    top = max(float(values[0]), 0.0)
-    neg = max(0.0, -float(values[-1]))
-    return neg / top if top > 0.0 else (0.0 if neg == 0.0 else np.inf)
-
-
-def _clamp_spectrum(values: np.ndarray, what: str) -> np.ndarray:
-    if relative_negativity(values) > CLAMP_RTOL:
-        raise PsdViolationError(f"{what} is not positive semidefinite", float(values[-1]),
-                                -CLAMP_RTOL * max(float(values[0]), 0.0))
-    return np.where(values < 0.0, 0.0, values)
-
-
 @dataclass(frozen=True)
 class MotifSet:
     """Retained motifs of one metric tensor.  Every array must be finite.
@@ -88,19 +69,12 @@ class MotifSet:
     spectrum: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=float)
-        spec = np.asarray(self.spectrum, dtype=float)
-        if vec.ndim != 2:
-            raise ContractViolation("motif vectors must form a 2-dimensional array")
-        if spec.ndim != 1:
-            raise ContractViolation("spectrum must be a 1-dimensional array")
-        if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(spec))):
-            raise ContractViolation("motif vectors and spectrum must be finite")
+        vec = as_finite_array(self.vectors, 2, "motif vectors")
+        spec = as_spectrum(self.spectrum, "spectrum")
         if vec.shape[0] > 0 and vec.shape[1] != spec.shape[0]:
             raise ContractViolation("motif length does not match spectrum length")
-        if (np.any(np.diff(spec) > 0.0) or np.any(spec < 0.0)
-                or np.any(spec[:vec.shape[0]] <= 0.0)):
-            raise ContractViolation("spectrum must be descending, non-negative, "
+        if np.any(spec < 0.0) or np.any(spec[:vec.shape[0]] <= 0.0):
+            raise ContractViolation("spectrum must be non-negative, "
                                     "and positive for retained motifs")
         if vec.shape[0]:
             norms = np.linalg.norm(vec, axis=1)
@@ -135,7 +109,7 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     """
     check_threshold_ratio(threshold_ratio)
     eig = sym_eig(tensor.matrix)
-    clamped = _clamp_spectrum(eig.eigenvalues, "metric tensor")
+    clamped = clamp_spectrum(eig.eigenvalues, "metric tensor")
     omega = np.sqrt(clamped)
     count = int(np.sum(omega >= threshold_ratio * omega[0])) if omega[0] > 0.0 else 0
     return MotifSet(vectors=eig.eigenvectors[:, :count].T, spectrum=clamped)
@@ -177,16 +151,11 @@ class MotifPrediction:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if vec.ndim != 2:
-            raise ContractViolation("predicted vectors must form a 2-dimensional array")
-        if wts.shape != (vec.shape[0],):
-            raise ContractViolation("one weight per predicted vector is required")
-        if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(wts))):
-            raise ContractViolation("predicted vectors and weights must be finite")
-        if np.any(wts < 0.0) or np.any(np.diff(wts) > 0.0):
-            raise ContractViolation("predicted weights must be non-negative and descending")
+        vec = as_finite_array(self.vectors, 2, "predicted vectors")
+        wts = as_spectrum(self.weights, "predicted weights")
+        if wts.shape != (vec.shape[0],) or np.any(wts < 0.0):
+            raise ContractViolation("predicted weights must be non-negative, "
+                                    "one per predicted vector")
         object.__setattr__(self, "vectors", vec)
         object.__setattr__(self, "weights", wts)
 
@@ -211,7 +180,7 @@ def predict_random(nu: float, coupling, horizon: int) -> MotifPrediction:
     """
     check_horizon(horizon)
     check_nu(nu)
-    w_vec = _as_vector(coupling, "coupling")
+    w_vec = as_vector(coupling, "coupling")
     norm = float(np.linalg.norm(w_vec))
     if not 0.0 < norm < np.inf:
         raise ContractViolation("coupling norm must be positive and finite")
@@ -236,7 +205,7 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
     outer(vectors[a], vectors[a])``; ties in magnitude keep eigenvalue order.
     """
     check_horizon(horizon)
-    w_mat, w_vec = _check_pair(reservoir, coupling)
+    w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
     eig = sym_eig(w_mat)
     projections = eig.eigenvectors.T @ w_vec
     # Row a holds sigma_a^0 .. sigma_a^(horizon-1); 0**0 evaluates to 1.  Powers
@@ -287,7 +256,7 @@ def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
     damp = nu ** np.arange(p)
     shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
     eig = sym_eig(np.outer(damp, damp) * _cycle_shift_products(block)[shift])
-    values = _clamp_spectrum(eig.eigenvalues, "cycle core tensor")
+    values = clamp_spectrum(eig.eigenvalues, "cycle core tensor")
     factor = float(n_blocks) if nu == 1.0 else (1.0 - nu ** (2 * tau)) / (1.0 - nu ** (2 * p))
     tiles = np.empty((tau, p))
     for b in range(n_blocks):
@@ -316,7 +285,7 @@ def predict_cycle(nu: float, coupling, horizon: int) -> MotifPrediction:
     has ``p`` rows, so ``k`` is ``len(coupling) // len(prediction)``.
     """
     check_nu(nu)
-    w_vec = _as_vector(coupling, "coupling")
+    w_vec = as_vector(coupling, "coupling")
     n = w_vec.shape[0]
     check_whole_copies(horizon, n)
     p = next((d for d in range(1, n)

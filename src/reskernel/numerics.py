@@ -1,4 +1,6 @@
-"""Dense linear-algebra primitives with pinned ordering and sign conventions.
+"""Dense linear-algebra primitives with pinned ordering and sign conventions,
+and the one home of the input rules: what a valid array, vector, reservoir
+pair, spectrum and PSD spectrum is.  Every array input is checked finite.
 
 Everything downstream (motif extraction, spectral predictions, richness
 measures) assumes a single eigendecomposition convention, fixed here once:
@@ -19,12 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ConvergenceError
+from .errors import ContractViolation, ConvergenceError, PsdViolationError
 
 # Absolute tolerance under which an input matrix counts as symmetric.
 SYMMETRY_ATOL = 1e-12
 # numerical_rank counts the eigenvalues above this share of the largest.
 RANK_RTOL = 1e-10
+# Negative eigenvalues within this relative band of the top eigenvalue are
+# treated as rounding noise and clamped to zero.
+CLAMP_RTOL = 1e-9
 
 # Post-conditions enforced on every decomposition we hand out.
 _ORTHONORMALITY_TOL = 1e-9
@@ -48,14 +53,21 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
+def as_finite_array(a, ndim: int, name: str) -> np.ndarray:
+    """``a`` as a float array of ``ndim`` dimensions, every entry finite: the one
+    array rule.  An empty array passes; callers check size and length themselves."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != ndim:
+        raise ContractViolation(f"{name} must be {ndim}-dimensional, got ndim={arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise ContractViolation(f"{name} contains non-finite entries")
+    return arr
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ContractViolation(f"{name} must be 2-dimensional, got ndim={m.ndim}")
+    m = as_finite_array(a, 2, name)
     if m.size == 0:
         raise ContractViolation(f"{name} must be non-empty")
-    if not np.all(np.isfinite(m)):
-        raise ContractViolation(f"{name} contains non-finite entries")
     return m
 
 
@@ -65,6 +77,54 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ContractViolation(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def as_vector(a, name: str, length: int | None = None) -> np.ndarray:
+    """``a`` as a non-empty, 1-D, finite vector, of ``length`` entries if given."""
+    v = as_finite_array(a, 1, name)
+    if v.size == 0:
+        raise ContractViolation(f"{name} must be non-empty")
+    if length is not None and v.shape[0] != length:
+        raise ContractViolation(f"{name} length {v.shape[0]} is not the state dimension {length}")
+    return v
+
+
+def as_reservoir_pair(reservoir, coupling) -> tuple[np.ndarray, np.ndarray]:
+    """The one reservoir-coupling rule: a square reservoir and a coupling of its size."""
+    w_mat = as_square_matrix(reservoir, "reservoir")
+    return w_mat, as_vector(coupling, "input coupling", w_mat.shape[0])
+
+
+def as_spectrum(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D, finite, descending spectrum: the one spectrum rule."""
+    ev = as_finite_array(values, 1, name)
+    if np.any(np.diff(ev) > 0.0):
+        raise ContractViolation(f"{name} must be sorted in descending order")
+    return ev
+
+
+def asymmetry(m: np.ndarray) -> float:
+    """``max |A - A^T|``: a square matrix is symmetric when this is at most ``SYMMETRY_ATOL``."""
+    return float(np.max(np.abs(m - m.T)))
+
+
+def relative_negativity(values: np.ndarray) -> float:
+    """How far a descending spectrum falls below zero relative to its top
+    (``inf`` under a top that is not positive).  The one PSD rule: a
+    spectrum is positive semidefinite when this is at most ``CLAMP_RTOL``."""
+    top = max(float(values[0]), 0.0)
+    neg = max(0.0, -float(values[-1]))
+    return neg / top if top > 0.0 else (0.0 if neg == 0.0 else np.inf)
+
+
+def clamp_spectrum(values: np.ndarray, what: str) -> np.ndarray:
+    """A descending spectrum with its rounding-noise negatives set to zero;
+    raises :class:`PsdViolationError`, naming ``what``, when it is not
+    positive semidefinite by :func:`relative_negativity`."""
+    if relative_negativity(values) > CLAMP_RTOL:
+        raise PsdViolationError(f"{what} is not positive semidefinite", float(values[-1]),
+                                -CLAMP_RTOL * max(float(values[0]), 0.0))
+    return np.where(values < 0.0, 0.0, values)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -102,7 +162,7 @@ def sym_eig(a) -> EigenDecomposition:
         or reconstruction targets.
     """
     m = as_square_matrix(a)
-    asym = float(np.max(np.abs(m - m.T)))
+    asym = asymmetry(m)
     if asym > SYMMETRY_ATOL:
         raise ContractViolation(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e} exceeds {SYMMETRY_ATOL:.0e}"
@@ -166,21 +226,10 @@ def dft(v) -> np.ndarray:
 
 
 def numerical_rank(eigenvalues) -> int:
-    """Number of eigenvalues above ``RANK_RTOL * max(largest eigenvalue, 0)``.
-
-    Parameters
-    ----------
-    eigenvalues : (n,) array_like
-        Must already be sorted in descending order.
-    """
-    ev = np.asarray(eigenvalues, dtype=float)
-    if ev.ndim != 1:
-        raise ContractViolation("eigenvalues must form a 1-dimensional vector")
+    """Number of eigenvalues above ``RANK_RTOL * max(largest eigenvalue, 0)``;
+    ``eigenvalues`` must pass :func:`as_spectrum` (1-D, finite, descending)."""
+    ev = as_spectrum(eigenvalues, "eigenvalues")
     if ev.size == 0:
         return 0
-    if not np.all(np.isfinite(ev)):
-        raise ContractViolation("eigenvalues contain non-finite entries")
-    if np.any(np.diff(ev) > 0.0):
-        raise ContractViolation("eigenvalues must be sorted in descending order")
     cut = RANK_RTOL * max(float(ev[0]), 0.0)
     return int(np.sum(ev > cut))

@@ -18,7 +18,7 @@ import numpy as np
 from . import coupling as cp
 from .errors import ContractViolation
 from .motifs import MotifSet, check_threshold_ratio, extract_motifs
-from .numerics import dft
+from .numerics import as_finite_array, dft
 from .temporal_kernel import build_from_specs, check_horizon, scale_metric_tensor
 
 
@@ -55,44 +55,18 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-@dataclass(frozen=True)
-class CoefficientCloud:
-    """Fourier coefficients of retained motifs with per-point weights.
+def coefficient_cloud(motif_set: MotifSet) -> tuple[np.ndarray, np.ndarray]:
+    """All DFT coefficients of the retained motifs, as ``(points, weights)``.
 
-    ``points[j]`` is one DFT coefficient; ``weights[j]`` is the normalized
-    weight of the motif it came from (weights sum to 1 over motifs, and
-    every coefficient of a motif carries that motif's full weight).
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex)
-        wts = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 1 or wts.shape != pts.shape:
-            raise ContractViolation("points and weights must be matching 1-dimensional arrays")
-        if np.any(wts < 0.0):
-            raise ContractViolation("point weights must be non-negative")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-
-    def __len__(self) -> int:
-        return int(self.points.shape[0])
-
-
-def coefficient_cloud(motif_set: MotifSet) -> CoefficientCloud:
-    """All DFT coefficients of the retained motifs.
-
-    A motif of length ``tau`` contributes ``tau`` points, each carrying the
+    ``points[j]`` is one complex coefficient, in motif order; a motif of
+    length ``tau`` contributes ``tau`` of them, and ``weights[j]`` is that
     motif's weight normalized so the retained weights sum to one.  An empty
-    motif set gives an empty cloud.
+    motif set gives two empty arrays.
     """
     if len(motif_set) == 0:
-        return CoefficientCloud(points=np.empty(0, dtype=complex), weights=np.empty(0))
+        return np.empty(0, dtype=complex), np.empty(0)
     share = motif_set.weights / float(np.sum(motif_set.weights))
-    return CoefficientCloud(points=dft(motif_set.vectors).ravel(),
-                            weights=np.repeat(share, motif_set.horizon))
+    return dft(motif_set.vectors).ravel(), np.repeat(share, motif_set.horizon)
 
 
 @dataclass(frozen=True)
@@ -105,21 +79,27 @@ class GridSummary:
     discarded_points: int
 
 
-def grid_summary(cloud: CoefficientCloud, grid: GridSpec = DEFAULT_GRID) -> GridSummary:
-    """Map a cloud onto the grid once and report all occupancy measures.
+def grid_summary(points, weights, grid: GridSpec = DEFAULT_GRID) -> GridSummary:
+    """Map a cloud of complex ``points`` with non-negative ``weights``, one
+    per point, onto the grid once and report all occupancy measures.
 
-    Points outside the grid are discarded (and counted).  The weighted
-    measure averages point weights within each visited cell and sums the
-    averages over the grid.
+    Both must be finite and 1-D.  Points outside the grid are discarded (and
+    counted).  The weighted measure averages point weights within each
+    visited cell and sums the averages over the grid.
     """
+    pts = np.asarray(points, dtype=complex)
+    re, im = (as_finite_array(part, 1, "cloud points") for part in (pts.real, pts.imag))
+    wts = as_finite_array(weights, 1, "cloud weights")
+    if wts.shape != re.shape or np.any(wts < 0.0):
+        raise ContractViolation("cloud weights must be non-negative, one per point")
     n_axis = grid.cells_per_axis
-    ix = np.floor((cloud.points.real + grid.half_width) / grid.cell_side).astype(np.int64)
-    iy = np.floor((cloud.points.imag + grid.half_width) / grid.cell_side).astype(np.int64)
+    ix = np.floor((re + grid.half_width) / grid.cell_side).astype(np.int64)
+    iy = np.floor((im + grid.half_width) / grid.cell_side).astype(np.int64)
     inside = (ix >= 0) & (ix < n_axis) & (iy >= 0) & (iy < n_axis)
     discarded = int(np.sum(~inside))
     keys = ix[inside] * n_axis + iy[inside]
     unique_keys, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=cloud.weights[inside])
+    sums = np.bincount(inverse, weights=wts[inside])
     counts = np.bincount(inverse)
     total = float(grid.total_cells)
     return GridSummary(
@@ -232,7 +212,7 @@ def sweep(config: SweepConfig) -> list[RichnessReport]:
                 for nu in nu_values:
                     motif_set = extract_motifs(scale_metric_tensor(unit, nu),
                                                config.threshold_ratio)
-                    summary = grid_summary(coefficient_cloud(motif_set))
+                    summary = grid_summary(*coefficient_cloud(motif_set))
                     reports.append(RichnessReport(
                         nu=nu,
                         regime=regime,

@@ -28,25 +28,8 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
-from .numerics import as_square_matrix, symmetric_gram
-
-
-def _as_vector(a, name: str = "vector", length: int | None = None) -> np.ndarray:
-    """``a`` as a non-empty, 1-D, finite vector, of ``length`` entries if given."""
-    v = np.asarray(a, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ContractViolation(f"{name} must be a non-empty 1-dimensional vector")
-    if not np.all(np.isfinite(v)):
-        raise ContractViolation(f"{name} contains non-finite entries")
-    if length is not None and v.shape[0] != length:
-        raise ContractViolation(f"{name} length {v.shape[0]} is not the state dimension {length}")
-    return v
-
-
-def _check_pair(reservoir, coupling) -> tuple[np.ndarray, np.ndarray]:
-    """The one reservoir-coupling rule: a square reservoir and a coupling of its size."""
-    w_mat = as_square_matrix(reservoir, "reservoir")
-    return w_mat, _as_vector(coupling, "input coupling", w_mat.shape[0])
+from .numerics import (as_finite_array, as_reservoir_pair, as_square_matrix, as_vector,
+                       symmetric_gram)
 
 
 @dataclass(frozen=True)
@@ -56,7 +39,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_vector(self.values, "time series"))
+        object.__setattr__(self, "values", as_vector(self.values, "time series"))
 
     @property
     def horizon(self) -> int:
@@ -67,9 +50,10 @@ class TimeSeries:
 class MetricTensor:
     """The horizon-``tau`` kernel matrix of one reservoir.
 
-    ``matrix`` is exactly symmetric by construction; ``state_dim`` is the
-    state dimension N of the reservoir.  The horizon is not stored: it is
-    the side of ``matrix``.
+    The constructor checks only that ``matrix`` is square and finite; those
+    of :func:`build_metric_tensor` and :func:`scale_metric_tensor` are also
+    exactly symmetric.  ``state_dim`` is the state dimension N of the
+    reservoir.  The horizon is not stored: it is the side of ``matrix``.
     """
 
     matrix: np.ndarray
@@ -111,7 +95,7 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
     state of history ``j``
         ``W^tau x_init + sum_i values[i-1] W^(i-1) w``.
     """
-    w_mat, w_vec = _check_pair(reservoir, coupling)
+    w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
     single = isinstance(series, TimeSeries)
     histories = [series] if single else list(series)
     if not histories:
@@ -121,7 +105,7 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
     if initial_state is None:
         x = np.zeros((w_mat.shape[0], len(histories)))
     else:
-        x0 = _as_vector(initial_state, "initial state", w_mat.shape[0])
+        x0 = as_vector(initial_state, "initial state", w_mat.shape[0])
         x = np.repeat(x0[:, np.newaxis], len(histories), axis=1)
     # inputs[t, j] is the sample history j feeds in at step t, oldest first.
     inputs = np.stack([h.values[::-1] for h in histories], axis=1)
@@ -177,7 +161,7 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
     A horizon below the state dimension is legal but leaves the kernel
     blind to directions the reservoir can still reach, so it warns.
     """
-    w_mat, w_vec = _check_pair(reservoir, coupling)
+    w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
     check_horizon(horizon)
     n = w_mat.shape[0]
     if horizon < n:
@@ -280,9 +264,7 @@ class ReadoutModel:
     combined: TimeSeries | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
-            raise ContractViolation("coefficients must be a finite 1-dimensional vector")
+        coeffs = as_finite_array(np.atleast_1d(self.coefficients), 1, "readout coefficients")
         if len(self.supports) != coeffs.shape[0]:
             raise ContractViolation("one coefficient per support history is required")
         if not np.isfinite(self.bias):
@@ -294,7 +276,9 @@ class ReadoutModel:
         object.__setattr__(self, "coefficients", coeffs)
         combined = None
         if self.supports:
-            combined = TimeSeries(coeffs @ np.stack([s.values for s in self.supports]))
+            with np.errstate(over="ignore", invalid="ignore"):  # as_vector reports it
+                history = coeffs @ np.stack([s.values for s in self.supports])
+            combined = TimeSeries(as_vector(history, "readout combined history"))
         object.__setattr__(self, "combined", combined)
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
-from .motifs import CLAMP_RTOL, relative_negativity
-from .numerics import SYMMETRY_ATOL, numerical_rank, sym_eig
+from .numerics import (CLAMP_RTOL, SYMMETRY_ATOL, asymmetry, numerical_rank,
+                       relative_negativity, sym_eig)
 from .temporal_kernel import (
     BoundParams,
     TimeSeries,
@@ -106,7 +106,7 @@ def _sampled_builds(n_configs: int, base_seed: int, stream: int, salt: int,
     sample ``i`` is drawn from stream ``stream`` of ``Seed(base_seed)`` with
     seed ``mix_seed(base_seed, salt, i)``, built with warnings silenced, its
     tensor passed through ``tamper``.  A suite may draw from ``sampler`` between builds."""
-    sampler = cp._rng(cp.Seed(base_seed), stream)
+    sampler = cp.seed_generator(cp.Seed(base_seed), stream)
     for i in range(n_configs):
         sample = _Sample(*_sample_config(sampler), cp.mix_seed(base_seed, salt, i))
         with warnings.catch_warnings():
@@ -188,7 +188,7 @@ def run_spectrum_properties(n_configs: int, base_seed: int = 0,
     decay_replay = None
     for _, sample, _, coupling_vec, tensor in _sampled_builds(
             n_configs, base_seed, 902, 23, tamper):
-        asym = float(np.max(np.abs(tensor.matrix - tensor.matrix.T)))
+        asym = asymmetry(tensor.matrix)
         worst_asym = max(worst_asym, asym)
         if asym > SYMMETRY_ATOL:
             if psd_replay is None:
@@ -244,7 +244,7 @@ def run_initial_state_error_containment(trials: int, base_seed: int = 0) -> Prop
                                        normalize_unit=True)
         reservoir = cp.generate_reservoir(res_spec, seed)
         coupling_vec = cp.generate_input(in_spec, seed)
-        rng = cp._rng(seed, 7)
+        rng = cp.seed_generator(seed, 7)
         u, v = (TimeSeries(rng.uniform(-CONTAINMENT_SIGNAL_BOUND, CONTAINMENT_SIGNAL_BOUND,
                                        CONTAINMENT_HORIZON)) for _ in range(2))
         direction = rng.standard_normal(CONTAINMENT_STATE_DIM)

@@ -10,6 +10,7 @@ working when the records change shape.  It only imports from
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reskernel as rk
@@ -40,6 +41,17 @@ def test_tracer_counts_bytes_and_retained_motifs_of_a_cycle_build(spans):
     assert metrics["motifs.extract_motifs.retained_ratio"] == len(motif_set) / tau
     assert 0 < len(motif_set) <= n
     assert metrics["motifs.predict_cycle.calls"] == 1
+
+
+def test_tracer_counts_the_points_a_grid_summary_discards(spans):
+    # Two of the five points lie off the default [-7, 7]^2 grid.
+    points = np.array([0.0, 1.0 + 1.0j, -2.0j, 10.0, -8.0j])
+    with spans.Tracer("test") as tracer:
+        summary = rk.grid_summary(points, np.full(5, 0.2))
+    metrics = tracer.layer_metrics()
+    assert summary.discarded_points == 2
+    assert metrics["richness.grid_summary.calls"] == 1
+    assert metrics["richness.grid_summary.discarded_ratio"] == 0.4
 
 
 def test_every_traced_name_resolves_in_the_package(spans):

@@ -169,7 +169,7 @@ def test_predict_periodic_cycle_matches_closed_form(tmp_path, capsys):
     out = tmp_path / "per"
     code, _, _ = run_cli(capsys, "predict", "--regime", "cycle",
                          "--input", "periodic-binary", "--period", "2",
-                         "--N", "8", "--nu", "0.9", "--ell", "2",
+                         "--N", "8", "--nu", "0.9", "--tau", "16",
                          "--out", str(out))
     assert code == 0
     rows = read_rows(out / "predicted_weights.csv")
@@ -265,18 +265,6 @@ def test_sweep_outputs_are_byte_identical_across_runs(tmp_path, capsys):
         assert code == 0
         outs.append((out / "sweep.csv").read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_sweep_horizon_follows_ell_as_motifs_does(tmp_path, capsys):
-    outputs = []
-    for horizon in (["--ell", "3"], ["--tau", "30"]):
-        out = tmp_path / horizon[0].lstrip("-")
-        code, _, stderr = run_cli(capsys, "sweep", "--regimes", "cycle", "--inputs",
-                                  "pi-signs", "--N", "10", *horizon,
-                                  "--nu-grid", "0.9:0.1:0.9", "--out", str(out))
-        assert code == 0, stderr
-        outputs.append((out / "sweep.csv").read_bytes())
-    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("grid", ["0.9:0:1.0", "a:b:c", "0.9:0.05", "1.0:0.1:0.5", "",
@@ -479,6 +467,18 @@ def test_a_kernel_value_that_is_not_finite_is_a_usage_failure(tmp_path, capsys, 
     assert not (out / "kernel.csv").exists()
 
 
+def test_an_overflowing_readout_history_prints_one_error_line(tmp_path, capsys):
+    one, big = tmp_path / "one.txt", tmp_path / "big.txt"
+    _write_series(one, [1.0, 1.0])
+    _write_series(big, [1e200, 1e200])
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(capsys, "kernel", str(one), str(one), "--N", "2",
+                              "--support", str(big), "--coeff", "1e200", "--out", str(out))
+    assert code == 1
+    assert stderr == "error: readout combined history contains non-finite entries\n"
+    assert not out.exists()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.binary(max_size=120), st.sampled_from(["motifs", "kernel"]))
 def test_arbitrary_input_file_bytes_never_raise(tmp_path_factory, data, command):
@@ -563,7 +563,6 @@ _EARLY_USAGE_ERRORS = {
     "predict cycle horizon": ["predict", "--regime", "cycle", "--N", "4", "--tau", "6"],
     "predict cycle N": ["predict", "--regime", "cycle", "--N", "0"],
     "predict nu": ["predict", "--N", "4", "--nu", "1.5"],
-    "predict ell": ["predict", "--ell", "0"],
     "kernel horizons": ["kernel", "{u}", "{short}", "--N", "2"],
     "kernel offset without degree": ["kernel", "{u}", "{u}", "--N", "2", "--offset", "1"],
     "kernel support without coeff": ["kernel", "{u}", "{u}", "--N", "2", "--support", "{u}"],
@@ -721,7 +720,6 @@ _MODEL_FLAGS = {
     "--N": ("int", None, None),
     "--nu": ("float", None, None),
     "--tau": ("int", None, None),
-    "--ell": ("int", None, None),
     "--period": ("int", None, None),
     "--seed": ("int", None, None),
     "--threshold": ("float", None, None),
@@ -753,7 +751,7 @@ _PARSER_SNAPSHOT = {
         "--inject-asymmetry": (None, False, None),
     },
     "kernel": {
-        **_model_flags_except("--tau", "--ell", "--threshold", "--trials"),
+        **_model_flags_except("--tau", "--threshold", "--trials"),
         "u_file": ("str", None, None),
         "v_file": ("str", None, None),
         "--offset": ("float", None, None),
@@ -785,17 +783,17 @@ def test_parser_options_match_the_snapshot(command):
     assert _subparser_options(command) == _PARSER_SNAPSHOT[command]
 
 
-# A model flag that a command never reads is not on its parser.
+# A model flag that a command never reads is not on its parser; --ell is on none.
 _DROPPED_FLAGS = [(command, flag) for command, options in sorted(_PARSER_SNAPSHOT.items())
-                  for flag in _MODEL_FLAGS if flag not in options]
+                  for flag in (*_MODEL_FLAGS, "--ell") if flag not in options]
 _FLAG_VALUES = {"--regime": "cycle", "--input": "pi-signs", "--dist": "uniform",
                 "--N": "4", "--nu": "0.9", "--tau": "8", "--ell": "2", "--period": "2",
                 "--threshold": "0.1", "--trials": "2", "--no-unit-norm": None}
 
 
-def test_commands_take_51_model_flags_and_drop_17():
-    assert sum(len(spec.commands) for spec in cli._KEYS.values()) == 51
-    assert len(_DROPPED_FLAGS) == 17
+def test_commands_take_48_model_flags_and_drop_15():
+    assert sum(len(spec.commands) for spec in cli._KEYS.values()) == 48
+    assert len([flag for _, flag in _DROPPED_FLAGS if flag != "--ell"]) == 15
 
 
 @pytest.mark.parametrize("command, flag", _DROPPED_FLAGS)
@@ -819,7 +817,7 @@ def _readme_config_keys():
 def test_every_readme_config_key_is_accepted(tmp_path, capsys):
     values = {
         "regime": "cycle", "input": "pi-signs", "dist": "uniform", "N": "4",
-        "nu": "0.9", "tau": "8", "ell": "2", "period": "2", "seed": "3",
+        "nu": "0.9", "tau": "8", "period": "2", "seed": "3",
         "threshold": "0.01", "trials": "1", "out": str(tmp_path / "out"),
         "normalize": "false", "nu_grid": "0.9:0.05:1.0", "regimes": "cycle",
         "inputs": "pi-signs",

@@ -540,6 +540,14 @@ def test_readout_model_rejects_mismatched_coefficients():
                      coefficients=np.array([1.0, 2.0]))
 
 
+def test_an_overflowing_combined_history_is_rejected_by_name():
+    # Each support is finite; their weighted sum overflows to inf.
+    big = TimeSeries(np.full(2, 1e200))
+    with pytest.raises(ContractViolation,
+                       match="^readout combined history contains non-finite entries$"):
+        ReadoutModel(supports=(big,), coefficients=np.array([1e200]))
+
+
 # ---------------------------------------------------------------------------
 # initial-state error bounds
 # ---------------------------------------------------------------------------

@@ -8,10 +8,17 @@ import oracles
 from reskernel import (
     ContractViolation,
     ConvergenceError,
+    MetricTensor,
+    MotifPrediction,
+    MotifSet,
     PsdViolationError,
+    ReadoutModel,
+    TimeSeries,
     dft,
+    grid_summary,
     largest_singular_value,
     numerical_rank,
+    simulate_state,
     sym_eig,
 )
 from reskernel.numerics import symmetric_gram
@@ -254,3 +261,57 @@ def test_error_hierarchy_and_messages():
     assert "below floor" in str(psd)
     assert psd.eigenvalue == -1.0
     assert psd.floor == -1e-9
+
+
+# ---------------------------------------------------------------------------
+# the array contract: every array input is checked finite
+# ---------------------------------------------------------------------------
+
+def _state(bad, where):
+    arrays = {"reservoir": [[0.5, 0.0], [0.0, 0.5]], "coupling": [1.0, 0.0],
+              "initial_state": [0.0, 0.0]}
+    arrays[where] = np.array(arrays[where])
+    arrays[where].flat[1] = bad
+    return simulate_state(arrays["reservoir"], arrays["coupling"], TimeSeries([1.0]),
+                          initial_state=arrays["initial_state"])
+
+
+# One case per array argument: the call with the bad entry, and the name its
+# message gives the argument.
+_CONTRACT_CASES = [
+    pytest.param(lambda bad: TimeSeries([1.0, bad]), "time series", id="TimeSeries.values"),
+    pytest.param(lambda bad: MetricTensor(np.array([[1.0, bad], [bad, 1.0]]), 2),
+                 "metric tensor", id="MetricTensor.matrix"),
+    pytest.param(lambda bad: MotifSet([[1.0, bad]], [1.0, 0.0]), "motif vectors",
+                 id="MotifSet.vectors"),
+    pytest.param(lambda bad: MotifSet([[1.0, 0.0]], [1.0, bad]), "spectrum",
+                 id="MotifSet.spectrum"),
+    pytest.param(lambda bad: MotifPrediction([[bad, 0.0]], [1.0], True), "predicted vectors",
+                 id="MotifPrediction.vectors"),
+    pytest.param(lambda bad: MotifPrediction([[1.0, 0.0]], [bad], True), "predicted weights",
+                 id="MotifPrediction.weights"),
+    pytest.param(lambda bad: ReadoutModel((TimeSeries([1.0]),), [bad]), "readout coefficients",
+                 id="ReadoutModel.coefficients"),
+    pytest.param(lambda bad: grid_summary(np.array([0.1 + 0.1j, bad]), [0.5, 0.5]),
+                 "cloud points", id="grid_summary.points-real"),
+    pytest.param(lambda bad: grid_summary(np.array([0.1 + 0.1j, complex(0.0, bad)]),
+                                          [0.5, 0.5]),
+                 "cloud points", id="grid_summary.points-imaginary"),
+    pytest.param(lambda bad: grid_summary(np.array([0.1 + 0.1j, 0.2]), [bad, 1.0]),
+                 "cloud weights", id="grid_summary.weights"),
+    pytest.param(lambda bad: numerical_rank([1.0, bad]), "eigenvalues",
+                 id="numerical_rank.eigenvalues"),
+    pytest.param(lambda bad: _state(bad, "reservoir"), "reservoir",
+                 id="simulate_state.reservoir"),
+    pytest.param(lambda bad: _state(bad, "coupling"), "input coupling",
+                 id="simulate_state.coupling"),
+    pytest.param(lambda bad: _state(bad, "initial_state"), "initial state",
+                 id="simulate_state.initial_state"),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call, name", _CONTRACT_CASES)
+def test_a_non_finite_array_entry_is_rejected_by_name(call, name, bad):
+    with pytest.raises(ContractViolation, match=f"^{name} contains non-finite entries$"):
+        call(bad)

@@ -9,7 +9,6 @@ import pytest
 
 from reskernel import (
     ContractViolation,
-    CoefficientCloud,
     GridSpec,
     GridSummary,
     MetricTensor,
@@ -72,32 +71,32 @@ def test_grid_spec_rejects_degenerate_geometry(kwargs):
 
 def test_single_motif_cloud_carries_unit_weight():
     motifs = _motif_set(np.eye(4)[:1], [2.0])
-    cloud = coefficient_cloud(motifs)
-    assert len(cloud) == 4
-    assert np.array_equal(cloud.weights, np.ones(4))
-    assert np.allclose(cloud.points, np.ones(4), atol=1e-12)
+    points, weights = coefficient_cloud(motifs)
+    assert len(points) == 4
+    assert np.array_equal(weights, np.ones(4))
+    assert np.allclose(points, np.ones(4), atol=1e-12)
 
 
 def test_equal_weight_motifs_split_the_share():
     motifs = _motif_set(np.eye(4)[:2], [1.5, 1.5])
-    cloud = coefficient_cloud(motifs)
-    assert len(cloud) == 8
-    assert np.array_equal(cloud.weights, np.full(8, 0.5))
+    points, weights = coefficient_cloud(motifs)
+    assert len(points) == 8
+    assert np.array_equal(weights, np.full(8, 0.5))
 
 
 def test_constant_motif_concentrates_at_the_dc_coefficient():
     motifs = _motif_set([np.full(4, 0.5)], [1.0])
-    cloud = coefficient_cloud(motifs)
-    assert cloud.points[0] == pytest.approx(2.0, abs=1e-12)
-    assert np.max(np.abs(cloud.points[1:])) < 1e-12
+    points, _ = coefficient_cloud(motifs)
+    assert points[0] == pytest.approx(2.0, abs=1e-12)
+    assert np.max(np.abs(points[1:])) < 1e-12
 
 
 def test_empty_motif_set_gives_empty_cloud():
     empty = extract_motifs(MetricTensor(np.zeros((3, 3)), state_dim=2))
-    cloud = coefficient_cloud(empty)
-    assert len(cloud) == 0
-    assert grid_summary(cloud) == grid_summary(cloud)
-    assert grid_summary(cloud).relative_area == 0.0
+    points, weights = coefficient_cloud(empty)
+    assert len(points) == len(weights) == 0
+    assert grid_summary(points, weights) == grid_summary(points, weights)
+    assert grid_summary(points, weights).relative_area == 0.0
 
 
 def test_cloud_holds_the_per_motif_transforms_in_motif_order():
@@ -105,21 +104,19 @@ def test_cloud_holds_the_per_motif_transforms_in_motif_order():
                                     InputCouplingSpec(kind="gaussian", size=10), 20,
                                     trial_seed(1, 0))
     motifs = extract_motifs(tensor, 1e-3)
-    cloud = coefficient_cloud(motifs)
+    points, weights = coefficient_cloud(motifs)
     share = motifs.weights / np.sum(motifs.weights)
     expected = np.concatenate([dft(vector) for vector in motifs.vectors])
     assert len(motifs) > 1
-    assert cloud.points.tobytes() == expected.tobytes()
-    assert np.array_equal(cloud.weights, np.repeat(share, 20))
+    assert points.tobytes() == expected.tobytes()
+    assert np.array_equal(weights, np.repeat(share, 20))
 
 
 def test_cloud_container_validation():
     with pytest.raises(ContractViolation):
-        CoefficientCloud(points=np.zeros(2, dtype=complex),
-                         weights=np.array([0.5, -0.5]))
+        grid_summary(np.zeros(2, dtype=complex), np.array([0.5, -0.5]))
     with pytest.raises(ContractViolation):
-        CoefficientCloud(points=np.zeros(2, dtype=complex),
-                         weights=np.array([0.5]))
+        grid_summary(np.zeros(2, dtype=complex), np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +134,7 @@ def test_grid_summary_counts_cells_and_discards_on_a_hand_grid():
         0.0 - 1.5j,      # below the grid, discarded
     ])
     weights = np.array([0.1, 0.3, 0.5, 0.9, 0.9])
-    summary = grid_summary(CoefficientCloud(points=points, weights=weights), grid)
+    summary = grid_summary(points, weights, grid)
     assert summary.cells_visited == 2
     assert summary.relative_area == pytest.approx(2.0 / 64.0, abs=0.0)
     # cell means are 0.1 and (0.3 + 0.5) / 2
@@ -147,24 +144,19 @@ def test_grid_summary_counts_cells_and_discards_on_a_hand_grid():
 
 def test_a_cloud_entirely_off_the_grid_visits_nothing():
     grid = GridSpec(half_width=1.0, cell_side=0.25)
-    outside = CoefficientCloud(points=np.array([1.0 + 0.0j, -2.0 + 0.5j, 0.5 + 1.0j]),
-                               weights=np.array([0.2, 0.3, 0.5]))
-    summary = grid_summary(outside, grid)
+    summary = grid_summary(np.array([1.0 + 0.0j, -2.0 + 0.5j, 0.5 + 1.0j]),
+                           np.array([0.2, 0.3, 0.5]), grid)
     assert summary == GridSummary(cells_visited=0, relative_area=0.0,
                                   weighted_relative_area=0.0, discarded_points=3)
-    empty = CoefficientCloud(points=np.empty(0, dtype=complex), weights=np.empty(0))
-    assert grid_summary(empty, grid) == GridSummary(0, 0.0, 0.0, 0)
+    empty = (np.empty(0, dtype=complex), np.empty(0))
+    assert grid_summary(*empty, grid) == GridSummary(0, 0.0, 0.0, 0)
 
 
 def test_cell_boundaries_are_half_open():
     grid = GridSpec(half_width=1.0, cell_side=0.25)
-    on_boundary = CoefficientCloud(points=np.array([0.25 + 0.25j]),
-                                   weights=np.array([1.0]))
-    inside = grid_summary(on_boundary, grid)
+    inside = grid_summary(np.array([0.25 + 0.25j]), np.array([1.0]), grid)
     assert inside.cells_visited == 1
-    shifted = CoefficientCloud(points=np.array([0.25 - 1e-9 + 0.25j]),
-                               weights=np.array([1.0]))
-    other = grid_summary(shifted, grid)
+    other = grid_summary(np.array([0.25 - 1e-9 + 0.25j]), np.array([1.0]), grid)
     assert other.cells_visited == 1
     # the two points land in horizontally adjacent cells
     assert inside.relative_area == other.relative_area
@@ -175,8 +167,7 @@ def test_weighted_area_never_exceeds_plain_area():
     for _ in range(5):
         points = 3.0 * (rng.normal(size=60) + 1j * rng.normal(size=60))
         weights = rng.uniform(0.0, 1.0, size=60)
-        cloud = CoefficientCloud(points=points, weights=weights)
-        summary = grid_summary(cloud)
+        summary = grid_summary(points, weights)
         assert summary.weighted_relative_area <= summary.relative_area + 1e-15
 
 
@@ -255,7 +246,7 @@ def test_sweep_rows_equal_one_build_per_nu(regime, kind):
                                   period=4 if kind == "periodic_binary" else None),
                 12, seed)
             motif_set = extract_motifs(tensor, 1e-2)
-            summary = grid_summary(coefficient_cloud(motif_set))
+            summary = grid_summary(*coefficient_cloud(motif_set))
             expected.append(RichnessReport(
                 nu=nu, regime=regime, input_kind=kind, trial=trial,
                 n_motifs=len(motif_set), cells_visited=summary.cells_visited,

@@ -18,7 +18,7 @@ from reskernel import (
     run_kernel_state_equivalence,
     run_spectrum_properties,
 )
-from reskernel.motifs import CLAMP_RTOL, _clamp_spectrum
+from reskernel.numerics import CLAMP_RTOL, clamp_spectrum
 from reskernel.verify import inject_asymmetry
 
 
@@ -116,7 +116,7 @@ def test_extraction_and_the_spectrum_suite_share_one_psd_rule(monkeypatch, spect
                                                               positive):
     values = np.array(spectrum)
     try:
-        _clamp_spectrum(values, "spectrum")
+        clamp_spectrum(values, "spectrum")
         clamp_accepts = True
     except PsdViolationError:
         clamp_accepts = False
