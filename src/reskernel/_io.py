@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation
+from .numerics import is_flag, is_int, is_real
 from .temporal_kernel import TimeSeries
 
 
@@ -25,11 +26,13 @@ def fmt_float(x: float) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    """A CSV cell under the package's scalar rules: an integer as itself, any
+    other real number by :func:`fmt_float`, a flag rejected, anything else by ``str``."""
+    if is_flag(value):
         raise ContractViolation("boolean cells are not part of any file format")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if is_int(value):
+        return str(value)
+    if is_real(value):
         return fmt_float(value)
     return str(value)
 

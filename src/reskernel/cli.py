@@ -32,12 +32,11 @@ from .motifs import (
     predict_random,
     predict_symmetric,
 )
-from .numerics import symmetric_gram
+from .numerics import check_positive_int, symmetric_gram
 from .richness import SweepConfig, sweep
 from .temporal_kernel import (
     ReadoutModel,
     build_from_specs,
-    check_horizon,
     kernel_eval,
     kernel_poly,
     readout_eval,
@@ -194,7 +193,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
 
 def _horizon(resolved: dict) -> int:
     horizon = resolved["tau"] if resolved["tau"] is not None else 2 * resolved["N"]
-    check_horizon(horizon)
+    check_positive_int(horizon, "horizon")
     return horizon
 
 
@@ -216,7 +215,7 @@ def cmd_motifs(args) -> int:
     horizon = _horizon(resolved)
     check_threshold_ratio(resolved["threshold"])
     trials = resolved["trials"] if resolved["trials"] is not None else 1
-    cp.check_positive_int(trials, "--trials")
+    check_positive_int(trials, "--trials")
     weight_runs = []
     first = None
     for trial in range(trials):
@@ -357,9 +356,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     resolved, _ = _resolve(args)
-    cp.check_positive_int(args.configs, "--configs")
-    cp.check_positive_int(args.spectrum_configs, "--spectrum-configs")
-    cp.check_positive_int(args.containment_trials, "--containment-trials")
+    check_positive_int(args.configs, "--configs")
+    check_positive_int(args.spectrum_configs, "--spectrum-configs")
+    check_positive_int(args.containment_trials, "--containment-trials")
     cp.Seed(resolved["seed"])
     # A passing run writes no file, yet still leaves its --out directory.
     out = Path(resolved["out"])
@@ -394,11 +393,13 @@ def cmd_kernel(args) -> int:
         raise UsageError("--offset and --degree must be given together")
     if len(args.coeff or []) != len(args.support or []):
         raise UsageError("one --coeff per --support is required")
+    if args.bias is not None and not args.support:
+        raise UsageError("--bias requires --support")
     model = None
     if args.support:
         supports = tuple(_io.read_time_series(p) for p in args.support)
         model = ReadoutModel(supports=supports, coefficients=np.array(args.coeff),
-                             bias=args.bias)
+                             bias=0.0 if args.bias is None else args.bias)
     _, _, tensor = build_from_specs(*specs, u.horizon, cp.trial_seed(resolved["seed"], 0))
     rows = [["kernel", kernel_eval(tensor, u, v)]]
     if args.offset is not None:
@@ -444,7 +445,8 @@ def build_parser() -> _Parser:
                           help="support time series for a readout (repeatable)")
     p_kernel.add_argument("--coeff", action="append", type=float, default=None,
                           help="readout coefficient, one per --support")
-    p_kernel.add_argument("--bias", type=float, default=0.0, help="readout bias")
+    p_kernel.add_argument("--bias", type=float, default=None,
+                          help="readout bias (default 0.0; needs --support)")
     return parser
 
 

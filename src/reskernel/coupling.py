@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ConvergenceError
-from .numerics import largest_singular_value
+from .numerics import check_positive_int, is_flag, is_int, is_real, largest_singular_value
 
 RANDOM_IID = "random_iid"
 SYMMETRIC_WIGNER = "symmetric_wigner"
@@ -60,7 +60,7 @@ class Seed:
     base: int
 
     def __post_init__(self):
-        if not isinstance(self.base, int) or isinstance(self.base, bool):
+        if not is_int(self.base):
             raise ContractViolation("seed base must be an integer")
         if not (0 <= self.base < 2**64):
             raise ContractViolation("seed base must fit in an unsigned 64-bit integer")
@@ -74,9 +74,9 @@ def mix_seed(base: int, *keys: int) -> Seed:
     """
     Seed(base)
     for k in keys:
-        if not isinstance(k, (int, np.integer)) or int(k) < 0:
+        if not (is_int(k) and k >= 0):
             raise ContractViolation("mix keys must be non-negative integers")
-    seq = np.random.SeedSequence((base, *[int(k) for k in keys]))
+    seq = np.random.SeedSequence((base, *keys))
     return Seed(int(seq.generate_state(1, np.uint64)[0]))
 
 
@@ -105,16 +105,9 @@ def _sample(rng: np.random.Generator, distribution: str, shape) -> np.ndarray:
 
 
 def check_nu(nu) -> None:
-    """Reject a contraction scale outside (0, 1], nan included."""
-    if not np.isfinite(nu) or not (0.0 < nu <= 1.0):
+    """Reject a contraction scale that is not a real number in (0, 1]."""
+    if not (is_real(nu) and 0.0 < nu <= 1.0):
         raise ContractViolation("nu must lie in (0, 1]")
-
-
-def check_positive_int(value, name: str) -> None:
-    """Reject anything but an ``int`` of at least 1; a ``bool`` is rejected
-    too, as :class:`Seed` rejects it."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ContractViolation(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -154,8 +147,8 @@ class InputCouplingSpec:
     """Recipe for one input coupling vector.
 
     ``period`` is required by the periodic kinds and must divide ``size``.
-    With ``normalize_unit`` (the default) the finished vector is rescaled to
-    unit Euclidean length.
+    With ``normalize_unit`` (the default), a flag, the finished vector is
+    rescaled to unit Euclidean length.
     """
 
     kind: str
@@ -177,6 +170,8 @@ class InputCouplingSpec:
                 )
         elif self.period is not None:
             raise ContractViolation(f"{self.kind} does not take a period")
+        if not is_flag(self.normalize_unit):
+            raise ContractViolation("normalize_unit must be a bool")
 
 
 def coupling_spec(kind: str, size: int, period: int | None,

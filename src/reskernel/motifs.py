@@ -25,8 +25,8 @@ import numpy as np
 from .coupling import check_nu
 from .errors import ContractViolation
 from .numerics import (as_finite_array, as_reservoir_pair, as_spectrum, as_vector,
-                       clamp_spectrum, sym_eig)
-from .temporal_kernel import MetricTensor, TimeSeries, check_horizon
+                       check_positive_int, clamp_spectrum, is_flag, is_real, sym_eig)
+from .temporal_kernel import MetricTensor, TimeSeries
 
 # Relative eigenvalue gap under which predicted motifs count as degenerate
 # and are compared as subspaces.
@@ -37,14 +37,14 @@ _GRAM_TOL = 1e-8
 
 
 def check_threshold_ratio(threshold_ratio) -> None:
-    """Reject a motif retention ratio outside (0, 1]."""
-    if not (0.0 < threshold_ratio <= 1.0):
+    """Reject a motif retention ratio that is not a real number in (0, 1]."""
+    if not (is_real(threshold_ratio) and 0.0 < threshold_ratio <= 1.0):
         raise ContractViolation("threshold_ratio must lie in (0, 1]")
 
 
 def check_whole_copies(horizon, state_dim: int) -> None:
     """Reject a horizon that is not a positive multiple of ``N = state_dim``."""
-    check_horizon(horizon)
+    check_positive_int(horizon, "horizon")
     if horizon % state_dim:
         raise ContractViolation(f"horizon {horizon} is not a multiple of N = {state_dim}")
 
@@ -135,8 +135,8 @@ def represent(motif_set: MotifSet, series: TimeSeries) -> np.ndarray:
 class MotifPrediction:
     """Closed-form motif claim for one reservoir regime.
 
-    ``orthonormal`` distinguishes eigenvector claims (random and cycle
-    regimes) from non-orthogonal component decompositions (symmetric
+    ``orthonormal``, a flag, distinguishes eigenvector claims (random and
+    cycle regimes) from non-orthogonal component decompositions (symmetric
     regime).  Weights are on the motif scale in every regime: the tensor
     is (or, for random reservoirs, approximates) ``sum_i weights[i]**2 *
     outer(vectors[i], vectors[i])``.  ``extras`` carries what the vectors
@@ -156,6 +156,8 @@ class MotifPrediction:
         if wts.shape != (vec.shape[0],) or np.any(wts < 0.0):
             raise ContractViolation("predicted weights must be non-negative, "
                                     "one per predicted vector")
+        if not is_flag(self.orthonormal):
+            raise ContractViolation("orthonormal must be a bool")
         object.__setattr__(self, "vectors", vec)
         object.__setattr__(self, "weights", wts)
 
@@ -178,7 +180,7 @@ def predict_random(nu: float, coupling, horizon: int) -> MotifPrediction:
     basis vector (memory of the lone sample ``i`` steps back) with weight
     ``||coupling|| * (nu / 2)**(i - 1)``.
     """
-    check_horizon(horizon)
+    check_positive_int(horizon, "horizon")
     check_nu(nu)
     w_vec = as_vector(coupling, "coupling")
     norm = float(np.linalg.norm(w_vec))
@@ -204,7 +206,7 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
     square root of its magnitude, so the tensor is ``sum_a weights[a]**2 *
     outer(vectors[a], vectors[a])``; ties in magnitude keep eigenvalue order.
     """
-    check_horizon(horizon)
+    check_positive_int(horizon, "horizon")
     w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
     eig = sym_eig(w_mat)
     projections = eig.eigenvectors.T @ w_vec

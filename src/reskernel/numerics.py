@@ -1,6 +1,9 @@
 """Dense linear-algebra primitives with pinned ordering and sign conventions,
-and the one home of the input rules: what a valid array, vector, reservoir
-pair, spectrum and PSD spectrum is.  Every array input is checked finite.
+and the one home of the input rules: what a valid integer, real number,
+flag, array, vector, reservoir pair, spectrum and PSD spectrum is.  Every
+array input is checked finite; every scalar parameter is read through
+:func:`is_int`, :func:`is_real` or :func:`is_flag`, and each caller keeps
+its own range and message.
 
 Everything downstream (motif extraction, spectral predictions, richness
 measures) assumes a single eigendecomposition convention, fixed here once:
@@ -17,6 +20,7 @@ spectra of discrete Fourier transforms).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +55,33 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+def is_int(value) -> bool:
+    """The one integer rule: a Python ``int`` that is not a ``bool``.  A numpy
+    integer is not one, so every count, seed and seed key is a plain ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """The one real-number rule: a :class:`numbers.Real` that is not a flag,
+    so Python and numpy reals (integers included) both count and a string,
+    ``None``, a complex number or an array does not.  ``nan`` and ``inf``
+    pass this rule; each caller states its range as an interval test, which
+    rejects ``nan``, and ``-inf < x < inf`` where any finite value will do."""
+    return isinstance(value, numbers.Real) and not is_flag(value)
+
+
+def is_flag(value) -> bool:
+    """The one flag rule: a ``bool`` or ``np.bool_``, never ``0``, ``1`` or a string."""
+    return isinstance(value, (bool, np.bool_))
+
+
+def check_positive_int(value, name: str) -> None:
+    """Reject anything but an integer (:func:`is_int`) of at least 1, with the
+    message ``"<name> must be a positive integer"``."""
+    if not (is_int(value) and value >= 1):
+        raise ContractViolation(f"{name} must be a positive integer")
 
 
 def as_finite_array(a, ndim: int, name: str) -> np.ndarray:

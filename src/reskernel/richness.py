@@ -11,6 +11,8 @@ random reservoirs.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +20,8 @@ import numpy as np
 from . import coupling as cp
 from .errors import ContractViolation
 from .motifs import MotifSet, check_threshold_ratio, extract_motifs
-from .numerics import as_finite_array, dft
-from .temporal_kernel import build_from_specs, check_horizon, scale_metric_tensor
+from .numerics import as_finite_array, check_positive_int, dft, is_real
+from .temporal_kernel import build_from_specs, scale_metric_tensor
 
 
 @dataclass(frozen=True)
@@ -28,17 +30,22 @@ class GridSpec:
 
     The default covers ``[-7, 7]`` per axis with side-0.05 cells, giving
     280 x 280 = 78400 cells.  Cells are half-open: a point exactly on an
-    edge belongs to the higher-index cell.
+    edge belongs to the higher-index cell.  Both sides are positive real
+    numbers, stored as ``float``.
     """
 
     half_width: float = 7.0
     cell_side: float = 0.05
 
     def __post_init__(self):
-        if not (self.half_width > 0.0 and self.cell_side > 0.0):
+        if not all(is_real(side) and side > 0.0 for side in (self.half_width, self.cell_side)):
             raise ContractViolation("grid dimensions must be positive")
-        # grid_summary keys cell (ix, iy) as ix * cells_per_axis + iy in int64.
-        if not (np.isfinite(2.0 * self.half_width / self.cell_side) and self.total_cells < 2**63):
+        # Python floats overflow to inf where numpy scalars would warn.
+        object.__setattr__(self, "half_width", float(self.half_width))
+        object.__setattr__(self, "cell_side", float(self.cell_side))
+        # grid_summary keys cell (ix, iy) as ix * cells_per_axis + iy in int64;
+        # the first test keeps an infinite side or ratio out of cells_per_axis.
+        if not (2.0 * self.half_width / self.cell_side < math.inf and self.total_cells < 2**63):
             raise ContractViolation("grid must have fewer than 2**63 cells")
         if self.cells_per_axis < 1:
             raise ContractViolation("grid must contain at least one cell per axis")
@@ -93,11 +100,14 @@ def grid_summary(points, weights, grid: GridSpec = DEFAULT_GRID) -> GridSummary:
     if wts.shape != re.shape or np.any(wts < 0.0):
         raise ContractViolation("cloud weights must be non-negative, one per point")
     n_axis = grid.cells_per_axis
-    ix = np.floor((re + grid.half_width) / grid.cell_side).astype(np.int64)
-    iy = np.floor((im + grid.half_width) / grid.cell_side).astype(np.int64)
-    inside = (ix >= 0) & (ix < n_axis) & (iy >= 0) & (iy < n_axis)
+    # Test the float cell indices before the int64 cast, which a point far off
+    # the grid would overflow; an index that overflows to inf is off the grid.
+    with np.errstate(over="ignore"):
+        fx = np.floor((re + grid.half_width) / grid.cell_side)
+        fy = np.floor((im + grid.half_width) / grid.cell_side)
+    inside = (fx >= 0) & (fx < n_axis) & (fy >= 0) & (fy < n_axis)
     discarded = int(np.sum(~inside))
-    keys = ix[inside] * n_axis + iy[inside]
+    keys = fx[inside].astype(np.int64) * n_axis + fy[inside].astype(np.int64)
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse, weights=wts[inside])
     counts = np.bincount(inverse)
@@ -129,7 +139,8 @@ class SweepConfig:
     are checked by building the specs they describe (a reservoir per regime
     and ``nu``, a coupling per input kind, the seed) before any sweep work;
     a regime or input kind given twice is rejected, while a repeated ``nu``
-    is swept once.
+    is swept once.  Each of the three axes ``nu_values``, ``regimes`` and
+    ``input_kinds`` is a non-empty sequence.
     """
 
     nu_values: tuple[float, ...] = field(default_factory=default_nu_grid)
@@ -145,12 +156,14 @@ class SweepConfig:
     normalize_unit: bool = True
 
     def __post_init__(self):
-        if len(self.nu_values) == 0:
-            raise ContractViolation("nu grid must not be empty")
+        for axis in ("nu_values", "regimes", "input_kinds"):
+            values = getattr(self, axis)
+            if not (isinstance(values, Sequence) and not isinstance(values, str) and values):
+                raise ContractViolation(f"{axis} must be a non-empty sequence")
         if self.trials is not None:
-            cp.check_positive_int(self.trials, "trials")
+            check_positive_int(self.trials, "trials")
         if self.horizon is not None:
-            check_horizon(self.horizon)
+            check_positive_int(self.horizon, "horizon")
         check_threshold_ratio(self.threshold_ratio)
         for regime in self.regimes:
             for nu in self.nu_values:

@@ -29,7 +29,7 @@ import numpy as np
 from . import coupling as cp
 from .errors import ContractViolation
 from .numerics import (as_finite_array, as_reservoir_pair, as_square_matrix, as_vector,
-                       symmetric_gram)
+                       check_positive_int, is_real, symmetric_gram)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class MetricTensor:
 
     def __post_init__(self):
         m = as_square_matrix(self.matrix, "metric tensor")
-        cp.check_positive_int(self.state_dim, "state_dim")
+        check_positive_int(self.state_dim, "state_dim")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -116,11 +116,6 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
     return x[:, 0] if single else x
 
 
-def check_horizon(horizon) -> None:
-    """Reject a history length that is not a positive integer."""
-    cp.check_positive_int(horizon, "horizon")
-
-
 def _row_gather(w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """``(idx, vals)`` with ``W @ x == vals * x[idx]`` when every row of ``W``
     has at most one nonzero (a weighted permutation such as the cycle);
@@ -162,7 +157,7 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
     blind to directions the reservoir can still reach, so it warns.
     """
     w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
-    check_horizon(horizon)
+    check_positive_int(horizon, "horizon")
     n = w_mat.shape[0]
     if horizon < n:
         warnings.warn(
@@ -181,12 +176,11 @@ def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
     ``(i, j)`` scales by ``nu^(i+j)``: the result is ``outer(d, d) * Q`` with
     ``d = nu ** arange(tau)``, in O(tau^2) with no matrix-vector product and
     no Gram.  ``outer(d, d)`` is exactly symmetric, so the result is too,
-    and ``nu = 1`` returns the same bits.
+    and ``nu = 1`` returns the same bits.  ``nu`` is any finite real number.
     """
-    nu = float(nu)
-    if not np.isfinite(nu):
+    if not (is_real(nu) and -math.inf < nu < math.inf):
         raise ContractViolation("nu must be finite")
-    d = nu ** np.arange(tensor.horizon)
+    d = float(nu) ** np.arange(tensor.horizon)
     matrix = np.outer(d, d)
     matrix *= tensor.matrix
     return MetricTensor(matrix=matrix, state_dim=tensor.state_dim)
@@ -238,9 +232,10 @@ def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
 
 def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
                 offset: float, degree: int) -> float:
-    """Polynomial kernel ``(u^T Q v + offset)^degree`` with integer degree >= 1."""
-    cp.check_positive_int(degree, "degree")
-    if not np.isfinite(offset):
+    """Polynomial kernel ``(u^T Q v + offset)^degree`` with integer degree >= 1
+    and a finite real offset."""
+    check_positive_int(degree, "degree")
+    if not (is_real(offset) and -math.inf < offset < math.inf):
         raise ContractViolation("offset must be finite")
     try:
         value = (kernel_eval(tensor, u, v) + offset) ** degree
@@ -251,7 +246,8 @@ def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
 
 @dataclass(frozen=True)
 class ReadoutModel:
-    """Kernel readout: coefficients over support histories plus a bias.
+    """Kernel readout: coefficients over support histories plus a finite
+    real bias.
 
     ``combined`` is the history ``sum_i beta_i u_i``, formed once here so
     that :func:`readout_eval` needs one kernel evaluation per query; it is
@@ -267,7 +263,7 @@ class ReadoutModel:
         coeffs = as_finite_array(np.atleast_1d(self.coefficients), 1, "readout coefficients")
         if len(self.supports) != coeffs.shape[0]:
             raise ContractViolation("one coefficient per support history is required")
-        if not np.isfinite(self.bias):
+        if not (is_real(self.bias) and -math.inf < self.bias < math.inf):
             raise ContractViolation("bias must be finite")
         horizons = {s.horizon for s in self.supports}
         if len(horizons) > 1:
@@ -295,9 +291,16 @@ def readout_eval(model: ReadoutModel, tensor: MetricTensor, v: TimeSeries) -> fl
     return _finite_value(model.bias + kernel_eval(tensor, model.combined, v), "readout")
 
 
+def _check_positive_real(value, name: str) -> None:
+    if not (is_real(value) and 0.0 < value < math.inf):
+        raise ContractViolation(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Constants entering the initial-state kernel error bounds.
+
+    Each float is a real number (:func:`numerics.is_real`) in its range.
 
     Attributes
     ----------
@@ -321,12 +324,10 @@ class BoundParams:
 
     def __post_init__(self):
         for name in ("signal_bound", "coupling_bound", "state_scale"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0.0:
-                raise ContractViolation(f"{name} must be positive and finite")
-        if not (0.0 < self.contraction_rate < 1.0):
+            _check_positive_real(getattr(self, name), name)
+        if not (is_real(self.contraction_rate) and 0.0 < self.contraction_rate < 1.0):
             raise ContractViolation("contraction_rate must lie in (0, 1)")
-        check_horizon(self.horizon)
+        check_positive_int(self.horizon, "horizon")
 
 
 def minimal_state_scale(signal_bound: float, coupling_bound: float,
@@ -335,9 +336,12 @@ def minimal_state_scale(signal_bound: float, coupling_bound: float,
 
     Exposing this as a function lets callers sit exactly on the boundary of
     the precondition without re-deriving it, which keeps the subsequent
-    ``c >= minimal`` check consistent in floating point.
+    ``c >= minimal`` check consistent in floating point.  The two bounds are
+    positive and finite, as in :class:`BoundParams`.
     """
-    if not (0.0 < nu < contraction_rate < 1.0):
+    _check_positive_real(signal_bound, "signal_bound")
+    _check_positive_real(coupling_bound, "coupling_bound")
+    if not (is_real(nu) and is_real(contraction_rate) and 0.0 < nu < contraction_rate < 1.0):
         raise ContractViolation(f"need 0 < nu {nu} < contraction_rate {contraction_rate} < 1")
     return coupling_bound * signal_bound / ((1.0 - nu) * (1.0 - nu / contraction_rate))
 

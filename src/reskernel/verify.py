@@ -25,8 +25,8 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
-from .numerics import (CLAMP_RTOL, SYMMETRY_ATOL, asymmetry, numerical_rank,
-                       relative_negativity, sym_eig)
+from .numerics import (CLAMP_RTOL, SYMMETRY_ATOL, asymmetry, check_positive_int,
+                       numerical_rank, relative_negativity, sym_eig)
 from .temporal_kernel import (
     BoundParams,
     TimeSeries,
@@ -145,7 +145,7 @@ def run_kernel_state_equivalence(n_configs: int, base_seed: int = 0,
     from one batched :func:`simulate_state` recursion; the oracle is the
     recursion, never the feature matrix.
     """
-    cp.check_positive_int(n_configs, "n_configs")
+    check_positive_int(n_configs, "n_configs")
     name = "kernel-state equivalence"
     worst = 0.0
     replay = None
@@ -178,7 +178,7 @@ def run_spectrum_properties(n_configs: int, base_seed: int = 0,
     configuration.  The first suite reports the worst ``max |Q - Q^T|`` and
     the worst relative negativity apart; its ``worst`` is the negativity.
     """
-    cp.check_positive_int(n_configs, "n_configs")
+    check_positive_int(n_configs, "n_configs")
     psd_name = "tensor symmetry, positive spectrum, rank bound"
     decay_name = "entrywise decay envelope"
     worst_asym = 0.0
@@ -224,7 +224,7 @@ def run_initial_state_error_containment(trials: int, base_seed: int = 0) -> Prop
     :func:`simulate_state` recursions over ``(u, v)``: one from the initial
     state and one from zero.
     """
-    cp.check_positive_int(trials, "trials")
+    check_positive_int(trials, "trials")
     name = "initial-state error containment"
     coupling_bound = 1.0
     scale = minimal_state_scale(CONTAINMENT_SIGNAL_BOUND, coupling_bound, CONTAINMENT_NU,

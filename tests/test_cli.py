@@ -567,6 +567,7 @@ _EARLY_USAGE_ERRORS = {
     "kernel offset without degree": ["kernel", "{u}", "{u}", "--N", "2", "--offset", "1"],
     "kernel support without coeff": ["kernel", "{u}", "{u}", "--N", "2", "--support", "{u}"],
     "kernel coeff without support": ["kernel", "{u}", "{u}", "--N", "2", "--coeff", "2.0"],
+    "kernel bias without support": ["kernel", "{u}", "{u}", "--N", "2", "--bias", "5"],
     "verify configs": ["verify", "--configs", "0"],
     "verify spectrum configs": ["verify", "--spectrum-configs", "0"],
     "verify containment trials": ["verify", "--containment-trials", "0"],
@@ -758,7 +759,7 @@ _PARSER_SNAPSHOT = {
         "--degree": ("int", None, None),
         "--support": ("str", None, None),
         "--coeff": ("float", None, None),
-        "--bias": ("float", 0.0, None),
+        "--bias": ("float", None, None),
     },
 }
 

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from reskernel import (
+    BoundParams,
     ContractViolation,
     InputCouplingSpec,
     MetricTensor,
@@ -19,6 +20,11 @@ from reskernel import (
     mix_seed,
     predict_cycle,
     predict_random,
+    predict_symmetric,
+    run_initial_state_error_containment,
+    run_kernel_state_equivalence,
+    run_spectrum_properties,
+    trial_seed,
 )
 from reskernel.coupling import (
     ENTRY_DISTRIBUTIONS,
@@ -40,7 +46,7 @@ def test_seed_accepts_full_uint64_range():
     assert Seed(2**64 - 1).base == 2**64 - 1
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64, 1.0, "7", True])
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.0, "7", True, None, np.int64(2)])
 def test_seed_rejects_out_of_range_and_non_integers(bad):
     with pytest.raises(ContractViolation):
         Seed(bad)
@@ -62,6 +68,13 @@ def test_mix_seed_rejects_bad_keys():
         mix_seed(1, 0.5)
     with pytest.raises(ContractViolation):
         mix_seed(-1)
+    for bad in (True, None, np.int64(2)):  # the integer rule of Seed and every count
+        with pytest.raises(ContractViolation, match="^seed base must be an integer$"):
+            mix_seed(bad, 1)
+        with pytest.raises(ContractViolation, match="^mix keys must be non-negative integers$"):
+            mix_seed(0, 1, bad)
+        with pytest.raises(ContractViolation, match="^mix keys must be non-negative integers$"):
+            trial_seed(0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +237,30 @@ _POSITIVE_INT_USERS = {
                                                 TimeSeries(np.ones(2)), 0.0, k),
     "MetricTensor.state_dim": lambda k: MetricTensor(np.eye(2), state_dim=k),
     "SweepConfig.trials": lambda k: SweepConfig(nu_values=(0.9,), trials=k, state_dim=4),
+    "SweepConfig.state_dim": lambda k: SweepConfig(nu_values=(0.9,), state_dim=k),
+    "SweepConfig.horizon": lambda k: SweepConfig(nu_values=(0.9,), horizon=k, state_dim=4),
+    "BoundParams.horizon": lambda k: BoundParams(1.0, 1.0, 0.95, 1e3, k),
+    "predict_symmetric.horizon": lambda k: predict_symmetric(np.eye(2), np.ones(2), k),
+    "run_kernel_state_equivalence.n_configs": lambda k: run_kernel_state_equivalence(k),
+    "run_spectrum_properties.n_configs": lambda k: run_spectrum_properties(k),
+    "run_initial_state_error_containment.trials":
+        lambda k: run_initial_state_error_containment(k),
 }
+# Counts that take None: the sweep's for a default, and the period for none.
+_OPTIONAL_COUNTS = {"SweepConfig.trials", "SweepConfig.horizon", "InputCouplingSpec.period"}
 
 
 @pytest.mark.parametrize("user", sorted(_POSITIVE_INT_USERS))
-@pytest.mark.parametrize("value", [0, -3, 1.5, 2.0, True, "2"])
+@pytest.mark.parametrize("value", [0, -3, 1.5, 2.0, True, "2", np.int64(2)])
 def test_every_count_user_rejects_what_is_not_a_positive_int(user, value):
     with pytest.raises(ContractViolation, match="must be a positive integer"):
         _POSITIVE_INT_USERS[user](value)
+
+
+@pytest.mark.parametrize("user", sorted(set(_POSITIVE_INT_USERS) - _OPTIONAL_COUNTS))
+def test_every_required_count_rejects_none(user):
+    with pytest.raises(ContractViolation, match="must be a positive integer"):
+        _POSITIVE_INT_USERS[user](None)
 
 
 @pytest.mark.parametrize("user", sorted(_POSITIVE_INT_USERS))

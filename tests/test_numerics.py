@@ -6,18 +6,29 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from reskernel import (
+    BoundParams,
     ContractViolation,
     ConvergenceError,
+    GridSpec,
+    InputCouplingSpec,
     MetricTensor,
     MotifPrediction,
     MotifSet,
     PsdViolationError,
     ReadoutModel,
+    ReservoirSpec,
+    SweepConfig,
     TimeSeries,
     dft,
+    extract_motifs,
     grid_summary,
+    kernel_poly,
     largest_singular_value,
+    minimal_state_scale,
     numerical_rank,
+    predict_cycle,
+    predict_random,
+    scale_metric_tensor,
     simulate_state,
     sym_eig,
 )
@@ -315,3 +326,102 @@ _CONTRACT_CASES = [
 def test_a_non_finite_array_entry_is_rejected_by_name(call, name, bad):
     with pytest.raises(ContractViolation, match=f"^{name} contains non-finite entries$"):
         call(bad)
+
+
+# ---------------------------------------------------------------------------
+# the scalar contract: every scalar parameter is an integer, a real number or
+# a flag by the rules of reskernel.numerics, and keeps its own range.  The
+# integer rule's table is _POSITIVE_INT_USERS in test_coupling.py.
+# ---------------------------------------------------------------------------
+
+_TENSOR = MetricTensor(np.eye(2), 1)
+_SERIES = TimeSeries([1.0, 2.0])
+_BOUNDS = dict(signal_bound=1.0, coupling_bound=1.0, contraction_rate=0.95, state_scale=1e3,
+               horizon=4)
+
+
+def _bounds(**changed):
+    return BoundParams(**{**_BOUNDS, **changed})
+
+
+def _minimal(**changed):
+    return minimal_state_scale(**{**dict(signal_bound=1.0, coupling_bound=1.0, nu=0.5,
+                                         contraction_rate=0.9), **changed})
+
+
+_NU = r"^nu must lie in \(0, 1\]$"
+_THRESHOLD = r"^threshold_ratio must lie in \(0, 1\]$"
+
+# One case per real parameter: the call with the bad value, and its message.
+_REAL_CASES = [
+    pytest.param(lambda bad: ReservoirSpec("cycle_permutation", 4, bad), _NU,
+                 id="ReservoirSpec.nu"),
+    pytest.param(lambda bad: SweepConfig(nu_values=(bad,), state_dim=4), _NU,
+                 id="SweepConfig.nu_values"),
+    pytest.param(lambda bad: predict_random(bad, np.ones(4), 8), _NU, id="predict_random.nu"),
+    pytest.param(lambda bad: predict_cycle(bad, np.ones(4), 8), _NU, id="predict_cycle.nu"),
+    pytest.param(lambda bad: scale_metric_tensor(_TENSOR, bad), "^nu must be finite$",
+                 id="scale_metric_tensor.nu"),
+    pytest.param(lambda bad: extract_motifs(_TENSOR, bad), _THRESHOLD,
+                 id="extract_motifs.threshold_ratio"),
+    pytest.param(lambda bad: SweepConfig(nu_values=(0.9,), state_dim=4, threshold_ratio=bad),
+                 _THRESHOLD, id="SweepConfig.threshold_ratio"),
+    pytest.param(lambda bad: kernel_poly(_TENSOR, _SERIES, _SERIES, bad, 2),
+                 "^offset must be finite$", id="kernel_poly.offset"),
+    pytest.param(lambda bad: ReadoutModel((), [], bad), "^bias must be finite$",
+                 id="ReadoutModel.bias"),
+    *[pytest.param(lambda bad, name=name: _bounds(**{name: bad}),
+                   f"^{name} must be positive and finite$", id=f"BoundParams.{name}")
+      for name in ("signal_bound", "coupling_bound", "state_scale")],
+    pytest.param(lambda bad: _bounds(contraction_rate=bad),
+                 r"^contraction_rate must lie in \(0, 1\)$", id="BoundParams.contraction_rate"),
+    *[pytest.param(lambda bad, name=name: _minimal(**{name: bad}),
+                   f"^{name} must be positive and finite$", id=f"minimal_state_scale.{name}")
+      for name in ("signal_bound", "coupling_bound")],
+    pytest.param(lambda bad: _minimal(nu=bad), "^need 0 < nu ", id="minimal_state_scale.nu"),
+    pytest.param(lambda bad: _minimal(contraction_rate=bad), "< contraction_rate ",
+                 id="minimal_state_scale.contraction_rate"),
+    pytest.param(lambda bad: GridSpec(half_width=bad), "^grid dimensions must be positive$",
+                 id="GridSpec.half_width"),
+    pytest.param(lambda bad: GridSpec(cell_side=bad), "^grid dimensions must be positive$",
+                 id="GridSpec.cell_side"),
+]
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, 0.5j, True, np.array([0.5])],
+                         ids=["str", "None", "complex", "bool", "array"])
+@pytest.mark.parametrize("call, message", _REAL_CASES)
+def test_a_real_parameter_takes_only_a_real_number(call, message, bad):
+    with pytest.raises(ContractViolation, match=message):
+        call(bad)
+
+
+def test_numpy_reals_and_integers_are_real_numbers():
+    assert ReservoirSpec("cycle_permutation", 4, np.float64(0.5)).nu == 0.5
+    assert ReservoirSpec("cycle_permutation", 4, np.int64(1)).nu == 1
+    assert kernel_poly(_TENSOR, _SERIES, _SERIES, np.float32(1.0), 1) == 6.0
+    assert GridSpec(np.int64(1), 0.5).cells_per_axis == 4
+
+
+# One case per flag parameter: the call with the bad value, and its message.
+_FLAG_CASES = [
+    pytest.param(lambda bad: InputCouplingSpec("gaussian", 4, normalize_unit=bad),
+                 "^normalize_unit must be a bool$", id="InputCouplingSpec.normalize_unit"),
+    pytest.param(lambda bad: SweepConfig(nu_values=(0.9,), state_dim=4, normalize_unit=bad),
+                 "^normalize_unit must be a bool$", id="SweepConfig.normalize_unit"),
+    pytest.param(lambda bad: MotifPrediction(np.eye(2), [1.0, 0.5], bad),
+                 "^orthonormal must be a bool$", id="MotifPrediction.orthonormal"),
+]
+
+
+@pytest.mark.parametrize("bad", ["false", 0, None], ids=["str", "zero", "None"])
+@pytest.mark.parametrize("call, message", _FLAG_CASES)
+def test_a_flag_parameter_takes_only_a_bool(call, message, bad):
+    with pytest.raises(ContractViolation, match=message):
+        call(bad)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_python_and_numpy_bools_are_flags(flag):
+    assert InputCouplingSpec("gaussian", 4, normalize_unit=flag).normalize_unit == flag
+    assert MotifPrediction(np.eye(2), [1.0, 0.5], flag).orthonormal == flag

@@ -48,3 +48,40 @@ def test_no_module_reads_a_private_name_of_another_module():
                     and node.value.id in bound and _is_private(node.attr)):
                 crossings.append(f"{path.stem} reads {node.value.id}.{node.attr}")
     assert crossings == []
+
+
+_SCALAR_TYPES = {"bool", "int", "float"}
+_NUMPY_SCALAR_TYPES = {"integer", "floating", "bool_"}
+
+
+def _scalar_type_names(node, numbers_names):
+    """The scalar types that one ``isinstance`` type argument names."""
+    named = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and (sub.id in _SCALAR_TYPES or sub.id in numbers_names):
+            named.append(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            if sub.value.id == "numbers" or (sub.value.id in ("np", "numpy")
+                                             and sub.attr in _NUMPY_SCALAR_TYPES):
+                named.append(f"{sub.value.id}.{sub.attr}")
+    return named
+
+
+def test_only_numerics_states_a_scalar_type_rule():
+    """The integer, real-number and flag rules live in ``numerics``: no other
+    module's ``isinstance`` names ``bool``, ``int``, ``float``, a numpy scalar
+    type or a ``numbers`` class."""
+    found = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.stem == "numerics":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        numbers_names = {alias.asname or alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module == "numbers"
+                         for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                found += [f"{path.stem}:{node.lineno} {name}"
+                          for name in _scalar_type_names(node.args[1], numbers_names)]
+    assert found == []

@@ -59,6 +59,7 @@ def test_default_grid_dimensions():
     dict(half_width=1e308, cell_side=1e-10),
     dict(half_width=1e6, cell_side=1e-6),  # 2e12 cells per axis: int64 keys would wrap
     dict(half_width=1e300, cell_side=1e-5),  # finite, but far past int64 keys
+    dict(half_width=np.float64(1e308), cell_side=1e-10),  # a numpy ratio would overflow
 ])
 def test_grid_spec_rejects_degenerate_geometry(kwargs):
     with pytest.raises(ContractViolation):
@@ -150,6 +151,16 @@ def test_a_cloud_entirely_off_the_grid_visits_nothing():
                                   weighted_relative_area=0.0, discarded_points=3)
     empty = (np.empty(0, dtype=complex), np.empty(0))
     assert grid_summary(*empty, grid) == GridSummary(0, 0.0, 0.0, 0)
+
+
+def test_points_far_off_the_grid_are_discarded_without_a_cast():
+    points = np.array([1e300 + 0j, -1e19 + 0j, 0.5 + 0.5j])
+    summary = grid_summary(points, [1.0, 1.0, 1.0], GridSpec(half_width=1.0, cell_side=0.25))
+    assert summary.discarded_points == 2
+    assert summary.cells_visited == 1
+    # An index past the float range is off the grid too.
+    edge = grid_summary(np.array([np.finfo(float).max + 0j, 0.5 + 0.5j]), [1.0, 1.0])
+    assert (edge.discarded_points, edge.cells_visited) == (1, 1)
 
 
 def test_cell_boundaries_are_half_open():
@@ -330,6 +341,14 @@ def test_cycle_rows_of_the_default_sweep_match_the_benchmark_reference():
 def test_sweep_config_validation(kwargs):
     with pytest.raises(ContractViolation):
         SweepConfig(**kwargs)
+
+
+@pytest.mark.parametrize("axis", ["nu_values", "regimes", "input_kinds"])
+@pytest.mark.parametrize("bad", [None, 0.9, (), "random_iid"], ids=["None", "scalar", "empty",
+                                                                      "str"])
+def test_each_sweep_axis_is_a_non_empty_sequence(axis, bad):
+    with pytest.raises(ContractViolation, match=f"^{axis} must be a non-empty sequence$"):
+        SweepConfig(**{axis: bad})
 
 
 def test_area_is_insensitive_to_the_aperiodic_input_choice():
