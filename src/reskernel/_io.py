@@ -115,7 +115,7 @@ def write_motifs_csv(vectors: np.ndarray, weights: np.ndarray, path) -> None:
     single cell.  ``"%.17g" % x`` gives the same bytes as :func:`fmt_float`.
     The rows are a generator, so only one formatted row is alive at a time.
     """
-    horizon = vectors.shape[1] if vectors.shape[0] else 0
+    horizon = vectors.shape[1]
     header = ["index", "weight"] + [f"m_{j}" for j in range(1, horizon + 1)]
     row_format = "%d," + ",".join(["%.17g"] * (horizon + 1))
     weight_list = weights.tolist()
@@ -143,11 +143,10 @@ def write_comparison_csv(comparison, predicted_weights, empirical_weights, path)
                      "weight_rel_error", "alignment"], rows)
 
 
-SWEEP_HEADER = ["nu", "regime", "input_kind", "trial", "n_motifs", "cells_visited",
-                "relative_area", "weighted_relative_area", "discarded_points"]
-
 _SWEEP_STAT_FIELDS = ("n_motifs", "cells_visited", "relative_area",
                       "weighted_relative_area", "discarded_points")
+
+SWEEP_HEADER = ["nu", "regime", "input_kind", "trial", *_SWEEP_STAT_FIELDS]
 
 
 def write_sweep_csv(reports, path) -> None:
@@ -159,8 +158,7 @@ def write_sweep_csv(reports, path) -> None:
     rows = []
     groups: dict[tuple, list] = {}
     for r in reports:
-        rows.append([r.nu, r.regime, r.input_kind, r.trial, r.n_motifs, r.cells_visited,
-                     r.relative_area, r.weighted_relative_area, r.discarded_points])
+        rows.append([getattr(r, name) for name in SWEEP_HEADER])
         groups.setdefault((r.nu, r.regime, r.input_kind), []).append(r)
     for key in sorted(groups):
         stats = {f: np.array([getattr(m, f) for m in groups[key]], dtype=float)

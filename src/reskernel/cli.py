@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ from .temporal_kernel import (
     readout_eval,
 )
 from .verify import (
-    inject_asymmetry,
     run_initial_state_error_containment,
     run_kernel_state_equivalence,
     run_spectrum_properties,
@@ -250,38 +250,38 @@ def cmd_predict(args) -> int:
         check_whole_copies(horizon, res_spec.size)
     reservoir, coupling_vec, tensor = build_from_specs(
         res_spec, in_spec, horizon, cp.trial_seed(resolved["seed"], 0))
-    empirical = extract_motifs(tensor, resolved["threshold"])
-    if res_spec.regime == cp.RANDOM_IID:
-        prediction = predict_random(res_spec.nu, coupling_vec, horizon)
-    elif res_spec.regime == cp.CYCLE_PERMUTATION:
-        prediction = predict_cycle(res_spec.nu, coupling_vec, horizon)
-    else:
+    # One regime test picks the evidence and its report: eigenvector claims are
+    # compared with extracted motifs, symmetric components rebuild the tensor.
+    if res_spec.regime == cp.SYMMETRIC_WIGNER:
         prediction = predict_symmetric(reservoir, coupling_vec, horizon)
-    report = "comparison.csv" if prediction.orthonormal else "reconstruction.csv"
-    if prediction.orthonormal:
-        comparison = compare_motifs(empirical, prediction)
-    else:
         recon = symmetric_gram(prediction.weights[:, None] * prediction.vectors)
         residual = float(np.max(np.abs(recon - tensor.matrix)))
         scale = float(np.max(np.abs(tensor.matrix)))
+        report = "reconstruction.csv"
+        write_report = partial(
+            _io.write_csv, header=["max_abs_residual", "tensor_max_abs", "relative_residual"],
+            rows=[[residual, scale, residual / scale if scale > 0.0 else 0.0]])
+        summary = ["symmetric regime: components are not eigenvectors; "
+                   "wrote reconstruction residual instead of a comparison",
+                   f"reconstruction residual {_io.fmt_float(residual)} "
+                   f"(tensor scale {_io.fmt_float(scale)})"]
+    else:
+        empirical = extract_motifs(tensor, resolved["threshold"])
+        predict = predict_random if res_spec.regime == cp.RANDOM_IID else predict_cycle
+        prediction = predict(res_spec.nu, coupling_vec, horizon)
+        comparison = compare_motifs(empirical, prediction)
+        report = "comparison.csv"
+        write_report = partial(_io.write_comparison_csv, comparison, prediction.weights,
+                               empirical.weights)
+        summary = [f"compared {comparison.n_compared} motifs: "
+                   f"min alignment {_io.fmt_float(comparison.min_alignment)}, "
+                   f"max weight rel error {_io.fmt_float(comparison.max_weight_rel_error)}"]
     out = Path(resolved["out"])
     _io.write_motifs_csv(prediction.vectors, prediction.weights,
                          out / "predicted_motifs.csv")
     _io.write_weights_csv(prediction.weights, out / "predicted_weights.csv")
-    if prediction.orthonormal:
-        _io.write_comparison_csv(comparison, prediction.weights, empirical.weights,
-                                 out / report)
-        print(f"compared {comparison.n_compared} motifs: "
-              f"min alignment {_io.fmt_float(comparison.min_alignment)}, "
-              f"max weight rel error {_io.fmt_float(comparison.max_weight_rel_error)}")
-    else:
-        _io.write_csv(out / report,
-                      ["max_abs_residual", "tensor_max_abs", "relative_residual"],
-                      [[residual, scale, residual / scale if scale > 0.0 else 0.0]])
-        print("symmetric regime: components are not eigenvectors; "
-              "wrote reconstruction residual instead of a comparison")
-        print(f"reconstruction residual {_io.fmt_float(residual)} "
-              f"(tensor scale {_io.fmt_float(scale)})")
+    write_report(out / report)
+    print("\n".join(summary))
     print(f"wrote predicted_motifs.csv, predicted_weights.csv, {report} in {out}")
     return 0
 
@@ -366,9 +366,10 @@ def cmd_verify(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot write {out}: {exc}") from exc
-    tamper = inject_asymmetry if args.inject_asymmetry else None
-    results = [run_kernel_state_equivalence(args.configs, resolved["seed"], tamper),
-               *run_spectrum_properties(args.spectrum_configs, resolved["seed"], tamper),
+    results = [run_kernel_state_equivalence(args.configs, resolved["seed"],
+                                            args.inject_asymmetry),
+               *run_spectrum_properties(args.spectrum_configs, resolved["seed"],
+                                        args.inject_asymmetry),
                run_initial_state_error_containment(args.containment_trials, resolved["seed"])]
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -44,9 +44,10 @@ INPUT_KINDS = (
     "periodic_binary",
     "periodic_bipolar",
 )
-# Kinds that take a period, and kinds drawn from the random stream.
+# Kinds that take a period, and kinds drawn from the random stream, each
+# with the entry distribution it draws.
 PERIODIC_KINDS = ("periodic_binary", "periodic_bipolar")
-RANDOM_INPUT_KINDS = ("gaussian", "uniform", "ones_random_signs")
+RANDOM_INPUT_KINDS = {"gaussian": GAUSSIAN, "uniform": UNIFORM, "ones_random_signs": RADEMACHER}
 
 _RESERVOIR_DOMAIN = 0
 _INPUT_DOMAIN = 1
@@ -276,12 +277,8 @@ def generate_input(spec: InputCouplingSpec, seed: Seed) -> np.ndarray:
     """
     n = spec.size
     kind = spec.kind
-    if kind == "gaussian":
-        vec = seed_generator(seed, _INPUT_DOMAIN).standard_normal(n)
-    elif kind == "uniform":
-        vec = seed_generator(seed, _INPUT_DOMAIN).uniform(-1.0, 1.0, n)
-    elif kind == "ones_random_signs":
-        vec = 2.0 * seed_generator(seed, _INPUT_DOMAIN).integers(0, 2, n).astype(float) - 1.0
+    if kind in RANDOM_INPUT_KINDS:
+        vec = _sample(seed_generator(seed, _INPUT_DOMAIN), RANDOM_INPUT_KINDS[kind], n)
     elif kind in ("ones_pi_signs", "ones_e_signs"):
         bits = irrational_bits("pi" if kind == "ones_pi_signs" else "e", n)
         vec = 2.0 * bits.astype(float) - 1.0

@@ -71,7 +71,7 @@ class MotifSet:
     def __post_init__(self):
         vec = as_finite_array(self.vectors, 2, "motif vectors")
         spec = as_spectrum(self.spectrum, "spectrum")
-        if vec.shape[0] > 0 and vec.shape[1] != spec.shape[0]:
+        if vec.shape[1] != spec.shape[0]:
             raise ContractViolation("motif length does not match spectrum length")
         if np.any(spec < 0.0) or np.any(spec[:vec.shape[0]] <= 0.0):
             raise ContractViolation("spectrum must be non-negative, "
@@ -122,12 +122,10 @@ def represent(motif_set: MotifSet, series: TimeSeries) -> np.ndarray:
     these representation vectors reproduce the kernel up to the truncation
     committed by the retention threshold.
     """
-    if len(motif_set) and series.horizon != motif_set.horizon:
+    if series.horizon != motif_set.horizon:
         raise ContractViolation(
             f"history horizon {series.horizon} does not match motif horizon {motif_set.horizon}"
         )
-    if not len(motif_set):
-        return np.empty(0)
     return motif_set.weights * (motif_set.vectors @ series.values)
 
 
@@ -188,7 +186,7 @@ def predict_random(nu: float, coupling, horizon: int) -> MotifPrediction:
         raise ContractViolation("coupling norm must be positive and finite")
     count = min(w_vec.shape[0], horizon)
     return MotifPrediction(
-        vectors=np.eye(horizon)[:count],
+        vectors=np.eye(count, horizon),
         weights=norm * (nu / 2.0) ** np.arange(count),
         orthonormal=True,
     )
@@ -336,7 +334,7 @@ def compare_motifs(empirical: MotifSet, predicted: MotifPrediction) -> MotifComp
             "prediction holds non-orthogonal components, not eigenvectors; "
             "per-index comparison is undefined"
         )
-    if len(empirical) and empirical.horizon != predicted.horizon:
+    if empirical.horizon != predicted.horizon:
         raise ContractViolation("empirical and predicted horizons differ")
     n = min(len(empirical), len(predicted))
     if n == 0:

@@ -7,11 +7,11 @@ semidefinite with rank bounded by the state dimension, tensor entries obey
 the geometric decay envelope, and the kernel error caused by an unknown
 bounded initial state stays inside its two-sided closed-form bounds.
 
-The sampled suites share one sampling loop and accept an optional
-``tamper`` callable applied to each freshly built tensor matrix.  It exists
-as a negative control: injecting an asymmetry must make the suites fail and
-produce a replayable report.  A suite's verdict is its first failure: it
-passes exactly when it recorded no replay.
+The sampled suites share one sampling loop and take a ``tamper`` flag: when
+set, :func:`inject_asymmetry` is applied to each freshly built tensor
+matrix.  It exists as a negative control: injecting an asymmetry must make
+the suites fail and produce a replayable report.  A suite's verdict is its
+first failure: it passes exactly when it recorded no replay.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
-from .numerics import (CLAMP_RTOL, SYMMETRY_ATOL, asymmetry, check_positive_int,
+from .numerics import (CLAMP_RTOL, SYMMETRY_ATOL, asymmetry, check_positive_int, is_flag,
                        numerical_rank, relative_negativity, sym_eig)
 from .temporal_kernel import (
     BoundParams,
@@ -37,8 +37,6 @@ from .temporal_kernel import (
     minimal_state_scale,
     simulate_state,
 )
-
-Tamper = Callable[[np.ndarray], np.ndarray]
 
 # Absolute slack on the entrywise decay envelope.
 DECAY_ATOL = 1e-9
@@ -101,19 +99,22 @@ def _sample_config(rng: np.random.Generator):
 
 
 def _sampled_builds(n_configs: int, base_seed: int, stream: int, salt: int,
-                    tamper: Tamper | None) -> Iterator[tuple]:
+                    tamper: bool) -> Iterator[tuple]:
     """Yield ``(sampler, sample, reservoir, coupling, tensor)`` per configuration:
     sample ``i`` is drawn from stream ``stream`` of ``Seed(base_seed)`` with
     seed ``mix_seed(base_seed, salt, i)``, built with warnings silenced, its
-    tensor passed through ``tamper``.  A suite may draw from ``sampler`` between builds."""
+    tensor passed through :func:`inject_asymmetry` if the flag ``tamper`` is
+    set.  A suite may draw from ``sampler`` between builds."""
+    if not is_flag(tamper):
+        raise ContractViolation("tamper must be a bool")
     sampler = cp.seed_generator(cp.Seed(base_seed), stream)
     for i in range(n_configs):
         sample = _Sample(*_sample_config(sampler), cp.mix_seed(base_seed, salt, i))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reservoir, coupling_vec, tensor = build_from_specs(*sample)
-        if tamper is not None:
-            tensor = replace(tensor, matrix=tamper(tensor.matrix.copy()))
+        if tamper:
+            tensor = replace(tensor, matrix=inject_asymmetry(tensor.matrix.copy()))
         yield sampler, sample, reservoir, coupling_vec, tensor
 
 
@@ -136,7 +137,7 @@ def _replay(name: str, sample: _Sample, **extra) -> dict:
 
 
 def run_kernel_state_equivalence(n_configs: int, base_seed: int = 0,
-                                 tamper: Tamper | None = None) -> PropertyResult:
+                                 tamper: bool = False) -> PropertyResult:
     """Quadratic form through the tensor versus explicit state simulation,
     on ``n_configs`` configurations sampled from ``Seed(base_seed)``, with
     :data:`PAIRS_PER_CONFIG` input pairs each.
@@ -169,7 +170,7 @@ def run_kernel_state_equivalence(n_configs: int, base_seed: int = 0,
 
 
 def run_spectrum_properties(n_configs: int, base_seed: int = 0,
-                            tamper: Tamper | None = None) -> list[PropertyResult]:
+                            tamper: bool = False) -> list[PropertyResult]:
     """Symmetry, positive spectrum, rank bound, and entrywise decay, on
     ``n_configs`` configurations sampled from ``Seed(base_seed)``.
 

@@ -195,6 +195,23 @@ def test_predict_symmetric_regime_reports_reconstruction(tmp_path, capsys):
     assert not (out / "comparison.csv").exists()
 
 
+@pytest.mark.parametrize("regime, extractions", [("symmetric", 0), ("random", 1), ("cycle", 1)])
+def test_predict_extracts_motifs_only_to_compare_them(tmp_path, capsys, monkeypatch, regime,
+                                                      extractions):
+    calls = []
+    extract = cli.extract_motifs
+
+    def counted(tensor, threshold_ratio):
+        calls.append(threshold_ratio)
+        return extract(tensor, threshold_ratio)
+
+    monkeypatch.setattr(cli, "extract_motifs", counted)
+    code, _, stderr = run_cli(capsys, "predict", "--regime", regime, "--N", "6", "--tau", "12",
+                              "--out", str(tmp_path / "p"))
+    assert code == 0, stderr
+    assert len(calls) == extractions
+
+
 def test_symmetric_predicted_weights_share_the_motif_scale(tmp_path, capsys):
     model = ["--regime", "symmetric", "--N", "6", "--nu", "0.8", "--tau", "12"]
     assert run_cli(capsys, "predict", *model, "--out", str(tmp_path / "p"))[0] == 0
@@ -614,8 +631,7 @@ def test_an_output_path_with_a_nul_byte_is_a_usage_failure(tmp_path, capsys, com
 
 def _generic_motifs_csv(vectors, weights, path):
     """The motif file through write_csv's per-cell formatting."""
-    horizon = vectors.shape[1] if vectors.shape[0] else 0
-    header = ["index", "weight"] + [f"m_{j}" for j in range(1, horizon + 1)]
+    header = ["index", "weight"] + [f"m_{j}" for j in range(1, vectors.shape[1] + 1)]
     _io.write_csv(path, header, ([i + 1, float(weights[i])] + [float(c) for c in vectors[i]]
                                  for i in range(vectors.shape[0])))
 
@@ -650,7 +666,7 @@ def test_csv_writer_formats_ints_and_floats_exactly(tmp_path):
 
 def test_an_empty_motif_file_is_its_header(tmp_path):
     _io.write_motifs_csv(np.zeros((0, 5)), np.zeros(0), tmp_path / "m.csv")
-    assert (tmp_path / "m.csv").read_bytes() == b"index,weight\n"
+    assert (tmp_path / "m.csv").read_bytes() == b"index,weight,m_1,m_2,m_3,m_4,m_5\n"
 
 
 def _two_rows_then_a_failure():

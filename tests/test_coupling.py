@@ -202,6 +202,26 @@ def test_draw_from_a_spec_keeps_the_bytes_of_the_draw(regime, distribution):
     assert (oracles.digest(raw), sigma.hex()) == _DRAW_BYTES[regime, distribution]
 
 
+# sha256 prefix of the bytes of the 80 vectors (N in {1, 7, 100, 1000}, seeds
+# 0..19) per random input kind and normalize flag, as the draw gave them when
+# each kind had its own sampling branch.
+_INPUT_DRAW_BYTES = {
+    ("gaussian", False): "f5298c08720a329f",
+    ("gaussian", True): "cd02fa18c1f33c57",
+    ("uniform", False): "5d05c0d20c39e9a7",
+    ("uniform", True): "995788bcd2e74e59",
+    ("ones_random_signs", False): "b09ee6f5449692c0",
+    ("ones_random_signs", True): "1f5ed3580d37a4ad",
+}
+
+
+@pytest.mark.parametrize("kind, normalize", sorted(_INPUT_DRAW_BYTES))
+def test_random_couplings_keep_the_bytes_of_the_draw(kind, normalize):
+    vectors = [generate_input(InputCouplingSpec(kind, n, normalize_unit=normalize), Seed(s))
+               for n in (1, 7, 100, 1000) for s in range(20)]
+    assert oracles.digest(*vectors) == _INPUT_DRAW_BYTES[kind, normalize]
+
+
 # Every public entry point that takes nu, each with otherwise valid arguments.
 _NU_USERS = {
     "ReservoirSpec": lambda nu: ReservoirSpec(regime="cycle_permutation", size=4, nu=nu),

@@ -1,6 +1,7 @@
 """Motif extraction from the metric tensor and the per-regime predictions."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,20 @@ def test_motif_set_validation():
         MotifSet(**dict(good, vectors=skew))
 
 
+def test_an_empty_set_is_checked_against_its_horizon_like_any_other():
+    with pytest.raises(ContractViolation, match="motif length"):
+        MotifSet(vectors=np.zeros((0, 3)), spectrum=np.zeros(4))
+    empty = MotifSet(vectors=np.zeros((0, 4)), spectrum=np.zeros(4))
+    with pytest.raises(ContractViolation, match="history horizon 3"):
+        represent(empty, TimeSeries(np.ones(3)))
+    other = MotifPrediction(vectors=np.eye(3), weights=np.ones(3), orthonormal=True)
+    with pytest.raises(ContractViolation, match="horizons differ"):
+        compare_motifs(empty, other)
+    same = MotifPrediction(vectors=np.eye(4), weights=np.ones(4), orthonormal=True)
+    with pytest.raises(ContractViolation, match="nothing to compare"):
+        compare_motifs(empty, same)
+
+
 @pytest.mark.parametrize("bad", [
     dict(vectors=[[np.nan, 0.0]], spectrum=[np.nan, 0.0]),
     dict(vectors=[[np.nan, 0.0]]),
@@ -236,6 +251,17 @@ def test_random_prediction_vectors_are_time_axes():
     pred = predict_random(0.9, np.ones(3), 6)
     assert np.array_equal(pred.vectors, np.eye(6)[:3])
     assert pred.orthonormal
+
+
+def test_random_prediction_allocates_no_square_identity():
+    tracemalloc.start()
+    try:
+        pred = predict_random(0.9, np.ones(10), 4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The vectors are 10 x 4000 floats (0.32 MB); a 4000 x 4000 identity is 128 MB.
+    assert peak < 4 * pred.vectors.nbytes
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -85,3 +85,28 @@ def test_only_numerics_states_a_scalar_type_rule():
                 found += [f"{path.stem}:{node.lineno} {name}"
                           for name in _scalar_type_names(node.args[1], numbers_names)]
     assert found == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Each name a module imports is read in that module or listed in its
+    ``__all__``; an import no code reads is a dependency that is not there."""
+    unread = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        exported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({alias.asname or alias.name.partition(".")[0]: node.lineno
+                                 for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({alias.asname or alias.name: node.lineno
+                                 for alias in node.names})
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}:{line} {name}" for name, line in imported.items()
+                   if name not in read | exported]
+    assert unread == []

@@ -52,7 +52,7 @@ def test_containment_reports_margin():
     assert result.worst >= 0.0  # worst margin to either bound stays positive
 
 
-def _all_suites(n, tamper=None):
+def _all_suites(n, tamper=False):
     """The four results of the suites, in the order ``verify`` runs them."""
     return [run_kernel_state_equivalence(n, tamper=tamper),
             *run_spectrum_properties(n, tamper=tamper),
@@ -75,7 +75,7 @@ def test_suites_reject_a_base_seed_outside_64_bits(suite, base_seed):
 
 
 def test_tampered_tensor_fails_equivalence_with_replay():
-    result = run_kernel_state_equivalence(n_configs=3, tamper=inject_asymmetry)
+    result = run_kernel_state_equivalence(n_configs=3, tamper=True)
     assert not result.passed
     assert result.replay is not None
     # replay records must serialize for the failure dossier
@@ -85,19 +85,20 @@ def test_tampered_tensor_fails_equivalence_with_replay():
 
 
 def test_tampered_tensor_fails_spectrum_checks():
-    psd, _ = run_spectrum_properties(n_configs=4, tamper=inject_asymmetry)
+    psd, _ = run_spectrum_properties(n_configs=4, tamper=True)
     assert not psd.passed
     assert psd.replay is not None
 
 
-def test_tampered_spectrum_suite_reports_asymmetry_apart_from_negativity():
+def test_tampered_spectrum_suite_reports_asymmetry_apart_from_negativity(monkeypatch):
     sizes = []
 
-    def tamper(matrix):
+    def recording(matrix):
         sizes.append(matrix.shape[0])
         return inject_asymmetry(matrix)
 
-    psd, _ = run_spectrum_properties(n_configs=6, tamper=tamper)
+    monkeypatch.setattr(verify, "inject_asymmetry", recording)
+    psd, _ = run_spectrum_properties(n_configs=6, tamper=True)
     assert min(sizes) > 1  # every tensor is tampered by asymmetry alone
     assert not psd.passed
     assert "worst asymmetry 1.000e-03" in psd.detail
@@ -126,12 +127,19 @@ def test_extraction_and_the_spectrum_suite_share_one_psd_rule(monkeypatch, spect
     assert clamp_accepts == psd.passed == positive
 
 
-@pytest.mark.parametrize("tamper", [None, inject_asymmetry])
+@pytest.mark.parametrize("tamper", [False, True])
 def test_a_verdict_is_read_from_the_replay(tamper):
     assert "passed" not in [f.name for f in dataclasses.fields(PropertyResult)]
     results = _all_suites(3, tamper)
     assert all(r.passed == (r.replay is None) for r in results)
-    assert all(r.passed for r in results) == (tamper is None)
+    assert all(r.passed for r in results) == (not tamper)
+
+
+@pytest.mark.parametrize("suite", [run_kernel_state_equivalence, run_spectrum_properties])
+@pytest.mark.parametrize("bad", ["yes", inject_asymmetry, None, 1])
+def test_tamper_is_a_flag(suite, bad):
+    with pytest.raises(ContractViolation, match="tamper must be a bool"):
+        suite(1, tamper=bad)
 
 
 def test_inject_asymmetry_effects():
@@ -187,7 +195,7 @@ def test_sampled_configurations_stay_within_the_sampler_bounds():
 
 
 def test_tampered_decay_suite_evaluates_every_configuration():
-    _, decay = run_spectrum_properties(n_configs=4, tamper=inject_asymmetry)
+    _, decay = run_spectrum_properties(n_configs=4, tamper=True)
     assert decay.n_checked == 4
     assert np.isfinite(decay.worst)
 
