@@ -316,8 +316,6 @@ def _split_aliases(text: str, aliases: dict, what: str) -> tuple[str, ...]:
             out.append(item)
         else:
             raise UsageError(f"unknown {what} {item!r}")
-    if not out:
-        raise UsageError(f"empty {what} list")
     return tuple(out)
 
 

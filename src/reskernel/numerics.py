@@ -14,6 +14,10 @@ measures) assumes a single eigendecomposition convention, fixed here once:
   positive, the lowest index winning ties;
 * results are bit-identical for identical inputs on a given platform.
 
+A symmetric eigenproblem has two routes that share one input rule and one
+solver-failure error: :func:`sym_eig` for callers that read eigenvectors,
+and :func:`sym_eigvals` for those that read only the spectrum.
+
 Matrices and vectors are plain numpy arrays (float64, or complex128 for
 spectra of discrete Fourier transforms).
 """
@@ -170,6 +174,22 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _solve_symmetric(a, solver):
+    """``(m, solver(m))`` for ``m`` the input as a checked symmetric matrix:
+    square, finite and within ``SYMMETRY_ATOL`` of its transpose.  The one
+    place a solver failure becomes a :class:`ConvergenceError`."""
+    m = as_square_matrix(a)
+    asym = asymmetry(m)
+    if asym > SYMMETRY_ATOL:
+        raise ContractViolation(
+            f"matrix is not symmetric: max |A - A^T| = {asym:.3e} exceeds {SYMMETRY_ATOL:.0e}"
+        )
+    try:
+        return m, solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+
+
 def sym_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix.
 
@@ -187,21 +207,12 @@ def sym_eig(a) -> EigenDecomposition:
     Raises
     ------
     ContractViolation
-        If ``a`` is not square or not symmetric within tolerance.
+        If ``a`` is not square, not finite or not symmetric within tolerance.
     ConvergenceError
         If the solver fails or the factorization misses the orthonormality
         or reconstruction targets.
     """
-    m = as_square_matrix(a)
-    asym = asymmetry(m)
-    if asym > SYMMETRY_ATOL:
-        raise ContractViolation(
-            f"matrix is not symmetric: max |A - A^T| = {asym:.3e} exceeds {SYMMETRY_ATOL:.0e}"
-        )
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+    m, (values, vectors) = _solve_symmetric(a, np.linalg.eigh)
 
     # eigh returns ascending order; a stable sort on the negated values keeps
     # the solver's index order within tied groups.
@@ -219,6 +230,17 @@ def sym_eig(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
+def sym_eigvals(a) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, in descending order, with no
+    eigenvectors formed: the route for questions about the spectrum alone.
+
+    The input rules and the solver-failure error are those of
+    :func:`sym_eig`; no decomposition is formed, so none is checked.
+    """
+    _, values = _solve_symmetric(a, np.linalg.eigvalsh)
+    return values[::-1]  # eigvalsh returns ascending order
+
+
 def symmetric_gram(a: np.ndarray) -> np.ndarray:
     """``A^T A`` made exactly symmetric: the BLAS product is symmetric only up
     to rounding, so it is averaged with its transpose (a no-op on its bits
@@ -228,17 +250,16 @@ def symmetric_gram(a: np.ndarray) -> np.ndarray:
 
 
 def largest_singular_value(a) -> float:
-    """Largest singular value of a real matrix.
+    """Largest singular value of a finite real matrix.
 
-    Computed as ``sqrt(max eigenvalue of A^T A)`` from the eigenvalues
-    alone: one value is needed, so no eigenvectors are formed and no
-    decomposition is checked.  Returns exactly 0.0 for a zero matrix.
+    Computed as ``sqrt(max eigenvalue of A^T A)`` by :func:`sym_eigvals`:
+    one value is needed, so no eigenvectors are formed.  Returns exactly
+    0.0 for a zero matrix.  A Gram matrix that overflows is reported as
+    ContractViolation.
     """
-    try:
-        top = np.linalg.eigvalsh(symmetric_gram(_as_matrix(a)))[-1]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    return float(np.sqrt(max(top, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # sym_eigvals reports it
+        gram = symmetric_gram(_as_matrix(a))
+    return float(np.sqrt(max(sym_eigvals(gram)[0], 0.0)))
 
 
 def dft(v) -> np.ndarray:

@@ -24,6 +24,10 @@ from .numerics import as_finite_array, check_positive_int, dft, is_real
 from .temporal_kernel import build_from_specs, scale_metric_tensor
 
 
+# A grid's width may differ from a whole number of cells by this share only.
+TILING_RTOL = 1e-9
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Square occupancy grid centered at the origin.
@@ -31,7 +35,9 @@ class GridSpec:
     The default covers ``[-7, 7]`` per axis with side-0.05 cells, giving
     280 x 280 = 78400 cells.  Cells are half-open: a point exactly on an
     edge belongs to the higher-index cell.  Both sides are positive real
-    numbers, stored as ``float``.
+    numbers, stored as ``float``, and the cells tile the width: ``2 *
+    half_width / cell_side`` is within ``TILING_RTOL`` (relative) of a
+    whole number, so the grid spans exactly ``[-half_width, half_width)``.
     """
 
     half_width: float = 7.0
@@ -49,6 +55,10 @@ class GridSpec:
             raise ContractViolation("grid must have fewer than 2**63 cells")
         if self.cells_per_axis < 1:
             raise ContractViolation("grid must contain at least one cell per axis")
+        ratio = 2.0 * self.half_width / self.cell_side
+        if abs(ratio - self.cells_per_axis) > TILING_RTOL * ratio:
+            raise ContractViolation(f"cell_side {self.cell_side} does not tile the grid "
+                                    f"width {2.0 * self.half_width}")
 
     @property
     def cells_per_axis(self) -> int:
@@ -139,8 +149,9 @@ class SweepConfig:
     are checked by building the specs they describe (a reservoir per regime
     and ``nu``, a coupling per input kind, the seed) before any sweep work;
     a regime or input kind given twice is rejected, while a repeated ``nu``
-    is swept once.  Each of the three axes ``nu_values``, ``regimes`` and
-    ``input_kinds`` is a non-empty sequence.
+    is swept once: ``nu_values`` is stored sorted, each value once.  Each of
+    the three axes ``nu_values``, ``regimes`` and ``input_kinds`` is a
+    non-empty sequence.
     """
 
     nu_values: tuple[float, ...] = field(default_factory=default_nu_grid)
@@ -174,6 +185,7 @@ class SweepConfig:
             if len(set(names)) != len(names):
                 raise ContractViolation(f"each {axis} may appear once, got {', '.join(names)}")
         cp.Seed(self.base_seed)
+        object.__setattr__(self, "nu_values", tuple(sorted(set(self.nu_values))))
 
 
 @dataclass(frozen=True)
@@ -211,7 +223,6 @@ def sweep(config: SweepConfig) -> list[RichnessReport]:
     unchanged.  Coverage is measured on :data:`DEFAULT_GRID`.  Reports are
     sorted by (nu, regime, input_kind, trial).
     """
-    nu_values = tuple(sorted(set(config.nu_values)))
     horizon = config.horizon if config.horizon is not None else 2 * config.state_dim
     reports: list[RichnessReport] = []
     for regime in config.regimes:
@@ -222,7 +233,7 @@ def sweep(config: SweepConfig) -> list[RichnessReport]:
             for trial in range(config.trials or trial_count(regime, kind)):
                 seed = cp.trial_seed(config.base_seed, trial)
                 _, _, unit = build_from_specs(unit_spec, in_spec, horizon, seed)
-                for nu in nu_values:
+                for nu in config.nu_values:
                     motif_set = extract_motifs(scale_metric_tensor(unit, nu),
                                                config.threshold_ratio)
                     summary = grid_summary(*coefficient_cloud(motif_set))

@@ -93,7 +93,8 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
     -------
     (N,) ndarray for one ``TimeSeries``, else (N, k) with column ``j`` the
     state of history ``j``
-        ``W^tau x_init + sum_i values[i-1] W^(i-1) w``.
+        ``W^tau x_init + sum_i values[i-1] W^(i-1) w``.  A state that
+        overflows raises ContractViolation, as in kernel_eval.
     """
     w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
     single = isinstance(series, TimeSeries)
@@ -110,9 +111,11 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
     # inputs[t, j] is the sample history j feeds in at step t, oldest first.
     inputs = np.stack([h.values[::-1] for h in histories], axis=1)
     drive = inputs[:, np.newaxis, :] * w_vec[:, np.newaxis]
-    for step in drive:
-        x = w_mat @ x
-        x += step
+    with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
+        for step in drive:
+            x = w_mat @ x
+            x += step
+    x = as_finite_array(x, 2, "simulated state")
     return x[:, 0] if single else x
 
 
@@ -154,7 +157,8 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
     :func:`numerics.symmetric_gram`, so the result is exactly symmetric.
 
     A horizon below the state dimension is legal but leaves the kernel
-    blind to directions the reservoir can still reach, so it warns.
+    blind to directions the reservoir can still reach, so it warns.  A
+    tensor that overflows raises ContractViolation.
     """
     w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
     check_positive_int(horizon, "horizon")
@@ -165,8 +169,9 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
             "the kernel cannot resolve the full state space",
             stacklevel=2,
         )
-    return MetricTensor(matrix=symmetric_gram(_feature_matrix(w_mat, w_vec, horizon)),
-                        state_dim=n)
+    with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
+        matrix = symmetric_gram(_feature_matrix(w_mat, w_vec, horizon))
+    return MetricTensor(matrix=matrix, state_dim=n)
 
 
 def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
@@ -176,13 +181,15 @@ def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
     ``(i, j)`` scales by ``nu^(i+j)``: the result is ``outer(d, d) * Q`` with
     ``d = nu ** arange(tau)``, in O(tau^2) with no matrix-vector product and
     no Gram.  ``outer(d, d)`` is exactly symmetric, so the result is too,
-    and ``nu = 1`` returns the same bits.  ``nu`` is any finite real number.
+    and ``nu = 1`` returns the same bits.  ``nu`` is any finite real number;
+    a result that overflows raises ContractViolation.
     """
     if not (is_real(nu) and -math.inf < nu < math.inf):
         raise ContractViolation("nu must be finite")
-    d = float(nu) ** np.arange(tensor.horizon)
-    matrix = np.outer(d, d)
-    matrix *= tensor.matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
+        d = float(nu) ** np.arange(tensor.horizon)
+        matrix = np.outer(d, d)
+        matrix *= tensor.matrix
     return MetricTensor(matrix=matrix, state_dim=tensor.state_dim)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import coupling as cp
 from .errors import ContractViolation
 from .numerics import (CLAMP_RTOL, SYMMETRY_ATOL, asymmetry, check_positive_int, is_flag,
-                       numerical_rank, relative_negativity, sym_eig)
+                       numerical_rank, relative_negativity, sym_eigvals)
 from .temporal_kernel import (
     BoundParams,
     TimeSeries,
@@ -195,7 +195,7 @@ def run_spectrum_properties(n_configs: int, base_seed: int = 0,
             if psd_replay is None:
                 psd_replay = _replay(psd_name, sample, asymmetry=asym)
         else:
-            values = sym_eig(tensor.matrix).eigenvalues
+            values = sym_eigvals(tensor.matrix)
             rel_neg = relative_negativity(values)
             rank = numerical_rank(values)
             if (rel_neg > CLAMP_RTOL or rank > tensor.state_dim) and psd_replay is None:

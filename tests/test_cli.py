@@ -138,6 +138,37 @@ def test_bad_config_files_exit_with_usage_error(tmp_path, capsys, content):
     assert "error" in stderr.lower()
 
 
+@pytest.mark.parametrize("content, message", [
+    ("normalize = maybe\n", "config value for 'normalize' is not a valid bool: 'maybe'"),
+    ("regime = hyperbolic\n", "config value for 'regime' must be one of cycle, random, "
+                              "symmetric: 'hyperbolic'"),
+    (" = 3\n", ":1: empty key or value"),
+    ("N =\n", ":1: empty key or value"),
+])
+def test_a_bad_config_value_is_named_in_the_error(tmp_path, capsys, content, message):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(content)
+    code, _, stderr = run_cli(capsys, "motifs", "--config", str(conf),
+                              "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert stderr.startswith("error: ") and stderr.rstrip().endswith(message)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("word, flags", [("true", []), ("Yes", []), ("1", []),
+                                         ("false", ["--no-unit-norm"]),
+                                         ("NO", ["--no-unit-norm"]),
+                                         ("0", ["--no-unit-norm"])])
+def test_a_config_bool_word_means_what_its_flag_means(tmp_path, capsys, word, flags):
+    conf = tmp_path / "bool.conf"
+    conf.write_text(f"normalize = {word}\n")
+    argv = ["motifs", "--regime", "random", "--N", "4", "--tau", "8"]
+    assert run_cli(capsys, *argv, "--config", str(conf), "--out", str(tmp_path / "a"))[0] == 0
+    assert run_cli(capsys, *argv, *flags, "--out", str(tmp_path / "b"))[0] == 0
+    for name in ("motifs.csv", "weights.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_parse_config_file_details(tmp_path):
     conf = tmp_path / "kv.conf"
     conf.write_text("a = 1  # trailing comment\n\n  b=2\n")
@@ -300,6 +331,22 @@ def test_sweep_rejects_unknown_regime_alias(tmp_path, capsys):
                               "--N", "6", "--out", str(tmp_path / "x"))
     assert code == 1
     assert "unknown regime" in stderr
+
+
+@pytest.mark.parametrize("regimes", ["", ",", "cycle,"])
+def test_an_empty_regime_name_is_an_unknown_regime(tmp_path, capsys, regimes):
+    code, _, stderr = run_cli(capsys, "sweep", "--nu-grid", "0.9:0.1:0.9",
+                              "--regimes", regimes, "--N", "6", "--out", str(tmp_path / "x"))
+    assert (code, stderr) == (1, "error: unknown regime ''\n")
+
+
+def test_sweep_reports_the_grid_it_swept(tmp_path, capsys):
+    # Rounding to 9 places folds the five grid points into one value, swept once.
+    code, stdout, _ = run_cli(capsys, "sweep", "--N", "4", "--regimes", "cycle",
+                              "--nu-grid", "0.9:1e-10:0.9000000005",
+                              "--out", str(tmp_path / "x"))
+    assert code == 0
+    assert stdout.splitlines()[0] == "swept 1 nu values, 1 regimes, 1 input kinds: 1 trial rows"
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +755,20 @@ def test_time_series_round_trip_is_exact(tmp_path):
     path.write_text("".join(_io.fmt_float(v) + "\n" for v in series.values))
     back = _io.read_time_series(path)
     assert np.array_equal(back.values, series.values)
+
+
+def test_blank_lines_in_a_time_series_file_are_skipped(tmp_path):
+    path = tmp_path / "ts.txt"
+    path.write_text("\n1.5\n   \n\n-2\n\n")
+    assert np.array_equal(_io.read_time_series(path).values, [1.5, -2.0])
+
+
+@pytest.mark.parametrize("flag", [True, np.bool_(False)])
+def test_a_flag_is_not_a_csv_cell(tmp_path, flag):
+    path = tmp_path / "flags.csv"
+    with pytest.raises(ContractViolation, match="^boolean cells are not part of any file format$"):
+        _io.write_csv(path, ["a", "b"], [[1, flag]])
+    assert not path.exists()
 
 
 def test_out_directory_contains_no_temp_leftovers(tmp_path, capsys):

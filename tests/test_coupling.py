@@ -202,6 +202,29 @@ def test_draw_from_a_spec_keeps_the_bytes_of_the_draw(regime, distribution):
     assert (oracles.digest(raw), sigma.hex()) == _DRAW_BYTES[regime, distribution]
 
 
+# sha256 prefix of the bytes of the 25 draws and their singular values (N in
+# {1, 2, 7, 50, 200}, seeds 0..4) per random regime and distribution, as the
+# rescale gave them when it solved its own eigenvalue problem inline.
+_RESERVOIR_DRAW_BYTES = {
+    ("random_iid", "gaussian"): "d75d42bbf13e80d1",
+    ("random_iid", "rademacher"): "b592997836070fd4",
+    ("random_iid", "uniform"): "6c08b274fb3a8b11",
+    ("symmetric_wigner", "gaussian"): "4040ce68e04d7dca",
+    ("symmetric_wigner", "rademacher"): "b962b3b8b0bbd358",
+    ("symmetric_wigner", "uniform"): "0624c767e856ee50",
+}
+
+
+@pytest.mark.parametrize("regime, distribution", sorted(_RESERVOIR_DRAW_BYTES))
+def test_random_reservoirs_keep_the_bytes_of_the_draw(regime, distribution):
+    arrays = []
+    for n in (1, 2, 7, 50, 200):
+        for s in range(5):
+            raw, sigma = draw_reservoir(ReservoirSpec(regime, n, 0.9, distribution), Seed(s))
+            arrays += [raw, np.array([sigma])]
+    assert oracles.digest(*arrays) == _RESERVOIR_DRAW_BYTES[regime, distribution]
+
+
 # sha256 prefix of the bytes of the 80 vectors (N in {1, 7, 100, 1000}, seeds
 # 0..19) per random input kind and normalize flag, as the draw gave them when
 # each kind had its own sampling branch.

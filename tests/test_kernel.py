@@ -318,6 +318,26 @@ def test_scaling_rejects_a_non_finite_nu():
             scale_metric_tensor(tensor, nu)
 
 
+# Each overflows in float64 from finite inputs; warnings are errors under pytest,
+# so these also check that no numpy warning escapes before the report.
+_OVERFLOWS = {
+    "scale_metric_tensor": lambda: scale_metric_tensor(MetricTensor(np.eye(3), 1), 1e200),
+    "build_metric_tensor": lambda: build_metric_tensor(10 * np.eye(2), [1.0, 1.0], 400),
+    "build_metric_tensor dense": lambda: build_metric_tensor(
+        np.full((2, 2), 10.0), [1.0, 1.0], 400),
+    "simulate_state": lambda: simulate_state(10 * np.eye(2), [1.0, 1.0],
+                                             TimeSeries(np.ones(400))),
+    "simulate_state batch": lambda: simulate_state(
+        np.full((2, 2), 10.0), [1.0, 1.0], [TimeSeries(np.ones(400))] * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWS))
+def test_an_overflow_is_reported_not_warned_or_returned(case):
+    with pytest.raises(ContractViolation, match="non-finite"):
+        _OVERFLOWS[case]()
+
+
 # ---------------------------------------------------------------------------
 # kernel evaluation
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from reskernel import (
     scale_metric_tensor,
     simulate_state,
     sym_eig,
+    sym_eigvals,
 )
 from reskernel.numerics import symmetric_gram
 
@@ -123,6 +124,51 @@ def test_sym_eig_rejects_malformed_input(bad):
 
 
 # ---------------------------------------------------------------------------
+# sym_eigvals
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_sym_eigvals_is_the_descending_spectrum_of_sym_eig(n):
+    a = _random_symmetric(np.random.default_rng(n), n)
+    values = sym_eigvals(a)
+    assert values.shape == (n,)
+    assert np.all(np.diff(values) <= 0.0)
+    assert np.allclose(values, sym_eig(a).eigenvalues, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(a)))
+    assert np.array_equal(values, np.linalg.eigvalsh(a)[::-1])
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((2, 3)),
+    np.zeros((0, 0)),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[1.0, 2.0], [2.001, 1.0]]),
+    np.ones(4),
+    np.ones((2, 2, 2)),
+])
+def test_sym_eigvals_rejects_what_sym_eig_rejects(bad):
+    with pytest.raises(ContractViolation) as values_only:
+        sym_eigvals(bad)
+    with pytest.raises(ContractViolation) as with_vectors:
+        sym_eig(bad)
+    assert str(values_only.value) == str(with_vectors.value)
+
+
+@pytest.mark.parametrize("solver, route", [
+    ("eigh", sym_eig),
+    ("eigvalsh", sym_eigvals),
+    ("eigvalsh", largest_singular_value),
+])
+def test_a_solver_failure_is_a_convergence_error(monkeypatch, solver, route):
+    def failing(matrix):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, solver, failing)
+    with pytest.raises(ConvergenceError, match="^eigensolver failed: no convergence$"):
+        route(np.eye(3))
+
+
+# ---------------------------------------------------------------------------
 # largest_singular_value
 # ---------------------------------------------------------------------------
 
@@ -167,6 +213,11 @@ def test_symmetric_gram_is_exactly_symmetric_and_equals_the_product(shape):
 def test_largest_singular_value_rejects_nonfinite():
     with pytest.raises(ContractViolation):
         largest_singular_value(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_a_gram_matrix_that_overflows_is_reported_not_returned():
+    with pytest.raises(ContractViolation, match="non-finite"):
+        largest_singular_value(np.full((2, 2), 1e200))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,38 @@ def test_only_numerics_states_a_scalar_type_rule():
     assert found == []
 
 
+_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def _names_in(tree, wanted):
+    """``(line, name)`` of each attribute read or import of a name in ``wanted``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in wanted:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in wanted]
+    return found
+
+
+def test_only_numerics_calls_an_eigensolver():
+    """Every eigenproblem goes through ``numerics.sym_eig`` or
+    ``numerics.sym_eigvals``: no other module names a numpy eigensolver, and
+    one place in ``numerics`` turns a solver failure into ConvergenceError."""
+    outside = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "numerics":
+            solvers = sorted(name for _, name in _names_in(tree, _EIGENSOLVERS))
+            mappings = _names_in(tree, {"LinAlgError"})
+        else:
+            outside += [f"{path.stem}:{line} {name}"
+                        for line, name in _names_in(tree, _EIGENSOLVERS | {"LinAlgError"})]
+    assert outside == []
+    assert solvers == ["eigh", "eigvalsh"]
+    assert len(mappings) == 1
+
+
 def test_no_module_imports_a_name_it_never_reads():
     """Each name a module imports is read in that module or listed in its
     ``__all__``; an import no code reads is a dependency that is not there."""

@@ -66,6 +66,20 @@ def test_grid_spec_rejects_degenerate_geometry(kwargs):
         GridSpec(**kwargs)
 
 
+@pytest.mark.parametrize("half_width, cell_side", [(1.0, 0.3), (7, 0.03), (1.0, 0.75),
+                                                   (7.0, 0.05 * (1 + 1e-8))])
+def test_a_cell_side_must_tile_the_grid_width(half_width, cell_side):
+    # GridSpec(1.0, 0.3) would round 6.67 cells up to 7 and span [-1, 1.1).
+    with pytest.raises(ContractViolation, match="does not tile the grid width"):
+        GridSpec(half_width, cell_side)
+
+
+@pytest.mark.parametrize("cell_side, cells", [(0.05, 280), (0.025, 560), (0.1, 140),
+                                              (0.2, 70)])
+def test_the_default_width_takes_every_cell_side_in_use(cell_side, cells):
+    assert GridSpec(7.0, cell_side).cells_per_axis == cells
+
+
 # ---------------------------------------------------------------------------
 # coefficient clouds
 # ---------------------------------------------------------------------------
@@ -341,6 +355,12 @@ def test_cycle_rows_of_the_default_sweep_match_the_benchmark_reference():
 def test_sweep_config_validation(kwargs):
     with pytest.raises(ContractViolation):
         SweepConfig(**kwargs)
+
+
+def test_a_sweep_config_stores_its_grid_sorted_with_each_value_once():
+    config = SweepConfig(nu_values=[0.97, 0.9, 0.97, 1.0, 0.9], state_dim=4)
+    assert config.nu_values == (0.9, 0.97, 1.0)
+    assert config == SweepConfig(nu_values=(0.9, 0.97, 1.0), state_dim=4)
 
 
 @pytest.mark.parametrize("axis", ["nu_values", "regimes", "input_kinds"])

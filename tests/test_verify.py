@@ -3,7 +3,6 @@
 import dataclasses
 import inspect
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,8 +120,7 @@ def test_extraction_and_the_spectrum_suite_share_one_psd_rule(monkeypatch, spect
         clamp_accepts = True
     except PsdViolationError:
         clamp_accepts = False
-    monkeypatch.setattr(verify, "sym_eig",
-                        lambda matrix: SimpleNamespace(eigenvalues=values.copy()))
+    monkeypatch.setattr(verify, "sym_eigvals", lambda matrix: values.copy())
     psd, _ = run_spectrum_properties(n_configs=1)
     assert clamp_accepts == psd.passed == positive
 
@@ -198,6 +196,44 @@ def test_tampered_decay_suite_evaluates_every_configuration():
     _, decay = run_spectrum_properties(n_configs=4, tamper=True)
     assert decay.n_checked == 4
     assert np.isfinite(decay.worst)
+
+
+def test_a_tensor_above_its_envelope_fails_the_decay_suite_alone(monkeypatch):
+    # Doubling keeps a tensor symmetric PSD but lifts Q[0, 0] = ||w||^2 over the envelope.
+    monkeypatch.setattr(verify, "inject_asymmetry", lambda matrix: 2.0 * matrix)
+    psd, decay = run_spectrum_properties(n_configs=3, tamper=True)
+    assert psd.passed, psd.detail
+    assert not decay.passed
+    assert decay.replay["property"] == decay.name
+    assert decay.replay["excess"] > 0.0
+    assert json.loads(json.dumps(decay.replay)) == decay.replay
+
+
+def test_an_error_outside_its_bounds_fails_containment_with_a_replay(monkeypatch):
+    # Bounds of [1, 1] exclude the first trial's error, which is near zero.
+    monkeypatch.setattr(verify, "kernel_error_bounds", lambda params, nu: (1.0, 1.0))
+    result = run_initial_state_error_containment(trials=2)
+    assert not result.passed
+    assert result.worst < -0.9
+    replay = result.replay
+    assert (replay["property"], replay["lower"], replay["upper"]) == (result.name, 1.0, 1.0)
+    assert (replay["state_dim"], replay["nu"], replay["horizon"]) == (
+        verify.CONTAINMENT_STATE_DIM, verify.CONTAINMENT_NU, verify.CONTAINMENT_HORIZON)
+    assert replay["seed"] == reskernel.mix_seed(0, 19, 0).base
+
+
+def test_the_spectrum_suite_forms_no_eigenvectors(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    psd, decay = run_spectrum_properties(6)
+    assert psd.passed and decay.passed
+    assert calls == []
 
 
 def _count_simulations(monkeypatch):
