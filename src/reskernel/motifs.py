@@ -18,6 +18,7 @@ predictions rather than produce a meaningless score.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,17 @@ import numpy as np
 from .coupling import check_nu
 from .errors import ContractViolation
 from .numerics import (as_finite_array, as_reservoir_pair, as_spectrum, as_vector,
-                       check_positive_int, clamp_spectrum, is_flag, is_real, sym_eig)
+                       check_positive_int, clamp_spectrum, fix_signs, is_flag, is_real,
+                       sym_eig, symmetric_gram)
 from .temporal_kernel import MetricTensor, TimeSeries
 
 # Relative eigenvalue gap under which predicted motifs count as degenerate
 # and are compared as subspaces.
 DEGENERACY_RTOL = 1e-8
+# Motifs formed as Phi^T u / sqrt(lambda) lose orthonormality in proportion to
+# lambda_0 / lambda_k, so the N x N route of extract_motifs keeps only sets whose
+# smallest retained eigenvalue is at least this share of the top one.
+DUAL_ROUTE_MIN_RATIO = 1e-4
 
 _UNIT_NORM_TOL = 1e-9
 _GRAM_TOL = 1e-8
@@ -98,6 +104,20 @@ class MotifSet:
         return int(self.spectrum.shape[0])
 
 
+def _cluster_ends(values: np.ndarray) -> np.ndarray:
+    """``ends[i]`` is true when ``values[i + 1]`` falls below the descending
+    ``values[i]`` by more than the relative gap ``DEGENERACY_RTOL``: the one
+    rule for where a degenerate cluster ends."""
+    return values[:-1] - values[1:] > DEGENERACY_RTOL * values[:-1]
+
+
+def _retained_count(spectrum: np.ndarray, threshold_ratio: float) -> int:
+    """How many weights of a clamped descending spectrum reach ``threshold_ratio``
+    times the top weight; none under a zero top."""
+    omega = np.sqrt(spectrum)
+    return int(np.sum(omega >= threshold_ratio * omega[0])) if omega[0] > 0.0 else 0
+
+
 def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> MotifSet:
     """Decompose a metric tensor into weighted motifs.
 
@@ -106,12 +126,36 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     ``threshold_ratio`` times the top weight are dropped.  An all-zero
     tensor yields an empty motif set, which is a meaningful signal (the
     kernel is identically zero), not an error.
+
+    ``Q = Phi^T Phi`` has rank at most N, so when the tensor carries its
+    feature matrix ``phi`` and ``N < tau`` the eigenpairs come from the
+    N x N Gram ``Phi Phi^T``: the motifs are ``Phi^T u_i / sqrt(lambda_i)``
+    under :func:`numerics.fix_signs`, and the spectrum is padded with exact
+    zeros to length tau.  The tau x tau ``Q`` is solved instead when there is
+    no ``phi``, when ``tau <= N``, when a retained eigenvalue lies within
+    ``DEGENERACY_RTOL`` of a neighbour (the first dropped one included), or
+    when the smallest retained eigenvalue is below ``DUAL_ROUTE_MIN_RATIO``
+    times the top.
     """
     check_threshold_ratio(threshold_ratio)
+    n, tau = tensor.state_dim, tensor.horizon
+    if tensor.phi is not None and n < tau:
+        eig = sym_eig(symmetric_gram(tensor.phi.T))
+        spectrum = np.concatenate((clamp_spectrum(eig.eigenvalues, "metric tensor"),
+                                   np.zeros(tau - n)))
+        count = _retained_count(spectrum, threshold_ratio)
+        # Inside a degenerate cluster the basis is the eigensolver's choice, and
+        # the nu = 1 cycle row of the benchmark reference reads the one LAPACK
+        # picks for the tau x tau Q.  The cluster test goes in the change that
+        # makes that basis canonical and regenerates the row (ROADMAP item 2).
+        if (np.all(_cluster_ends(spectrum[:count + 1]))
+                and (count == 0 or spectrum[count - 1] >= DUAL_ROUTE_MIN_RATIO * spectrum[0])):
+            vectors = fix_signs(tensor.phi.T @ eig.eigenvectors[:, :count]
+                                / np.sqrt(spectrum[:count]))
+            return MotifSet(vectors=vectors.T, spectrum=spectrum)
     eig = sym_eig(tensor.matrix)
     clamped = clamp_spectrum(eig.eigenvalues, "metric tensor")
-    omega = np.sqrt(clamped)
-    count = int(np.sum(omega >= threshold_ratio * omega[0])) if omega[0] > 0.0 else 0
+    count = _retained_count(clamped, threshold_ratio)
     return MotifSet(vectors=eig.eigenvectors[:, :count].T, spectrum=clamped)
 
 
@@ -257,7 +301,11 @@ def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
     shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
     eig = sym_eig(np.outer(damp, damp) * _cycle_shift_products(block)[shift])
     values = clamp_spectrum(eig.eigenvalues, "cycle core tensor")
-    factor = float(n_blocks) if nu == 1.0 else (1.0 - nu ** (2 * tau)) / (1.0 - nu ** (2 * p))
+    # -expm1(m log nu) is 1 - nu^m without the cancellation the subtraction
+    # suffers as nu -> 1, where log(nu) of the exact nu keeps its relative accuracy.
+    log_nu = math.log(nu)
+    factor = (float(n_blocks) if nu == 1.0
+              else math.expm1(2 * tau * log_nu) / math.expm1(2 * p * log_nu))
     tiles = np.empty((tau, p))
     for b in range(n_blocks):
         tiles[b * p:(b + 1) * p, :] = eig.eigenvectors * nu ** (b * p)
@@ -341,9 +389,7 @@ def compare_motifs(empirical: MotifSet, predicted: MotifPrediction) -> MotifComp
         raise ContractViolation("nothing to compare: one of the motif sets is empty")
 
     pred_values = predicted.weights[:n] ** 2
-    # A cluster ends where the next value falls by more than the relative gap.
-    ends = pred_values[:-1] - pred_values[1:] > DEGENERACY_RTOL * pred_values[:-1]
-    cluster_ids = np.concatenate(([0], np.cumsum(ends))).astype(np.int64)
+    cluster_ids = np.concatenate(([0], np.cumsum(_cluster_ends(pred_values)))).astype(np.int64)
 
     alignments = np.empty(n)
     for cid in range(int(cluster_ids[-1]) + 1):

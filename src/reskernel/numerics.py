@@ -11,7 +11,8 @@ measures) assumes a single eigendecomposition convention, fixed here once:
 * eigenvalues sorted in descending order, ties broken by the stable index
   of the underlying solver output;
 * each eigenvector scaled so that its largest-magnitude component is
-  positive, the lowest index winning ties;
+  positive, the lowest index winning ties (:func:`fix_signs`, which a caller
+  that forms eigenvectors of its own applies too);
 * results are bit-identical for identical inputs on a given platform.
 
 A symmetric eigenproblem has two routes that share one input rule and one
@@ -162,7 +163,10 @@ def clamp_spectrum(values: np.ndarray, what: str) -> np.ndarray:
     return np.where(values < 0.0, 0.0, values)
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+def fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """The one sign rule: ``vectors`` with each column scaled by ``+1`` or ``-1``
+    so that its largest-magnitude component is positive, the lowest index
+    winning ties.  A column that already satisfies it keeps its bits."""
     # argmax returns the first occurrence, so magnitude ties resolve to the
     # lowest index as required.
     idx = np.argmax(np.abs(vectors), axis=0)
@@ -218,7 +222,7 @@ def sym_eig(a) -> EigenDecomposition:
     # the solver's index order within tied groups.
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vectors = _fix_signs(vectors[:, order])
+    vectors = fix_signs(vectors[:, order])
 
     ortho = float(np.max(np.abs(vectors.T @ vectors - np.eye(m.shape[0]))))
     if ortho > _ORTHONORMALITY_TOL:

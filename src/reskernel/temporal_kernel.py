@@ -54,10 +54,19 @@ class MetricTensor:
     of :func:`build_metric_tensor` and :func:`scale_metric_tensor` are also
     exactly symmetric.  ``state_dim`` is the state dimension N of the
     reservoir.  The horizon is not stored: it is the side of ``matrix``.
+
+    ``phi`` is the N x tau feature matrix ``Phi`` with ``matrix = Phi^T Phi``,
+    which :func:`motifs.extract_motifs` reads to solve the smaller N x N
+    problem.  It is not a constructor argument: only
+    :func:`build_metric_tensor` and :func:`scale_metric_tensor` attach it,
+    having formed ``matrix`` from it, so a tensor given as a matrix, or made
+    by ``dataclasses.replace``, has ``phi = None`` and never a stale factor.
+    It takes no part in ``==`` or ``repr``, since ``matrix`` gives the kernel.
     """
 
     matrix: np.ndarray
     state_dim: int
+    phi: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = as_square_matrix(self.matrix, "metric tensor")
@@ -150,11 +159,22 @@ def _feature_matrix(w_mat: np.ndarray, w_vec: np.ndarray, horizon: int) -> np.nd
     return phi
 
 
+def _with_features(matrix: np.ndarray, state_dim: int, phi: np.ndarray | None) -> MetricTensor:
+    """The tensor ``matrix = phi^T phi`` carrying its N x tau factor ``phi``
+    (none when ``phi`` is ``None``).  A non-finite ``phi`` makes the diagonal
+    of its Gram non-finite too, so ``MetricTensor``'s check of ``matrix``
+    rejects it."""
+    tensor = MetricTensor(matrix=matrix, state_dim=state_dim)
+    object.__setattr__(tensor, "phi", phi)
+    return tensor
+
+
 def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
     """Assemble the kernel matrix for a reservoir over a given horizon.
 
     The Gram matrix of the columns ``W^(i-1) w`` comes from
     :func:`numerics.symmetric_gram`, so the result is exactly symmetric.
+    The tensor keeps the feature matrix those columns form as its ``phi``.
 
     A horizon below the state dimension is legal but leaves the kernel
     blind to directions the reservoir can still reach, so it warns.  A
@@ -170,8 +190,9 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
             stacklevel=2,
         )
     with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
-        matrix = symmetric_gram(_feature_matrix(w_mat, w_vec, horizon))
-    return MetricTensor(matrix=matrix, state_dim=n)
+        phi = _feature_matrix(w_mat, w_vec, horizon)
+        matrix = symmetric_gram(phi)
+    return _with_features(matrix, n, phi)
 
 
 def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
@@ -181,8 +202,9 @@ def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
     ``(i, j)`` scales by ``nu^(i+j)``: the result is ``outer(d, d) * Q`` with
     ``d = nu ** arange(tau)``, in O(tau^2) with no matrix-vector product and
     no Gram.  ``outer(d, d)`` is exactly symmetric, so the result is too,
-    and ``nu = 1`` returns the same bits.  ``nu`` is any finite real number;
-    a result that overflows raises ContractViolation.
+    and ``nu = 1`` returns the same bits.  A ``phi`` the tensor carries has
+    its columns scaled by ``d``.  ``nu`` is any finite real number; a result
+    that overflows raises ContractViolation.
     """
     if not (is_real(nu) and -math.inf < nu < math.inf):
         raise ContractViolation("nu must be finite")
@@ -190,7 +212,8 @@ def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
         d = float(nu) ** np.arange(tensor.horizon)
         matrix = np.outer(d, d)
         matrix *= tensor.matrix
-    return MetricTensor(matrix=matrix, state_dim=tensor.state_dim)
+        phi = None if tensor.phi is None else tensor.phi * d
+    return _with_features(matrix, tensor.state_dim, phi)
 
 
 def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCouplingSpec,
@@ -202,7 +225,9 @@ def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCo
     sigma)``.  The tensor is built once for the unit-scale draw ``raw * (1 /
     sigma)`` and scaled to ``nu`` by :func:`scale_metric_tensor`, the route
     :func:`richness.sweep` takes for every value of its grid, so each sweep
-    row equals this build at its ``nu``.
+    row equals this build at its ``nu``.  The tensor carries its feature
+    matrix, scaled the same way, so :func:`motifs.extract_motifs` can take
+    the N x N route.
     """
     raw, sigma = cp.draw_reservoir(reservoir_spec, seed)
     coupling = cp.generate_input(coupling_spec, seed)

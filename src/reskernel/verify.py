@@ -9,16 +9,17 @@ bounded initial state stays inside its two-sided closed-form bounds.
 
 The sampled suites share one sampling loop and take a ``tamper`` flag: when
 set, :func:`inject_asymmetry` is applied to each freshly built tensor
-matrix.  It exists as a negative control: injecting an asymmetry must make
-the suites fail and produce a replayable report.  A suite's verdict is its
-first failure: it passes exactly when it recorded no replay.
+matrix, and the tampered tensor carries no feature matrix.  It exists as a
+negative control: injecting an asymmetry must make the suites fail and
+produce a replayable report.  A suite's verdict is its first failure: it
+passes exactly when it recorded no replay.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from .numerics import (CLAMP_RTOL, SYMMETRY_ATOL, asymmetry, check_positive_int,
                        numerical_rank, relative_negativity, sym_eigvals)
 from .temporal_kernel import (
     BoundParams,
+    MetricTensor,
     TimeSeries,
     build_from_specs,
     initial_state_radius,
@@ -114,7 +116,8 @@ def _sampled_builds(n_configs: int, base_seed: int, stream: int, salt: int,
             warnings.simplefilter("ignore")
             reservoir, coupling_vec, tensor = build_from_specs(*sample)
         if tamper:
-            tensor = replace(tensor, matrix=inject_asymmetry(tensor.matrix.copy()))
+            # No feature matrix: the tampered matrix is no longer its Gram.
+            tensor = MetricTensor(inject_asymmetry(tensor.matrix.copy()), tensor.state_dim)
         yield sampler, sample, reservoir, coupling_vec, tensor
 
 

@@ -919,7 +919,7 @@ _CONFIG_RUNS = [
     ("markovian_sign_variants", "motifs", [], None),
     ("periodic_collapse", "motifs", [], "retained 10 of 200 motifs (threshold 0.01)"),
     ("periodic_collapse", "predict", [],
-     "compared 10 motifs: min alignment 0.99999999999999989, max weight rel error 4.53"),
+     "compared 10 motifs: min alignment 1, max weight rel error 3.03"),
     ("phase_transition_sweep", "sweep", ["--nu-grid", "0.99:0.01:1.0"], None),
     ("symmetric_components", "predict", [], None),
 ]

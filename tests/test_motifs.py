@@ -2,6 +2,8 @@
 
 import dataclasses
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from reskernel import (
     ReservoirSpec,
     Seed,
     TimeSeries,
+    build_from_specs,
     build_metric_tensor,
     compare_motifs,
+    default_nu_grid,
     extract_motifs,
     kernel_eval,
     mix_seed,
@@ -29,9 +33,10 @@ from reskernel import (
     represent,
     scale_metric_tensor,
 )
+from reskernel import motifs as motifs_module
 from reskernel.coupling import generate_input, generate_reservoir
-from reskernel.motifs import DEGENERACY_RTOL
-from reskernel.numerics import sym_eig
+from reskernel.motifs import DEGENERACY_RTOL, DUAL_ROUTE_MIN_RATIO
+from reskernel.numerics import sym_eig, symmetric_gram
 
 
 def _tensor_for(regime, n, nu, horizon, seed, kind="gaussian", period=None,
@@ -122,8 +127,125 @@ def test_motif_set_weights_are_the_roots_of_the_retained_eigenvalues():
     k = len(motifs)
     assert 0 < k < motifs.horizon
     assert motifs.weights.tobytes() == np.sqrt(motifs.spectrum[:k]).tobytes()
-    eigenvalues = sym_eig(tensor.matrix).eigenvalues
+    # N = 10 < tau = 20, so the eigenvalues come from the N x N Gram Phi Phi^T.
+    eigenvalues = sym_eig(symmetric_gram(tensor.phi.T)).eigenvalues
     assert motifs.weights.tobytes() == np.sqrt(eigenvalues[:k]).tobytes()
+
+
+def _solved_sides(monkeypatch):
+    """The side of every matrix ``extract_motifs`` hands to ``sym_eig``, in call order."""
+    sides = []
+
+    def recording(matrix):
+        sides.append(matrix.shape[0])
+        return sym_eig(matrix)
+
+    monkeypatch.setattr(motifs_module, "sym_eig", recording)
+    return sides
+
+
+def _square_route(tensor):
+    """The tau x tau route: the same tensor given as a matrix, with no ``phi``."""
+    return extract_motifs(MetricTensor(tensor.matrix, tensor.state_dim))
+
+
+@pytest.mark.parametrize("regime, n, horizon", [
+    ("random_iid", 50, 100),
+    ("symmetric_wigner", 50, 100),
+    ("cycle_permutation", 50, 100),
+    ("random_iid", 10, 200),
+])
+def test_the_gram_route_agrees_with_the_square_route(monkeypatch, regime, n, horizon):
+    _, _, tensor = _tensor_for(regime, n, 0.95, horizon, Seed(4))  # gaussian coupling
+    sides = _solved_sides(monkeypatch)
+    gram = extract_motifs(tensor)
+    assert sides == [n]
+    square = sym_eig(tensor.matrix)
+    values = np.where(square.eigenvalues < 0.0, 0.0, square.eigenvalues)
+    k = len(gram)
+    assert 0 < k == int(np.sum(np.sqrt(values) >= 1e-2 * np.sqrt(values[0])))
+    assert np.max(np.abs(gram.spectrum - values)) <= 1e-12 * values[0]
+    assert np.all(gram.spectrum[:k] > 0.0) and np.all(gram.spectrum[n:] == 0.0)
+    # Index i is non-degenerate when both of its gaps are open, the one to the
+    # first dropped eigenvalue included.
+    open_gaps = values[:k] - values[1:k + 1] > DEGENERACY_RTOL * values[:k]
+    isolated = open_gaps & np.concatenate(([True], open_gaps[:-1]))
+    assert np.any(isolated)
+    dots = np.abs(np.sum(gram.vectors * square.eigenvectors[:, :k].T, axis=1))
+    assert np.all(dots[isolated] >= 1.0 - 1e-10)
+
+
+def test_the_cycle_at_nu_one_keeps_the_square_route_bit_for_bit(monkeypatch):
+    spec = ReservoirSpec(regime="cycle_permutation", size=100, nu=1.0)
+    _, _, tensor = build_from_specs(spec, InputCouplingSpec(kind="ones_pi_signs", size=100),
+                                    200, Seed(0))
+    sides = _solved_sides(monkeypatch)
+    motifs = extract_motifs(tensor)
+    assert sides == [100, 200]  # the Gram's pairs are degenerate, so Q is solved
+    square = _square_route(tensor)
+    assert motifs.vectors.tobytes() == square.vectors.tobytes()
+    assert motifs.spectrum.tobytes() == square.spectrum.tobytes()
+
+
+@pytest.mark.parametrize("horizon", [30, 50])
+def test_a_horizon_of_at_most_n_keeps_the_square_route_bit_for_bit(monkeypatch, horizon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a horizon below N warns
+        _, _, tensor = _tensor_for("random_iid", 50, 0.95, horizon, Seed(6))
+    sides = _solved_sides(monkeypatch)
+    motifs = extract_motifs(tensor)
+    assert sides == [horizon]
+    square = _square_route(tensor)
+    assert motifs.vectors.tobytes() == square.vectors.tobytes()
+    assert motifs.spectrum.tobytes() == square.spectrum.tobytes()
+
+
+@pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner"])
+def test_an_ill_conditioned_retained_set_takes_the_square_route(monkeypatch, regime):
+    _, _, tensor = _tensor_for(regime, 100, 0.95, 200, Seed(5))
+    sides = _solved_sides(monkeypatch)
+    motifs = extract_motifs(tensor, threshold_ratio=1e-6)
+    assert sides == [100, 200]
+    assert motifs.spectrum[len(motifs) - 1] < DUAL_ROUTE_MIN_RATIO * motifs.spectrum[0]
+    gram = motifs.vectors @ motifs.vectors.T
+    assert np.max(np.abs(gram - np.eye(len(motifs)))) <= 1e-12
+
+
+def test_an_all_zero_feature_matrix_gives_the_empty_set(monkeypatch):
+    tensor = build_metric_tensor(0.5 * np.eye(3), np.zeros(3), 8)
+    assert not np.any(tensor.phi)
+    sides = _solved_sides(monkeypatch)
+    motifs = extract_motifs(tensor)
+    assert sides == [3]
+    assert len(motifs) == 0
+    assert motifs.vectors.shape == (0, 8)
+    assert motifs.spectrum.tobytes() == np.zeros(8).tobytes()
+
+
+def test_only_the_builders_attach_a_feature_matrix():
+    _, _, tensor = _tensor_for("random_iid", 4, 0.9, 8, Seed(3))
+    assert tensor.phi.shape == (4, 8)
+    with pytest.raises(TypeError):
+        MetricTensor(tensor.matrix, 4, phi=tensor.phi)
+    assert MetricTensor(tensor.matrix, 4).phi is None
+    # A copy with a new matrix must not keep the old matrix's factor.
+    assert dataclasses.replace(tensor, matrix=2.0 * tensor.matrix).phi is None
+
+
+def test_the_cycle_sweep_rows_solve_q_only_at_nu_one(monkeypatch):
+    spec = ReservoirSpec(regime="cycle_permutation", size=100, nu=1.0)
+    _, _, unit = build_from_specs(spec, InputCouplingSpec(kind="ones_pi_signs", size=100),
+                                  200, Seed(0))
+    sides = _solved_sides(monkeypatch)
+    square_at = []
+    for nu in default_nu_grid():
+        del sides[:]
+        extract_motifs(scale_metric_tensor(unit, nu))
+        assert sides[0] == 100
+        if 200 in sides:
+            square_at.append(nu)
+    assert len(default_nu_grid()) == 22
+    assert square_at == [1.0]
 
 
 def test_motif_set_validation():
@@ -441,6 +563,15 @@ def test_cycle_prediction_matches_extracted_motifs():
     assert comparison.max_weight_rel_error <= 1e-8
 
 
+@pytest.mark.parametrize("nu", [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-11])
+def test_cycle_weights_keep_their_precision_next_to_nu_one(nu):
+    _, coup, tensor = _tensor_for("cycle_permutation", 50, nu, 100, Seed(3))
+    pred = predict_cycle(nu, coup, 100)
+    exact = (1 - Fraction(nu) ** 200) / (1 - Fraction(nu) ** 100)
+    assert abs(pred.extras["eigenvalue_factor"] - exact) <= 1e-15 * exact
+    assert compare_motifs(extract_motifs(tensor), pred).max_weight_rel_error <= 1e-12
+
+
 def test_cycle_pi_sign_tensor_at_nu_one_has_exactly_degenerate_eigenpairs():
     """The default sweep's cycle / pi-signs tensor at nu = 1 (N = 100,
     tau = 200): 51 of its 99 adjacent relative eigengaps sit at rounding
@@ -624,7 +755,7 @@ def test_records_store_no_horizon_and_derive_it_from_their_arrays():
               for record in (MetricTensor, MotifSet, MotifPrediction,
                              MotifComparison)}
     assert stored == {
-        "MetricTensor": ["matrix", "state_dim"],
+        "MetricTensor": ["matrix", "state_dim", "phi"],
         "MotifSet": ["vectors", "spectrum"],
         "MotifPrediction": ["vectors", "weights", "orthonormal", "extras"],
         "MotifComparison": ["alignments", "weight_rel_errors", "cluster_ids"],
