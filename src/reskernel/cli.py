@@ -7,7 +7,8 @@ time-series files).  Options may come from a flat ``key = value`` config
 file via --config; explicit flags override file values.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 property-suite
-failure, 3 numerical failure.
+failure, 3 numerical failure.  A library warning prints as one
+``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -449,8 +451,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    """Run one command; a library warning that is shown prints as one
+    ``warning:`` line on stderr, and the warning filters stay as they are."""
     parser = build_parser()
+    format_warning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -460,6 +469,8 @@ def main(argv=None) -> int:
     except (ConvergenceError, PsdViolationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -131,11 +131,11 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     feature matrix ``phi`` and ``N < tau`` the eigenpairs come from the
     N x N Gram ``Phi Phi^T``: the motifs are ``Phi^T u_i / sqrt(lambda_i)``
     under :func:`numerics.fix_signs`, and the spectrum is padded with exact
-    zeros to length tau.  The tau x tau ``Q`` is solved instead when there is
-    no ``phi``, when ``tau <= N``, when a retained eigenvalue lies within
-    ``DEGENERACY_RTOL`` of a neighbour (the first dropped one included), or
-    when the smallest retained eigenvalue is below ``DUAL_ROUTE_MIN_RATIO``
-    times the top.
+    zeros to length tau.  The tau x tau ``Q`` (``tensor.matrix``, formed from
+    ``phi`` on first read) is solved instead when there is no ``phi``, when
+    ``tau <= N``, when a retained eigenvalue lies within ``DEGENERACY_RTOL``
+    of a neighbour (the first dropped one included), or when the smallest
+    retained eigenvalue is below ``DUAL_ROUTE_MIN_RATIO`` times the top.
     """
     check_threshold_ratio(threshold_ratio)
     n, tau = tensor.state_dim, tensor.horizon

@@ -5,12 +5,13 @@ driven by a scalar signal updates as ``x(t) = W x(t-1) + w u(t)``.  Over a
 finite horizon ``tau`` the driven part of the state is linear in the input
 history, so inner products of states define a kernel on histories:
 
-    K(u, v) = u^T Q v,   Q[i, j] = w^T (W^T)^(i-1) W^(j-1) w.
+    K(u, v) = (Phi u) . (Phi v) = u^T Q v,   Q = Phi^T Phi,
 
+with ``Phi`` the N x tau feature matrix whose columns are ``W^(i-1) w``.
 Histories are stored most recent first: ``values[0]`` is the current
-sample, ``values[i]`` the sample ``i`` steps in the past.  ``Q`` is the
-Gram matrix of the columns ``W^(i-1) w`` and is therefore symmetric
-positive semidefinite with rank at most the state dimension.
+sample, ``values[i]`` the sample ``i`` steps in the past.  ``Q`` is
+symmetric positive semidefinite with rank at most the state dimension.  A
+built tensor stores ``Phi``; ``Q`` is formed only where it is read.
 
 The module also provides two-sided bounds on the kernel error committed by
 starting the recursion from an unknown bounded initial state instead of
@@ -23,6 +24,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,36 +48,43 @@ class TimeSeries:
         return int(self.values.shape[0])
 
 
-@dataclass(frozen=True)
 class MetricTensor:
-    """The horizon-``tau`` kernel matrix of one reservoir.
+    """The horizon-``tau`` kernel of one reservoir, ``K(u, v) = u^T Q v``.
 
-    The constructor checks only that ``matrix`` is square and finite; those
-    of :func:`build_metric_tensor` and :func:`scale_metric_tensor` are also
-    exactly symmetric.  ``state_dim`` is the state dimension N of the
-    reservoir.  The horizon is not stored: it is the side of ``matrix``.
+    A tensor from :func:`build_metric_tensor` or :func:`scale_metric_tensor`
+    stores only the N x tau feature matrix ``phi``, with ``Q = Phi^T Phi``:
+    ``state_dim`` is its row count, the horizon its column count, and
+    ``matrix`` is formed from it by :func:`numerics.symmetric_gram` on first
+    read, exactly symmetric, and cached.  ``phi`` and that ``matrix`` are
+    read-only, so the cache never goes stale.
 
-    ``phi`` is the N x tau feature matrix ``Phi`` with ``matrix = Phi^T Phi``,
-    which :func:`motifs.extract_motifs` reads to solve the smaller N x N
-    problem.  It is not a constructor argument: only
-    :func:`build_metric_tensor` and :func:`scale_metric_tensor` attach it,
-    having formed ``matrix`` from it, so a tensor given as a matrix, or made
-    by ``dataclasses.replace``, has ``phi = None`` and never a stale factor.
-    It takes no part in ``==`` or ``repr``, since ``matrix`` gives the kernel.
+    ``MetricTensor(matrix, state_dim)`` gives a tensor as a square, finite
+    matrix, stored as given, with ``phi = None``; ``state_dim`` is the
+    state dimension N of its reservoir.  ``phi`` is not a constructor
+    argument, so no tensor carries a factor of some other matrix.  A tensor
+    is immutable and stores no horizon.
     """
 
-    matrix: np.ndarray
-    state_dim: int
-    phi: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    def __init__(self, matrix, state_dim: int):
+        m = as_square_matrix(matrix, "metric tensor")
+        check_positive_int(state_dim, "state_dim")
+        self.__dict__.update(matrix=m, state_dim=state_dim, phi=None)
 
-    def __post_init__(self):
-        m = as_square_matrix(self.matrix, "metric tensor")
-        check_positive_int(self.state_dim, "state_dim")
-        object.__setattr__(self, "matrix", m)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MetricTensor is immutable; cannot set {name!r}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The tau x tau ``Q``, formed from ``phi`` on first read; a given
+        matrix is stored under this name and read directly."""
+        with np.errstate(over="ignore", invalid="ignore"):  # as_square_matrix reports it
+            gram = as_square_matrix(symmetric_gram(self.phi), "metric tensor")
+        gram.flags.writeable = False
+        return gram
 
     @property
     def horizon(self) -> int:
-        return int(self.matrix.shape[0])
+        return int((self.matrix if self.phi is None else self.phi).shape[1])
 
 
 def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries],
@@ -159,22 +168,25 @@ def _feature_matrix(w_mat: np.ndarray, w_vec: np.ndarray, horizon: int) -> np.nd
     return phi
 
 
-def _with_features(matrix: np.ndarray, state_dim: int, phi: np.ndarray | None) -> MetricTensor:
-    """The tensor ``matrix = phi^T phi`` carrying its N x tau factor ``phi``
-    (none when ``phi`` is ``None``).  A non-finite ``phi`` makes the diagonal
-    of its Gram non-finite too, so ``MetricTensor``'s check of ``matrix``
-    rejects it."""
-    tensor = MetricTensor(matrix=matrix, state_dim=state_dim)
-    object.__setattr__(tensor, "phi", phi)
+def _of_features(phi: np.ndarray) -> MetricTensor:
+    """The tensor ``Q = phi^T phi`` of the N x tau feature matrix ``phi``,
+    which it takes read-only.  The diagonal of ``Q``, the squared column
+    norms, is checked finite in O(N tau); it bounds every entry, so a tensor
+    that overflows raises ContractViolation here, before ``Q`` is formed."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
+        as_finite_array(np.einsum("ij,ij->j", phi, phi), 1, "metric tensor")
+    phi.flags.writeable = False
+    tensor = object.__new__(MetricTensor)
+    tensor.__dict__.update(state_dim=phi.shape[0], phi=phi)
     return tensor
 
 
 def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
-    """Assemble the kernel matrix for a reservoir over a given horizon.
+    """The metric tensor of a reservoir over a given horizon.
 
-    The Gram matrix of the columns ``W^(i-1) w`` comes from
-    :func:`numerics.symmetric_gram`, so the result is exactly symmetric.
-    The tensor keeps the feature matrix those columns form as its ``phi``.
+    The tensor stores the N x tau feature matrix whose column ``i`` is
+    ``W^i w``, and no tau x tau ``Q``: that is formed only where it is read
+    (see :class:`MetricTensor`).
 
     A horizon below the state dimension is legal but leaves the kernel
     blind to directions the reservoir can still reach, so it warns.  A
@@ -189,31 +201,28 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
             "the kernel cannot resolve the full state space",
             stacklevel=2,
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # _of_features reports it
         phi = _feature_matrix(w_mat, w_vec, horizon)
-        matrix = symmetric_gram(phi)
-    return _with_features(matrix, n, phi)
+    return _of_features(phi)
 
 
 def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
     """The tensor of the reservoir ``nu * W``, given the tensor of ``W``.
 
-    Column ``i`` of the feature matrix scales by ``nu^i``, so entry
-    ``(i, j)`` scales by ``nu^(i+j)``: the result is ``outer(d, d) * Q`` with
-    ``d = nu ** arange(tau)``, in O(tau^2) with no matrix-vector product and
-    no Gram.  ``outer(d, d)`` is exactly symmetric, so the result is too,
-    and ``nu = 1`` returns the same bits.  A ``phi`` the tensor carries has
-    its columns scaled by ``d``.  ``nu`` is any finite real number; a result
-    that overflows raises ContractViolation.
+    Column ``i`` of the feature matrix ``W^i w`` scales by ``nu^i``, so the
+    result's ``phi`` is the given one with its columns scaled by ``d = nu **
+    arange(tau)``: O(N tau), with no matrix-vector product and no Gram.
+    ``nu = 1`` returns the same bits.  ``nu`` is any finite real number; a
+    result that overflows raises ContractViolation, and so does a tensor
+    given as a matrix, which has no feature matrix to scale.
     """
     if not (is_real(nu) and -math.inf < nu < math.inf):
         raise ContractViolation("nu must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
-        d = float(nu) ** np.arange(tensor.horizon)
-        matrix = np.outer(d, d)
-        matrix *= tensor.matrix
-        phi = None if tensor.phi is None else tensor.phi * d
-    return _with_features(matrix, tensor.state_dim, phi)
+    if tensor.phi is None:
+        raise ContractViolation("only a tensor with a feature matrix can be scaled")
+    with np.errstate(over="ignore", invalid="ignore"):  # _of_features reports it
+        phi = tensor.phi * float(nu) ** np.arange(tensor.horizon)
+    return _of_features(phi)
 
 
 def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCouplingSpec,
@@ -225,9 +234,7 @@ def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCo
     sigma)``.  The tensor is built once for the unit-scale draw ``raw * (1 /
     sigma)`` and scaled to ``nu`` by :func:`scale_metric_tensor`, the route
     :func:`richness.sweep` takes for every value of its grid, so each sweep
-    row equals this build at its ``nu``.  The tensor carries its feature
-    matrix, scaled the same way, so :func:`motifs.extract_motifs` can take
-    the N x N route.
+    row equals this build at its ``nu``.
     """
     raw, sigma = cp.draw_reservoir(reservoir_spec, seed)
     coupling = cp.generate_input(coupling_spec, seed)
@@ -245,20 +252,26 @@ def _finite_value(value, what: str) -> float:
 
 
 def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
-    """Evaluate ``u^T Q v``.
+    """Evaluate ``K(u, v) = u^T Q v``.
 
-    Averaging the two evaluation orders makes the result exactly invariant
-    under swapping the arguments, not just up to rounding.  A value that is
-    not finite raises ContractViolation, as in kernel_poly and readout_eval.
+    A tensor with a feature matrix gives ``(Phi u) . (Phi v)``, in O(N tau)
+    with no tau x tau matrix formed; a dot product is exactly commutative,
+    so swapping the arguments keeps the bits.  A tensor given as a matrix
+    averages the two evaluation orders of ``u^T Q v``, which is exactly
+    swap-invariant too.  A value that is not finite raises
+    ContractViolation, as in kernel_poly and readout_eval.
     """
     if u.horizon != tensor.horizon or v.horizon != tensor.horizon:
         raise ContractViolation(
             f"history horizons ({u.horizon}, {v.horizon}) do not match tensor horizon "
             f"{tensor.horizon}"
         )
-    q = tensor.matrix
     with np.errstate(over="ignore", invalid="ignore"):  # _finite_value reports it
-        value = 0.5 * (u.values @ (q @ v.values) + v.values @ (q @ u.values))
+        if tensor.phi is None:
+            q = tensor.matrix
+            value = 0.5 * (u.values @ (q @ v.values) + v.values @ (q @ u.values))
+        else:
+            value = (tensor.phi @ u.values) @ (tensor.phi @ v.values)
     return _finite_value(value, "kernel")
 
 
@@ -314,9 +327,10 @@ def readout_eval(model: ReadoutModel, tensor: MetricTensor, v: TimeSeries) -> fl
     """Evaluate ``sum_i beta_i K(u_i, v) + bias``; no supports means the bias.
 
     The kernel is bilinear, so the sum is evaluated in primal form as
-    ``K(sum_i beta_i u_i, v) + bias``: one O(tau^2) kernel evaluation per
-    query against the model's combined history, whatever the number of
-    supports.  The result equals the per-support sum up to rounding.
+    ``K(sum_i beta_i u_i, v) + bias``: one kernel evaluation per query, in
+    O(N tau) for a built tensor, against the model's combined history,
+    whatever the number of supports.  The result equals the per-support
+    sum up to rounding.
     """
     if model.combined is None:
         return float(model.bias)

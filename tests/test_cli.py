@@ -5,6 +5,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -1011,3 +1013,78 @@ def test_sweep_trials_keep_their_draw_when_the_nu_grid_grows(tmp_path, capsys):
     coarse, fine = rows.values()
     assert len(coarse) == 2 * (3 + 2)
     assert coarse == fine
+
+
+# ---------------------------------------------------------------------------
+# fresh processes: warning lines and BLAS thread counts
+# ---------------------------------------------------------------------------
+
+_SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _python(cwd, *args, **env):
+    """Run ``python args`` in ``cwd`` in a fresh process that imports this
+    reskernel, with Python's default warning filters and ``env`` added."""
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    environ.update(PYTHONPATH=str(_SRC), **env)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=environ, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_a_library_warning_prints_as_one_line(tmp_path):
+    result = _python(tmp_path, "-m", "reskernel.cli", "motifs", "--N", "3", "--tau", "2",
+                     "--trials", "2", "--out", "out")
+    assert result.returncode == 0
+    assert result.stderr == ("warning: horizon 2 is below the state dimension 3; "
+                             "the kernel cannot resolve the full state space\n")
+    assert result.stdout.startswith("retained 2 of 2 motifs")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "motifs.csv", "weights.csv", "weights_mean_std.csv"]
+
+
+def test_main_leaves_the_warning_format_as_it_found_it(tmp_path, capsys):
+    before = warnings.formatwarning
+    with pytest.warns(UserWarning, match="below the state dimension"):
+        code, _, _ = run_cli(capsys, "motifs", "--N", "3", "--tau", "2",
+                             "--out", str(tmp_path / "m"))
+    assert code == 0
+    assert warnings.formatwarning is before
+
+
+# The reproducibility contract across BLAS thread counts (see README.md): the
+# integer and text columns are equal, and floats agree within this tolerance
+# relative to max(1, |value|).  The widest measured gap, 2.1e-9, is in the
+# tail of a random reservoir's weights.csv, square roots of eigenvalues at
+# rounding level, which the motifs run below writes.
+THREAD_RTOL = 1e-8
+_EXACT_COLUMNS = {"index", "regime", "input_kind", "trial", "n_motifs", "cells_visited",
+                  "discarded_points"}
+
+
+def test_outputs_keep_the_contract_across_blas_thread_counts(tmp_path):
+    script = ("import sys; from reskernel import cli; sys.exit("
+              "cli.main(['sweep', '--nu-grid', '0.95:0.025:1.0', '--trials', '3', "
+              "'--out', 'sweep']) or cli.main(['motifs', '--config', sys.argv[1], "
+              "'--trials', '3', '--out', 'motifs']))")
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        result = _python(cwd, "-c", script, str(_REPO / "configs" / "markovian_motifs.conf"),
+                         OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        assert result.returncode == 0, result.stderr
+        runs.append(cwd)
+    names = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*.csv"))
+    assert [str(n) for n in names] == ["motifs/motifs.csv", "motifs/weights.csv",
+                                       "motifs/weights_mean_std.csv", "sweep/sweep.csv"]
+    assert names == sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*.csv"))
+    for name in names:
+        one, two = (read_rows(run / name) for run in runs)
+        assert one[0] == two[0] and len(one) == len(two) > 1
+        for row_one, row_two in zip(one[1:], two[1:]):
+            assert len(row_one) == len(row_two)
+            for column, a, b in zip(one[0], row_one, row_two):
+                if column in _EXACT_COLUMNS:
+                    assert a == b, (name, column)
+                else:
+                    assert abs(float(a) - float(b)) <= THREAD_RTOL * max(1.0, abs(float(a)))

@@ -287,7 +287,9 @@ def _unit_pair(regime, n, seed=4):
 def test_scaling_by_one_returns_the_same_bits(regime):
     unit, coupling = _unit_pair(regime, 6)
     tensor = build_metric_tensor(unit, coupling, 18)
-    assert scale_metric_tensor(tensor, 1.0).matrix.tobytes() == tensor.matrix.tobytes()
+    scaled = scale_metric_tensor(tensor, 1.0)
+    assert scaled.phi.tobytes() == tensor.phi.tobytes()
+    assert scaled.matrix.tobytes() == tensor.matrix.tobytes()
 
 
 @pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
@@ -303,6 +305,11 @@ def test_scaled_tensor_equals_the_build_of_the_scaled_reservoir(regime, horizon,
     assert (scaled.horizon, scaled.state_dim) == (horizon, 12)
     scale = np.max(np.abs(direct.matrix))
     assert np.max(np.abs(scaled.matrix - direct.matrix)) <= 1e-13 * scale
+
+
+def test_only_a_tensor_with_a_feature_matrix_can_be_scaled():
+    with pytest.raises(ContractViolation, match="feature matrix"):
+        scale_metric_tensor(MetricTensor(np.eye(3), 1), 0.5)
 
 
 def test_scaling_by_an_integer_nu_matches_the_float():
@@ -321,7 +328,8 @@ def test_scaling_rejects_a_non_finite_nu():
 # Each overflows in float64 from finite inputs; warnings are errors under pytest,
 # so these also check that no numpy warning escapes before the report.
 _OVERFLOWS = {
-    "scale_metric_tensor": lambda: scale_metric_tensor(MetricTensor(np.eye(3), 1), 1e200),
+    "scale_metric_tensor": lambda: scale_metric_tensor(
+        build_metric_tensor(np.eye(1), [1.0], 3), 1e200),
     "build_metric_tensor": lambda: build_metric_tensor(10 * np.eye(2), [1.0, 1.0], 400),
     "build_metric_tensor dense": lambda: build_metric_tensor(
         np.full((2, 2), 10.0), [1.0, 1.0], 400),
@@ -362,6 +370,21 @@ def test_kernel_is_exactly_swap_invariant():
     u = TimeSeries(rng.normal(size=9))
     v = TimeSeries(rng.normal(size=9))
     assert kernel_eval(tensor, u, v) == kernel_eval(tensor, v, u)
+
+
+@pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
+def test_the_feature_route_agrees_with_the_matrix_route(regime):
+    unit, coupling = _unit_pair(regime, 12)
+    tensor = scale_metric_tensor(build_metric_tensor(unit, coupling, 36), 0.9)
+    given = MetricTensor(tensor.matrix, tensor.state_dim)
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        u, v = TimeSeries(rng.normal(size=36)), TimeSeries(rng.normal(size=36))
+        value = kernel_eval(tensor, u, v)
+        assert value == kernel_eval(tensor, v, u)
+        # |K(u, v)| <= sqrt(K(u, u) K(v, v)) is the scale of the value.
+        scale = math.sqrt(kernel_eval(given, u, u) * kernel_eval(given, v, v))
+        assert abs(value - kernel_eval(given, u, v)) <= 1e-12 * scale
 
 
 def test_kernel_self_similarity_is_nonnegative():

@@ -228,8 +228,18 @@ def test_only_the_builders_attach_a_feature_matrix():
     with pytest.raises(TypeError):
         MetricTensor(tensor.matrix, 4, phi=tensor.phi)
     assert MetricTensor(tensor.matrix, 4).phi is None
-    # A copy with a new matrix must not keep the old matrix's factor.
-    assert dataclasses.replace(tensor, matrix=2.0 * tensor.matrix).phi is None
+    # No tensor takes a new matrix or factor, so none keeps a stale one: it is
+    # no dataclass to replace, its attributes cannot be set, and its factor and
+    # the matrix formed from it are read-only.
+    with pytest.raises(TypeError):
+        dataclasses.replace(tensor, matrix=2.0 * tensor.matrix)
+    for name in ("matrix", "phi", "state_dim"):
+        with pytest.raises(AttributeError):
+            setattr(tensor, name, None)
+    for array in (tensor.phi, tensor.matrix):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    assert tensor.matrix.tobytes() == symmetric_gram(tensor.phi).tobytes()
 
 
 def test_the_cycle_sweep_rows_solve_q_only_at_nu_one(monkeypatch):
@@ -237,15 +247,40 @@ def test_the_cycle_sweep_rows_solve_q_only_at_nu_one(monkeypatch):
     _, _, unit = build_from_specs(spec, InputCouplingSpec(kind="ones_pi_signs", size=100),
                                   200, Seed(0))
     sides = _solved_sides(monkeypatch)
-    square_at = []
+    square_at, formed_at = [], []
     for nu in default_nu_grid():
         del sides[:]
-        extract_motifs(scale_metric_tensor(unit, nu))
+        scaled = scale_metric_tensor(unit, nu)
+        extract_motifs(scaled)
         assert sides[0] == 100
         if 200 in sides:
             square_at.append(nu)
+        if "matrix" in vars(scaled):  # the tau x tau Q was formed and cached
+            formed_at.append(nu)
     assert len(default_nu_grid()) == 22
-    assert square_at == [1.0]
+    assert square_at == formed_at == [1.0]
+
+
+def test_the_feature_route_forms_no_tau_by_tau_matrix(monkeypatch):
+    n, tau = 10, 2000
+    spec = ReservoirSpec(regime="random_iid", size=n, nu=0.95)
+    sides = _solved_sides(monkeypatch)
+    rng = np.random.default_rng(8)
+    u, v = (TimeSeries(rng.uniform(-1.0, 1.0, tau)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        _, _, tensor = build_from_specs(spec, InputCouplingSpec(kind="gaussian", size=n),
+                                        tau, Seed(8))
+        scaled = scale_metric_tensor(tensor, 0.9)
+        kernel_eval(scaled, u, v)
+        motifs = extract_motifs(scaled)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sides == [n] and len(motifs) > 0  # the N x N Gram route
+    assert "matrix" not in vars(tensor) and "matrix" not in vars(scaled)
+    # One 2000 x 2000 matrix is 32 MB; Phi is 0.16 MB.
+    assert peak < 8 * tau * tau / 10
 
 
 def test_motif_set_validation():
@@ -752,19 +787,20 @@ def test_prediction_container_rejects_non_finite_entries(vectors, weights):
 
 def test_records_store_no_horizon_and_derive_it_from_their_arrays():
     stored = {record.__name__: [f.name for f in dataclasses.fields(record)]
-              for record in (MetricTensor, MotifSet, MotifPrediction,
-                             MotifComparison)}
+              for record in (MotifSet, MotifPrediction, MotifComparison)}
     assert stored == {
-        "MetricTensor": ["matrix", "state_dim", "phi"],
         "MotifSet": ["vectors", "spectrum"],
         "MotifPrediction": ["vectors", "weights", "orthonormal", "extras"],
         "MotifComparison": ["alignments", "weight_rel_errors", "cluster_ids"],
     }
     res, coup, tensor = _tensor_for("symmetric_wigner", 4, 0.9, 8, Seed(3))
     scaled = scale_metric_tensor(tensor, 0.5)
+    # A tensor stores its feature matrix, or the matrix it was given.
+    assert sorted(vars(tensor)) == sorted(vars(scaled)) == ["phi", "state_dim"]
+    assert sorted(vars(MetricTensor(np.eye(8), 4))) == ["matrix", "phi", "state_dim"]
     motifs = extract_motifs(tensor)
-    assert tensor.horizon == tensor.matrix.shape[0] == 8
-    assert scaled.horizon == scaled.matrix.shape[0] == 8
+    assert tensor.horizon == tensor.phi.shape[1] == tensor.matrix.shape[0] == 8
+    assert scaled.horizon == scaled.phi.shape[1] == scaled.matrix.shape[0] == 8
     assert motifs.horizon == motifs.spectrum.shape[0] == motifs.vectors.shape[1] == 8
     predictions = [
         predict_random(0.9, coup, 8),
