@@ -685,15 +685,109 @@ def _generic_motifs_csv(vectors, weights, path):
                                  for i in range(vectors.shape[0])))
 
 
+# Rows of 102 fields: whole rows per block, and a last block part full.
+_ROWS_PER_BLOCK = _io._BLOCK_FIELDS // 102
+
+
 @pytest.mark.parametrize("vectors, weights", [
     (np.array([[-0.0, 5e-324, 1e300, -1e300], [1.0, -2.0, 3.0, 2.0**53],
                [0.1, -1e-300, 1e17, 123456789012345678.0]]), np.array([4.0, 1e-17, 0.5])),
     (np.zeros((0, 5)), np.zeros(0)),
+    # predict_cycle returns a transposed view
+    (np.random.default_rng(3).normal(size=(9, 5)).T, np.array([3.0, 2.0, 1.0, 0.5, 0.25])),
+    # predict_random's kind of vectors: mostly zeros
+    (np.eye(3, 7), np.ones(3)),
+    # one row longer than a block, written in pieces
+    (np.random.default_rng(4).normal(size=(2, 10_000)), np.array([1.0, -0.0])),
+    (np.random.default_rng(6).normal(size=(2 * _ROWS_PER_BLOCK + 5, 100)),
+     np.random.default_rng(7).random(2 * _ROWS_PER_BLOCK + 5)),
 ])
 def test_motif_writer_bytes_equal_the_generic_csv_path(tmp_path, vectors, weights):
     _io.write_motifs_csv(vectors, weights, tmp_path / "fast.csv")
     _generic_motifs_csv(vectors, weights, tmp_path / "generic.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+
+def test_zeros_take_the_block_formatters_fast_path(tmp_path, monkeypatch):
+    def no_call(x):
+        raise AssertionError(f"fmt_float called on {x!r}")
+
+    monkeypatch.setattr(_io, "fmt_float", no_call)
+    _io.write_motifs_csv(np.eye(3, 7), np.array([1.0, -0.0, 0.0]), tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes().splitlines()[1:] == [
+        b"1,1,1,0,0,0,0,0,0", b"2,-0,0,1,0,0,0,0,0", b"3,0,0,0,1,0,0,0,0"]
+
+
+def _assert_formats_like_fmt_float(values):
+    """fmt_block's text of ``values``, in blocks of 10,000, equals fmt_float's."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    for start in range(0, values.size, 10_000):
+        chunk = values[start:start + 10_000]
+        got = _io.fmt_block(chunk.reshape(1, -1))
+        want = ",".join(map(_io.fmt_float, chunk.tolist())) + "\n"
+        if got != want:
+            wrong = [(v, g, w) for v, g, w in zip(chunk.tolist(), got.split(","),
+                                                   want.split(",")) if g != w]
+            raise AssertionError(f"(value, fmt_block, fmt_float): {wrong[:5]}")
+
+
+def _random_bit_patterns():
+    bits = np.random.default_rng(2010).integers(0, 2**64, size=1_010_000, dtype=np.uint64)
+    finite = bits.view(np.float64)[np.isfinite(bits.view(np.float64))][:1_000_000]
+    assert finite.size == 1_000_000 and (finite < 0).any() and (finite > 0).any()
+    return finite
+
+
+def _powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    around = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    return np.concatenate([around, -around])
+
+
+def _edges():
+    rng = np.random.default_rng(8)
+    tiny = np.finfo(np.float64).tiny
+    subnormals = rng.integers(1, 2**52, size=1000).astype(np.uint64).view(np.float64)
+    big = np.finfo(np.float64).max
+    return np.concatenate([subnormals, -subnormals, [5e-324, -5e-324, tiny, -tiny,
+                           np.nextafter(tiny, 0.0), 0.0, -0.0, big, -big,
+                           np.nan, np.inf, -np.inf]])
+
+
+def _ties():
+    """Doubles whose exact value is halfway between two 17-digit decimals:
+    n + 1/4 and n + 3/4 with 16 integer digits and n + 1/8 and n + 3/8 with
+    15, where the power of ten is exact, and every small odd multiple of a
+    power of two, among them ties where it is not (3 * 2**-25)."""
+    rng = np.random.default_rng(9)
+    n16 = rng.integers(10**15, 2**51, size=2000).astype(np.float64)
+    n15 = rng.integers(10**14, 2**49, size=2000).astype(np.float64)
+    odd_multiples = np.ldexp(np.arange(1.0, 64.0, 2.0)[:, None], np.arange(-1074, 1000))
+    return np.concatenate([n16 + 0.25, n16 + 0.75, n15 + 0.125, n15 + 0.375,
+                           odd_multiples.ravel()])
+
+
+def _integers():
+    near_2_53 = np.arange(2**53 - 2000, 2**53 + 2000, dtype=np.float64)
+    near_1e17 = 1e17 + 16.0 * np.arange(-1000, 1000)
+    return np.concatenate([near_2_53, near_1e17, -near_1e17, [99999999999999999.0]])
+
+
+@pytest.mark.parametrize("values", [_random_bit_patterns, _powers_of_ten, _edges, _ties,
+                                    _integers], ids=lambda make: make.__name__.strip("_"))
+def test_block_formatter_bytes_equal_fmt_float(values):
+    _assert_formats_like_fmt_float(values())
+
+
+def test_block_formatter_breaks_an_exact_tie_to_even():
+    assert _io.fmt_block(np.array([[891166954282328.4, 99999999999999999.0]])) == (
+        "891166954282328.38,1e+17\n")
+
+
+def test_block_formatter_ends_each_row_with_the_row_end():
+    block = np.array([[1.5, -2.0], [0.0, 1e-5]])
+    assert _io.fmt_block(block) == "1.5,-2\n0,1.0000000000000001e-05\n"
+    assert _io.fmt_block(block, ",") == "1.5,-2,0,1.0000000000000001e-05,"
 
 
 @pytest.mark.parametrize("rows", [
@@ -1029,6 +1123,13 @@ def _python(cwd, *args, **env):
     environ.update(PYTHONPATH=str(_SRC), **env)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=environ, capture_output=True,
                           text=True, timeout=300)
+
+
+def test_importing_the_package_builds_no_formatter_table(tmp_path):
+    result = _python(tmp_path, "-c", "import sys, reskernel; from reskernel import _io; "
+                     "print(_io._fmt_tables.cache_info().currsize, 'fractions' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 False\n"
 
 
 def test_a_library_warning_prints_as_one_line(tmp_path):
