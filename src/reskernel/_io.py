@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -273,18 +274,22 @@ def _read_text(path, what: str) -> str:
 
 
 def read_time_series(path) -> TimeSeries:
-    """Parse a time-series file: one real per line, most recent first."""
+    """Parse a time-series file: one finite real per line, most recent first."""
     values = []
     for lineno, line in enumerate(_read_text(path, "time series").splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            values.append(float(stripped))
+            value = float(stripped)
         except ValueError as exc:
             raise ContractViolation(
                 f"{path}:{lineno}: not a real number: {stripped!r}"
             ) from exc
+        # float() reads nan, inf and an out-of-range 1e400 as well.
+        if not math.isfinite(value):
+            raise ContractViolation(f"{path}:{lineno}: not a finite real number: {stripped!r}")
+        values.append(value)
     if not values:
         raise ContractViolation(f"time series file {path} holds no samples")
     return TimeSeries(np.array(values))

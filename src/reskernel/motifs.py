@@ -127,19 +127,18 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     tensor yields an empty motif set, which is a meaningful signal (the
     kernel is identically zero), not an error.
 
-    ``Q = Phi^T Phi`` has rank at most N, so when the tensor carries its
-    feature matrix ``phi`` and ``N < tau`` the eigenpairs come from the
-    N x N Gram ``Phi Phi^T``: the motifs are ``Phi^T u_i / sqrt(lambda_i)``
-    under :func:`numerics.fix_signs`, and the spectrum is padded with exact
-    zeros to length tau.  The tau x tau ``Q`` (``tensor.matrix``, formed from
-    ``phi`` on first read) is solved instead when there is no ``phi``, when
-    ``tau <= N``, when a retained eigenvalue lies within ``DEGENERACY_RTOL``
-    of a neighbour (the first dropped one included), or when the smallest
-    retained eigenvalue is below ``DUAL_ROUTE_MIN_RATIO`` times the top.
+    ``Q = Phi^T Phi`` has rank at most N, so when ``N < tau`` the eigenpairs
+    come from the N x N Gram ``Phi Phi^T``: the motifs are
+    ``Phi^T u_i / sqrt(lambda_i)`` under :func:`numerics.fix_signs`, and the
+    spectrum is padded with exact zeros to length tau.  The tau x tau ``Q``
+    (``tensor.matrix``) is solved instead when ``tau <= N``, when a retained
+    eigenvalue lies within ``DEGENERACY_RTOL`` of a neighbour (the first
+    dropped one included), or when the smallest retained eigenvalue is below
+    ``DUAL_ROUTE_MIN_RATIO`` times the top.
     """
     check_threshold_ratio(threshold_ratio)
     n, tau = tensor.state_dim, tensor.horizon
-    if tensor.phi is not None and n < tau:
+    if n < tau:
         eig = sym_eig(symmetric_gram(tensor.phi.T))
         spectrum = np.concatenate((clamp_spectrum(eig.eigenvalues, "metric tensor"),
                                    np.zeros(tau - n)))
@@ -221,6 +220,14 @@ def predict_random(nu: float, coupling, horizon: int) -> MotifPrediction:
     diagonal: motif ``i`` (of ``min(N, horizon)``) is the ``i``-th standard
     basis vector (memory of the lone sample ``i`` steps back) with weight
     ``||coupling|| * (nu / 2)**(i - 1)``.
+
+    This is a large-N law: ``nu / 2`` is the large-N ratio of spectral
+    radius to largest singular value (the circular law; Geman 1980 for the
+    largest singular value).  At ``nu = 0.95`` the mean alignment rises from
+    0.9398 at N = 25 to 0.9975 at N = 800 (ROADMAP item 14).  It fails at
+    N = 1, where the 1 x 1 reservoir has spectral radius ``nu``: measured at
+    seed 0, ``predict --regime random --N 1`` gives min alignment 0.709 and
+    max weight rel error 0.411, and 0.725 and 0.379 with ``--nu 0.95``.
     """
     check_positive_int(horizon, "horizon")
     check_nu(nu)

@@ -100,7 +100,8 @@ def as_finite_array(a, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a non-empty, 2-D, finite matrix: the one matrix rule."""
     m = as_finite_array(a, 2, name)
     if m.size == 0:
         raise ContractViolation(f"{name} must be non-empty")
@@ -109,7 +110,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     """``a`` as a non-empty, 2-D, square, finite matrix: the one square-matrix rule."""
-    m = _as_matrix(a, name)
+    m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise ContractViolation(f"{name} must be square, got shape {m.shape}")
     return m
@@ -262,7 +263,7 @@ def largest_singular_value(a) -> float:
     ContractViolation.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # sym_eigvals reports it
-        gram = symmetric_gram(_as_matrix(a))
+        gram = symmetric_gram(as_matrix(a))
     return float(np.sqrt(max(sym_eigvals(gram)[0], 0.0)))
 
 

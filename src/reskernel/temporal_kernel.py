@@ -11,7 +11,7 @@ with ``Phi`` the N x tau feature matrix whose columns are ``W^(i-1) w``.
 Histories are stored most recent first: ``values[0]`` is the current
 sample, ``values[i]`` the sample ``i`` steps in the past.  ``Q`` is
 symmetric positive semidefinite with rank at most the state dimension.  A
-built tensor stores ``Phi``; ``Q`` is formed only where it is read.
+tensor stores ``Phi``; ``Q`` is formed only where it is read.
 
 The module also provides two-sided bounds on the kernel error committed by
 starting the recursion from an unknown bounded initial state instead of
@@ -30,8 +30,8 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
-from .numerics import (as_finite_array, as_reservoir_pair, as_square_matrix, as_vector,
-                       check_positive_int, is_real, symmetric_gram)
+from .numerics import (as_finite_array, as_matrix, as_reservoir_pair, as_square_matrix,
+                       as_vector, check_positive_int, is_real, symmetric_gram)
 
 
 @dataclass(frozen=True)
@@ -51,40 +51,43 @@ class TimeSeries:
 class MetricTensor:
     """The horizon-``tau`` kernel of one reservoir, ``K(u, v) = u^T Q v``.
 
-    A tensor from :func:`build_metric_tensor` or :func:`scale_metric_tensor`
-    stores only the N x tau feature matrix ``phi``, with ``Q = Phi^T Phi``:
-    ``state_dim`` is its row count, the horizon its column count, and
-    ``matrix`` is formed from it by :func:`numerics.symmetric_gram` on first
-    read, exactly symmetric, and cached.  ``phi`` and that ``matrix`` are
-    read-only, so the cache never goes stale.
-
-    ``MetricTensor(matrix, state_dim)`` gives a tensor as a square, finite
-    matrix, stored as given, with ``phi = None``; ``state_dim`` is the
-    state dimension N of its reservoir.  ``phi`` is not a constructor
-    argument, so no tensor carries a factor of some other matrix.  A tensor
-    is immutable and stores no horizon.
+    ``MetricTensor(phi)`` is the kernel of the N x tau feature matrix
+    ``phi``, with ``Q = Phi^T Phi``: ``state_dim`` is its row count and
+    ``horizon`` its column count.  ``phi`` must be a non-empty, 2-D, finite
+    matrix.  Its squared column norms, the diagonal of ``Q``, bound every
+    entry of ``Q`` and are checked finite in O(N tau), so a tensor that
+    overflows raises ContractViolation before ``Q`` is formed.  A float64
+    ``phi`` is stored without a copy and marked read-only.  ``matrix`` is
+    formed from it by :func:`numerics.symmetric_gram` on first read, exactly
+    symmetric, read-only and cached, so the cache never goes stale.  A tensor
+    is immutable.
     """
 
-    def __init__(self, matrix, state_dim: int):
-        m = as_square_matrix(matrix, "metric tensor")
-        check_positive_int(state_dim, "state_dim")
-        self.__dict__.update(matrix=m, state_dim=state_dim, phi=None)
+    def __init__(self, phi):
+        phi = as_matrix(phi, "metric tensor")
+        with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
+            as_finite_array(np.einsum("ij,ij->j", phi, phi), 1, "metric tensor")
+        phi.flags.writeable = False
+        self.__dict__["phi"] = phi
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MetricTensor is immutable; cannot set {name!r}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The tau x tau ``Q``, formed from ``phi`` on first read; a given
-        matrix is stored under this name and read directly."""
+        """The tau x tau ``Q``, formed from ``phi`` on first read."""
         with np.errstate(over="ignore", invalid="ignore"):  # as_square_matrix reports it
             gram = as_square_matrix(symmetric_gram(self.phi), "metric tensor")
         gram.flags.writeable = False
         return gram
 
     @property
+    def state_dim(self) -> int:
+        return int(self.phi.shape[0])
+
+    @property
     def horizon(self) -> int:
-        return int((self.matrix if self.phi is None else self.phi).shape[1])
+        return int(self.phi.shape[1])
 
 
 def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries],
@@ -168,25 +171,11 @@ def _feature_matrix(w_mat: np.ndarray, w_vec: np.ndarray, horizon: int) -> np.nd
     return phi
 
 
-def _of_features(phi: np.ndarray) -> MetricTensor:
-    """The tensor ``Q = phi^T phi`` of the N x tau feature matrix ``phi``,
-    which it takes read-only.  The diagonal of ``Q``, the squared column
-    norms, is checked finite in O(N tau); it bounds every entry, so a tensor
-    that overflows raises ContractViolation here, before ``Q`` is formed."""
-    with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
-        as_finite_array(np.einsum("ij,ij->j", phi, phi), 1, "metric tensor")
-    phi.flags.writeable = False
-    tensor = object.__new__(MetricTensor)
-    tensor.__dict__.update(state_dim=phi.shape[0], phi=phi)
-    return tensor
-
-
 def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
     """The metric tensor of a reservoir over a given horizon.
 
-    The tensor stores the N x tau feature matrix whose column ``i`` is
-    ``W^i w``, and no tau x tau ``Q``: that is formed only where it is read
-    (see :class:`MetricTensor`).
+    The tensor is ``MetricTensor(phi)`` of the N x tau feature matrix whose
+    column ``i`` is ``W^i w``.
 
     A horizon below the state dimension is legal but leaves the kernel
     blind to directions the reservoir can still reach, so it warns.  A
@@ -201,28 +190,25 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
             "the kernel cannot resolve the full state space",
             stacklevel=2,
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # _of_features reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
         phi = _feature_matrix(w_mat, w_vec, horizon)
-    return _of_features(phi)
+    return MetricTensor(phi)
 
 
 def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
     """The tensor of the reservoir ``nu * W``, given the tensor of ``W``.
 
     Column ``i`` of the feature matrix ``W^i w`` scales by ``nu^i``, so the
-    result's ``phi`` is the given one with its columns scaled by ``d = nu **
-    arange(tau)``: O(N tau), with no matrix-vector product and no Gram.
+    result is ``MetricTensor(phi * d)`` with ``d = nu ** arange(tau)``: O(N
+    tau), with no matrix-vector product and no Gram.
     ``nu = 1`` returns the same bits.  ``nu`` is any finite real number; a
-    result that overflows raises ContractViolation, and so does a tensor
-    given as a matrix, which has no feature matrix to scale.
+    result that overflows raises ContractViolation.
     """
     if not (is_real(nu) and -math.inf < nu < math.inf):
         raise ContractViolation("nu must be finite")
-    if tensor.phi is None:
-        raise ContractViolation("only a tensor with a feature matrix can be scaled")
-    with np.errstate(over="ignore", invalid="ignore"):  # _of_features reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
         phi = tensor.phi * float(nu) ** np.arange(tensor.horizon)
-    return _of_features(phi)
+    return MetricTensor(phi)
 
 
 def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCouplingSpec,
@@ -252,14 +238,10 @@ def _finite_value(value, what: str) -> float:
 
 
 def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
-    """Evaluate ``K(u, v) = u^T Q v``.
-
-    A tensor with a feature matrix gives ``(Phi u) . (Phi v)``, in O(N tau)
-    with no tau x tau matrix formed; a dot product is exactly commutative,
-    so swapping the arguments keeps the bits.  A tensor given as a matrix
-    averages the two evaluation orders of ``u^T Q v``, which is exactly
-    swap-invariant too.  A value that is not finite raises
-    ContractViolation, as in kernel_poly and readout_eval.
+    """Evaluate ``K(u, v) = u^T Q v`` as ``(Phi u) . (Phi v)``, in O(N tau)
+    with no tau x tau matrix formed.  A dot product is exactly commutative,
+    so swapping the arguments keeps the bits.  A value that is not finite
+    raises ContractViolation, as in kernel_poly and readout_eval.
     """
     if u.horizon != tensor.horizon or v.horizon != tensor.horizon:
         raise ContractViolation(
@@ -267,11 +249,7 @@ def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
             f"{tensor.horizon}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # _finite_value reports it
-        if tensor.phi is None:
-            q = tensor.matrix
-            value = 0.5 * (u.values @ (q @ v.values) + v.values @ (q @ u.values))
-        else:
-            value = (tensor.phi @ u.values) @ (tensor.phi @ v.values)
+        value = (tensor.phi @ u.values) @ (tensor.phi @ v.values)
     return _finite_value(value, "kernel")
 
 

@@ -8,11 +8,11 @@ the geometric decay envelope, and the kernel error caused by an unknown
 bounded initial state stays inside its two-sided closed-form bounds.
 
 The sampled suites share one sampling loop and take a ``tamper`` flag: when
-set, :func:`inject_asymmetry` is applied to each freshly built tensor
-matrix, and the tampered tensor carries no feature matrix.  It exists as a
-negative control: injecting an asymmetry must make the suites fail and
-produce a replayable report.  A suite's verdict is its first failure: it
-passes exactly when it recorded no replay.
+set, :func:`inject_asymmetry` is applied to a copy of each freshly built
+tensor's matrix, and the suites read that matrix in place of the tensor.
+It exists as a negative control: injecting an asymmetry must make the
+suites fail and produce a replayable report.  A suite's verdict is its
+first failure: it passes exactly when it recorded no replay.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .numerics import (CLAMP_RTOL, SYMMETRY_ATOL, asymmetry, check_positive_int,
                        numerical_rank, relative_negativity, sym_eigvals)
 from .temporal_kernel import (
     BoundParams,
-    MetricTensor,
     TimeSeries,
     build_from_specs,
     initial_state_radius,
@@ -102,11 +101,12 @@ def _sample_config(rng: np.random.Generator):
 
 def _sampled_builds(n_configs: int, base_seed: int, stream: int, salt: int,
                     tamper: bool) -> Iterator[tuple]:
-    """Yield ``(sampler, sample, reservoir, coupling, tensor)`` per configuration:
-    sample ``i`` is drawn from stream ``stream`` of ``Seed(base_seed)`` with
-    seed ``mix_seed(base_seed, salt, i)``, built with warnings silenced, its
-    tensor passed through :func:`inject_asymmetry` if the flag ``tamper`` is
-    set.  A suite may draw from ``sampler`` between builds."""
+    """Yield ``(sampler, sample, reservoir, coupling, tensor, tampered)`` per
+    configuration: sample ``i`` is drawn from stream ``stream`` of
+    ``Seed(base_seed)`` with seed ``mix_seed(base_seed, salt, i)`` and built
+    with warnings silenced.  ``tampered`` is a copy of the tensor's matrix
+    passed through :func:`inject_asymmetry` if the flag ``tamper`` is set,
+    else ``None``.  A suite may draw from ``sampler`` between builds."""
     if not is_flag(tamper):
         raise ContractViolation("tamper must be a bool")
     sampler = cp.seed_generator(cp.Seed(base_seed), stream)
@@ -115,10 +115,8 @@ def _sampled_builds(n_configs: int, base_seed: int, stream: int, salt: int,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reservoir, coupling_vec, tensor = build_from_specs(*sample)
-        if tamper:
-            # No feature matrix: the tampered matrix is no longer its Gram.
-            tensor = MetricTensor(inject_asymmetry(tensor.matrix.copy()), tensor.state_dim)
-        yield sampler, sample, reservoir, coupling_vec, tensor
+        tampered = inject_asymmetry(tensor.matrix.copy()) if tamper else None
+        yield sampler, sample, reservoir, coupling_vec, tensor, tampered
 
 
 def _replay(name: str, sample: _Sample, **extra) -> dict:
@@ -147,20 +145,26 @@ def run_kernel_state_equivalence(n_configs: int, base_seed: int = 0,
 
     The pairs of a configuration are drawn first, then their states come
     from one batched :func:`simulate_state` recursion; the oracle is the
-    recursion, never the feature matrix.
+    recursion, never the feature matrix.  A tampered matrix ``Q`` is read
+    as ``u^T Q v`` averaged over its two evaluation orders.
     """
     check_positive_int(n_configs, "n_configs")
     name = "kernel-state equivalence"
     worst = 0.0
     replay = None
     checked = 0
-    for sampler, sample, reservoir, coupling_vec, tensor in _sampled_builds(
+    for sampler, sample, reservoir, coupling_vec, tensor, tampered in _sampled_builds(
             n_configs, base_seed, 901, 17, tamper):
         histories = [TimeSeries(sampler.uniform(-1.0, 1.0, sample.horizon))
                      for _ in range(2 * PAIRS_PER_CONFIG)]
         states = simulate_state(reservoir, coupling_vec, histories)
         for j in range(0, len(histories), 2):
-            through_tensor = kernel_eval(tensor, histories[j], histories[j + 1])
+            u, v = histories[j], histories[j + 1]
+            if tampered is None:
+                through_tensor = kernel_eval(tensor, u, v)
+            else:
+                x, y = u.values, v.values
+                through_tensor = float(0.5 * (x @ (tampered @ y) + y @ (tampered @ x)))
             through_states = float(states[:, j] @ states[:, j + 1])
             tol = EQUIVALENCE_RTOL * max(1.0, abs(through_tensor))
             ratio = abs(through_tensor - through_states) / tol
@@ -190,15 +194,16 @@ def run_spectrum_properties(n_configs: int, base_seed: int = 0,
     worst_decay = -np.inf
     psd_replay = None
     decay_replay = None
-    for _, sample, _, coupling_vec, tensor in _sampled_builds(
+    for _, sample, _, coupling_vec, tensor, tampered in _sampled_builds(
             n_configs, base_seed, 902, 23, tamper):
-        asym = asymmetry(tensor.matrix)
+        q = tensor.matrix if tampered is None else tampered
+        asym = asymmetry(q)
         worst_asym = max(worst_asym, asym)
         if asym > SYMMETRY_ATOL:
             if psd_replay is None:
                 psd_replay = _replay(psd_name, sample, asymmetry=asym)
         else:
-            values = sym_eigvals(tensor.matrix)
+            values = sym_eigvals(q)
             rel_neg = relative_negativity(values)
             rank = numerical_rank(values)
             if (rel_neg > CLAMP_RTOL or rank > tensor.state_dim) and psd_replay is None:
@@ -207,7 +212,7 @@ def run_spectrum_properties(n_configs: int, base_seed: int = 0,
 
         damp = sample.res_spec.nu ** np.arange(tensor.horizon)
         envelope = np.outer(damp, damp) * float(coupling_vec @ coupling_vec) + DECAY_ATOL
-        excess = float(np.max(np.abs(tensor.matrix) - envelope))
+        excess = float(np.max(np.abs(q) - envelope))
         worst_decay = max(worst_decay, excess)
         if excess > 0.0 and decay_replay is None:
             decay_replay = _replay(decay_name, sample, excess=excess)

@@ -387,6 +387,28 @@ def test_verify_negative_control_fails_and_dumps_replay(tmp_path, capsys):
     assert "property" in replay and "seed" in replay
 
 
+def test_verify_negative_control_reports_pinned_lines(tmp_path, capsys):
+    """The tampered suites at seed 0 keep every figure of their report."""
+    out = tmp_path / "neg"
+    code, stdout, _ = run_cli(capsys, "verify", "--configs", "3",
+                              "--spectrum-configs", "3",
+                              "--containment-trials", "2",
+                              "--inject-asymmetry", "--seed", "0", "--out", str(out))
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == [
+        "verify_failure_kernel-state_equivalence.json",
+        "verify_failure_tensor_symmetry_positive_spectrum_rank_bound.json",
+    ]
+    assert [line for line in stdout.splitlines() if line[:5] in ("PASS ", "FAIL ")] == [
+        "FAIL kernel-state equivalence: 6 checked, worst error/tolerance ratio 2.180e+06",
+        "FAIL tensor symmetry, positive spectrum, rank bound: 3 checked, "
+        "worst asymmetry 1.000e-03, worst relative negativity 0.000e+00",
+        "PASS entrywise decay envelope: 3 checked, worst envelope excess -1.000e-09",
+        "PASS initial-state error containment: 2 checked, worst containment margin "
+        "3.431e-04 (bounds [-3.431e-04, 3.431e-04])",
+    ]
+
+
 @pytest.fixture(params=[0o022, 0o027])
 def umask(request):
     old = os.umask(request.param)
@@ -497,6 +519,16 @@ def test_kernel_reports_malformed_series_with_line_number(tmp_path, capsys):
                               "--N", "2", "--out", str(tmp_path / "x"))
     assert code == 1
     assert ":2:" in stderr
+
+
+@pytest.mark.parametrize("sample", ["nan", "-inf", "1e400"])
+def test_kernel_reports_a_non_finite_sample_with_line_number(tmp_path, capsys, sample):
+    u_file = tmp_path / "u.txt"
+    u_file.write_text(f"1.0\n{sample}\n")
+    code, _, stderr = run_cli(capsys, "kernel", str(u_file), str(u_file),
+                              "--N", "2", "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert stderr == f"error: {u_file}:2: not a finite real number: {sample!r}\n"
 
 
 _NOT_UTF8 = b"\xff\xfe\x00bad\n"

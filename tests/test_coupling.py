@@ -276,9 +276,8 @@ _POSITIVE_INT_USERS = {
     "build_metric_tensor.horizon": lambda k: build_metric_tensor(np.eye(2), np.ones(2), k),
     "predict_random.horizon": lambda k: predict_random(0.9, np.ones(4), k),
     "predict_cycle.horizon": lambda k: predict_cycle(0.9, np.full(2, 0.5), k),
-    "kernel_poly.degree": lambda k: kernel_poly(MetricTensor(np.eye(2), 2), TimeSeries(np.ones(2)),
+    "kernel_poly.degree": lambda k: kernel_poly(MetricTensor(np.eye(2)), TimeSeries(np.ones(2)),
                                                 TimeSeries(np.ones(2)), 0.0, k),
-    "MetricTensor.state_dim": lambda k: MetricTensor(np.eye(2), state_dim=k),
     "SweepConfig.trials": lambda k: SweepConfig(nu_values=(0.9,), trials=k, state_dim=4),
     "SweepConfig.state_dim": lambda k: SweepConfig(nu_values=(0.9,), state_dim=k),
     "SweepConfig.horizon": lambda k: SweepConfig(nu_values=(0.9,), horizon=k, state_dim=4),

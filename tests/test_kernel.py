@@ -1,5 +1,6 @@
 """State simulation, the metric tensor, kernel evaluation, and error bounds."""
 
+import dataclasses
 import math
 import warnings
 
@@ -29,6 +30,7 @@ from reskernel import (
 )
 from reskernel import temporal_kernel
 from reskernel.coupling import draw_reservoir, generate_input, generate_reservoir
+from reskernel.numerics import symmetric_gram
 from reskernel.verify import run_initial_state_error_containment
 
 
@@ -211,14 +213,47 @@ def test_tensor_rejects_bad_horizon(horizon):
 
 
 def test_metric_tensor_container_validation():
-    with pytest.raises(ContractViolation):
-        MetricTensor(np.zeros((2, 3)), state_dim=1)
-    with pytest.raises(ContractViolation):
-        MetricTensor(np.array([[np.nan]]), state_dim=1)
-    with pytest.raises(ContractViolation):
-        MetricTensor(np.zeros((2, 2)), state_dim=0)
-    with pytest.raises(ContractViolation):
-        MetricTensor(np.zeros((0, 0)), state_dim=1)
+    for phi, message in [
+        (np.ones(3), "must be 2-dimensional"),
+        (np.zeros((0, 3)), "must be non-empty"),
+        (np.zeros((3, 0)), "must be non-empty"),
+        (np.array([[1.0, np.nan]]), "contains non-finite entries"),
+        # Finite entries whose squared column norm, a diagonal entry of Q, overflows.
+        (np.array([[1e200, 1.0]]), "contains non-finite entries"),
+    ]:
+        with pytest.raises(ContractViolation, match=f"^metric tensor {message}"):
+            MetricTensor(phi)
+
+
+def test_a_tensor_of_a_built_feature_matrix_is_the_built_tensor():
+    res, coup = _random_pair(6, 0.9, 3)
+    built = build_metric_tensor(res, coup, 12)
+    given = MetricTensor(built.phi)
+    assert (given.state_dim, given.horizon) == (6, 12)
+    assert given.matrix.tobytes() == built.matrix.tobytes()
+    rng = np.random.default_rng(43)
+    u, v = TimeSeries(rng.normal(size=12)), TimeSeries(rng.normal(size=12))
+    assert kernel_eval(given, u, v) == kernel_eval(built, u, v)
+
+
+def test_a_tensor_shares_its_feature_matrix_read_only():
+    phi = np.random.default_rng(47).normal(size=(4, 8))
+    tensor = MetricTensor(phi)
+    # A float64 feature matrix is taken without a copy and marked read-only.
+    assert np.shares_memory(tensor.phi, phi) and not phi.flags.writeable
+    assert (tensor.state_dim, tensor.horizon) == (4, 8)
+    # No tensor takes a new matrix or factor, so none keeps a stale one: it is
+    # no dataclass to replace, its attributes cannot be set, and its factor and
+    # the matrix formed from it are read-only.
+    with pytest.raises(TypeError):
+        dataclasses.replace(tensor, phi=2.0 * phi)
+    for name in ("matrix", "phi", "state_dim", "horizon"):
+        with pytest.raises(AttributeError):
+            setattr(tensor, name, None)
+    for array in (tensor.phi, tensor.matrix):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    assert tensor.matrix.tobytes() == symmetric_gram(phi).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +342,6 @@ def test_scaled_tensor_equals_the_build_of_the_scaled_reservoir(regime, horizon,
     assert np.max(np.abs(scaled.matrix - direct.matrix)) <= 1e-13 * scale
 
 
-def test_only_a_tensor_with_a_feature_matrix_can_be_scaled():
-    with pytest.raises(ContractViolation, match="feature matrix"):
-        scale_metric_tensor(MetricTensor(np.eye(3), 1), 0.5)
-
-
 def test_scaling_by_an_integer_nu_matches_the_float():
     tensor = build_metric_tensor(np.array([[0.5]]), np.array([1.0]), 3)
     assert scale_metric_tensor(tensor, 2).matrix.tobytes() == \
@@ -376,15 +406,14 @@ def test_kernel_is_exactly_swap_invariant():
 def test_the_feature_route_agrees_with_the_matrix_route(regime):
     unit, coupling = _unit_pair(regime, 12)
     tensor = scale_metric_tensor(build_metric_tensor(unit, coupling, 36), 0.9)
-    given = MetricTensor(tensor.matrix, tensor.state_dim)
     rng = np.random.default_rng(37)
     for _ in range(5):
-        u, v = TimeSeries(rng.normal(size=36)), TimeSeries(rng.normal(size=36))
-        value = kernel_eval(tensor, u, v)
-        assert value == kernel_eval(tensor, v, u)
+        u, v = rng.normal(size=36), rng.normal(size=36)
+        value = kernel_eval(tensor, TimeSeries(u), TimeSeries(v))
+        assert value == kernel_eval(tensor, TimeSeries(v), TimeSeries(u))
         # |K(u, v)| <= sqrt(K(u, u) K(v, v)) is the scale of the value.
-        scale = math.sqrt(kernel_eval(given, u, u) * kernel_eval(given, v, v))
-        assert abs(value - kernel_eval(given, u, v)) <= 1e-12 * scale
+        scale = math.sqrt((u @ tensor.matrix @ u) * (v @ tensor.matrix @ v))
+        assert abs(value - u @ tensor.matrix @ v) <= 1e-12 * scale
 
 
 def test_kernel_self_similarity_is_nonnegative():
@@ -405,7 +434,7 @@ def test_kernel_rejects_horizon_mismatch():
 
 
 def test_polynomial_kernel_values():
-    tensor = MetricTensor(np.eye(2), state_dim=2)
+    tensor = MetricTensor(np.eye(2))
     u = TimeSeries(np.array([3.0, 0.0]))
     v = TimeSeries(np.array([1.0, 0.0]))
     assert kernel_poly(tensor, u, v, 0.0, 2) == 9.0
@@ -418,7 +447,7 @@ def test_polynomial_kernel_values():
 @pytest.mark.parametrize("offset,degree", [(0.0, 0), (0.0, -2), (0.0, 1.5),
                                            (np.nan, 2)])
 def test_polynomial_kernel_rejects_bad_parameters(offset, degree):
-    tensor = MetricTensor(np.eye(2), state_dim=2)
+    tensor = MetricTensor(np.eye(2))
     u = TimeSeries(np.ones(2))
     with pytest.raises(ContractViolation):
         kernel_poly(tensor, u, u, offset, degree)
@@ -429,7 +458,7 @@ def test_polynomial_kernel_rejects_bad_parameters(offset, degree):
 # ---------------------------------------------------------------------------
 
 def test_readout_with_no_supports_returns_bias():
-    tensor = MetricTensor(np.eye(2), state_dim=2)
+    tensor = MetricTensor(np.eye(2))
     model = ReadoutModel(supports=(), coefficients=np.zeros(0), bias=0.75)
     assert readout_eval(model, tensor, TimeSeries(np.ones(2))) == 0.75
 

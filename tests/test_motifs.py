@@ -11,6 +11,7 @@ import pytest
 import oracles
 from reskernel import (
     ContractViolation,
+    EigenDecomposition,
     InputCouplingSpec,
     MetricTensor,
     MotifComparison,
@@ -64,7 +65,7 @@ def test_scalar_reservoir_yields_single_geometric_motif():
 
 
 def test_identity_tensor_keeps_every_motif():
-    tensor = MetricTensor(np.eye(5), state_dim=5)
+    tensor = MetricTensor(np.eye(5))
     motifs = extract_motifs(tensor)
     assert len(motifs) == 5
     assert np.array_equal(motifs.weights, np.ones(5))
@@ -72,7 +73,7 @@ def test_identity_tensor_keeps_every_motif():
 
 
 def test_retention_threshold_is_relative_to_top_weight():
-    tensor = MetricTensor(np.diag([1.0, 1e-3, 1e-6]), state_dim=3)
+    tensor = MetricTensor(np.diag(np.sqrt([1.0, 1e-3, 1e-6])))
     # weights are 1, ~0.0316, 0.001; the default ratio 1e-2 keeps two.
     motifs = extract_motifs(tensor)
     assert len(motifs) == 2
@@ -91,23 +92,32 @@ def test_full_spectrum_is_kept_alongside_retained_weights():
     assert np.all(np.diff(motifs.spectrum) <= 0.0)
 
 
-def test_small_negative_eigenvalues_are_clamped_to_zero():
-    tensor = MetricTensor(np.diag([1.0, -1e-12]), state_dim=2)
-    motifs = extract_motifs(tensor)
+def _solved_as(monkeypatch, spectrum):
+    """Make every eigensolve in ``extract_motifs`` return ``spectrum`` with the
+    identity's eigenvectors: a Gram cannot have a negative eigenvalue, but the
+    clamp runs on every solve."""
+    values = np.array(spectrum)
+    monkeypatch.setattr(motifs_module, "sym_eig",
+                        lambda matrix: EigenDecomposition(values.copy(), np.eye(values.size)))
+
+
+def test_small_negative_eigenvalues_are_clamped_to_zero(monkeypatch):
+    _solved_as(monkeypatch, [1.0, -1e-12])
+    motifs = extract_motifs(MetricTensor(np.eye(2)))
     assert np.array_equal(motifs.spectrum, [1.0, 0.0])
     assert len(motifs) == 1
 
 
-def test_clear_negative_eigenvalue_raises_psd_violation():
-    tensor = MetricTensor(np.diag([1.0, -1.0]), state_dim=2)
+def test_clear_negative_eigenvalue_raises_psd_violation(monkeypatch):
+    _solved_as(monkeypatch, [1.0, -1.0])
     with pytest.raises(PsdViolationError) as exc:
-        extract_motifs(tensor)
+        extract_motifs(MetricTensor(np.eye(2)))
     assert exc.value.eigenvalue == pytest.approx(-1.0, rel=1e-12)
     assert exc.value.floor == pytest.approx(-1e-9, rel=1e-6)
 
 
 def test_zero_tensor_yields_empty_motif_set():
-    tensor = MetricTensor(np.zeros((4, 4)), state_dim=3)
+    tensor = MetricTensor(np.zeros((3, 4)))
     motifs = extract_motifs(tensor)
     assert len(motifs) == 0
     assert motifs.vectors.shape == (0, 4)
@@ -116,7 +126,7 @@ def test_zero_tensor_yields_empty_motif_set():
 
 @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5])
 def test_extract_rejects_bad_threshold(ratio):
-    tensor = MetricTensor(np.eye(2), state_dim=2)
+    tensor = MetricTensor(np.eye(2))
     with pytest.raises(ContractViolation):
         extract_motifs(tensor, threshold_ratio=ratio)
 
@@ -145,8 +155,13 @@ def _solved_sides(monkeypatch):
 
 
 def _square_route(tensor):
-    """The tau x tau route: the same tensor given as a matrix, with no ``phi``."""
-    return extract_motifs(MetricTensor(tensor.matrix, tensor.state_dim))
+    """The tau x tau route at the default threshold, formed here from the
+    eigenpairs of ``Q`` with the clamp and the retention rule of ``extract_motifs``."""
+    eig = sym_eig(tensor.matrix)
+    spectrum = np.where(eig.eigenvalues < 0.0, 0.0, eig.eigenvalues)
+    weights = np.sqrt(spectrum)
+    count = int(np.sum(weights >= 1e-2 * weights[0]))
+    return MotifSet(vectors=eig.eigenvectors[:, :count].T, spectrum=spectrum)
 
 
 @pytest.mark.parametrize("regime, n, horizon", [
@@ -220,26 +235,6 @@ def test_an_all_zero_feature_matrix_gives_the_empty_set(monkeypatch):
     assert len(motifs) == 0
     assert motifs.vectors.shape == (0, 8)
     assert motifs.spectrum.tobytes() == np.zeros(8).tobytes()
-
-
-def test_only_the_builders_attach_a_feature_matrix():
-    _, _, tensor = _tensor_for("random_iid", 4, 0.9, 8, Seed(3))
-    assert tensor.phi.shape == (4, 8)
-    with pytest.raises(TypeError):
-        MetricTensor(tensor.matrix, 4, phi=tensor.phi)
-    assert MetricTensor(tensor.matrix, 4).phi is None
-    # No tensor takes a new matrix or factor, so none keeps a stale one: it is
-    # no dataclass to replace, its attributes cannot be set, and its factor and
-    # the matrix formed from it are read-only.
-    with pytest.raises(TypeError):
-        dataclasses.replace(tensor, matrix=2.0 * tensor.matrix)
-    for name in ("matrix", "phi", "state_dim"):
-        with pytest.raises(AttributeError):
-            setattr(tensor, name, None)
-    for array in (tensor.phi, tensor.matrix):
-        with pytest.raises(ValueError):
-            array[0, 0] = 1.0
-    assert tensor.matrix.tobytes() == symmetric_gram(tensor.phi).tobytes()
 
 
 def test_the_cycle_sweep_rows_solve_q_only_at_nu_one(monkeypatch):
@@ -332,7 +327,7 @@ def test_motif_set_rejects_non_finite_entries(bad):
 # ---------------------------------------------------------------------------
 
 def test_represent_in_motif_coordinates_identity_case():
-    tensor = MetricTensor(np.eye(3), state_dim=3)
+    tensor = MetricTensor(np.eye(3))
     motifs = extract_motifs(tensor)
     u = np.array([0.5, -2.0, 0.25])
     assert np.allclose(represent(motifs, TimeSeries(u)), u, atol=1e-14)
@@ -373,11 +368,11 @@ def test_represent_inner_products_approximate_the_kernel():
 
 
 def test_represent_rejects_horizon_mismatch_and_empty_set_passthrough():
-    tensor = MetricTensor(np.eye(3), state_dim=3)
+    tensor = MetricTensor(np.eye(3))
     motifs = extract_motifs(tensor)
     with pytest.raises(ContractViolation):
         represent(motifs, TimeSeries(np.ones(4)))
-    empty = extract_motifs(MetricTensor(np.zeros((3, 3)), state_dim=3))
+    empty = extract_motifs(MetricTensor(np.zeros((3, 3))))
     assert represent(empty, TimeSeries(np.ones(3))).shape == (0,)
 
 
@@ -795,9 +790,8 @@ def test_records_store_no_horizon_and_derive_it_from_their_arrays():
     }
     res, coup, tensor = _tensor_for("symmetric_wigner", 4, 0.9, 8, Seed(3))
     scaled = scale_metric_tensor(tensor, 0.5)
-    # A tensor stores its feature matrix, or the matrix it was given.
-    assert sorted(vars(tensor)) == sorted(vars(scaled)) == ["phi", "state_dim"]
-    assert sorted(vars(MetricTensor(np.eye(8), 4))) == ["matrix", "phi", "state_dim"]
+    # A tensor stores its feature matrix alone.
+    assert list(vars(tensor)) == list(vars(scaled)) == ["phi"]
     motifs = extract_motifs(tensor)
     assert tensor.horizon == tensor.phi.shape[1] == tensor.matrix.shape[0] == 8
     assert scaled.horizon == scaled.phi.shape[1] == scaled.matrix.shape[0] == 8
@@ -909,7 +903,7 @@ def test_zero_predicted_weight_flags_infinite_error():
 
 def test_comparison_rejects_empty_or_mismatched_inputs():
     motifs, pred = _self_comparison_pair(Seed(9))
-    empty = extract_motifs(MetricTensor(np.zeros((10, 10)), state_dim=6))
+    empty = extract_motifs(MetricTensor(np.zeros((6, 10))))
     with pytest.raises(ContractViolation):
         compare_motifs(empty, pred)
     other = MotifPrediction(vectors=np.eye(4),

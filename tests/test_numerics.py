@@ -342,8 +342,8 @@ def _state(bad, where):
 # message gives the argument.
 _CONTRACT_CASES = [
     pytest.param(lambda bad: TimeSeries([1.0, bad]), "time series", id="TimeSeries.values"),
-    pytest.param(lambda bad: MetricTensor(np.array([[1.0, bad], [bad, 1.0]]), 2),
-                 "metric tensor", id="MetricTensor.matrix"),
+    pytest.param(lambda bad: MetricTensor(np.array([[1.0, bad]])), "metric tensor",
+                 id="MetricTensor.phi"),
     pytest.param(lambda bad: MotifSet([[1.0, bad]], [1.0, 0.0]), "motif vectors",
                  id="MotifSet.vectors"),
     pytest.param(lambda bad: MotifSet([[1.0, 0.0]], [1.0, bad]), "spectrum",
@@ -385,7 +385,7 @@ def test_a_non_finite_array_entry_is_rejected_by_name(call, name, bad):
 # integer rule's table is _POSITIVE_INT_USERS in test_coupling.py.
 # ---------------------------------------------------------------------------
 
-_TENSOR = MetricTensor(np.eye(2), 1)
+_TENSOR = MetricTensor(np.eye(2))
 _SERIES = TimeSeries([1.0, 2.0])
 _BOUNDS = dict(signal_bound=1.0, coupling_bound=1.0, contraction_rate=0.95, state_scale=1e3,
                horizon=4)

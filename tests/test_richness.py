@@ -107,7 +107,7 @@ def test_constant_motif_concentrates_at_the_dc_coefficient():
 
 
 def test_empty_motif_set_gives_empty_cloud():
-    empty = extract_motifs(MetricTensor(np.zeros((3, 3)), state_dim=2))
+    empty = extract_motifs(MetricTensor(np.zeros((2, 3))))
     points, weights = coefficient_cloud(empty)
     assert len(points) == len(weights) == 0
     assert grid_summary(points, weights) == grid_summary(points, weights)
