@@ -55,7 +55,7 @@ def check_whole_copies(horizon, state_dim: int) -> None:
         raise ContractViolation(f"horizon {horizon} is not a multiple of N = {state_dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotifSet:
     """Retained motifs of one metric tensor.  Every array must be finite.
 
@@ -172,7 +172,7 @@ def represent(motif_set: MotifSet, series: TimeSeries) -> np.ndarray:
     return motif_set.weights * (motif_set.vectors @ series.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotifPrediction:
     """Closed-form motif claim for one reservoir regime.
 
@@ -348,7 +348,7 @@ def predict_cycle(nu: float, coupling, horizon: int) -> MotifPrediction:
     return _predict_cycle_core(w_vec[:p], nu, horizon // p, n // p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotifComparison:
     """Index-by-index agreement between empirical and predicted motifs.
 

@@ -45,7 +45,7 @@ _ORTHONORMALITY_TOL = 1e-9
 _RECONSTRUCTION_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Spectral factorization ``A = M diag(values) M^T``.
 

@@ -34,9 +34,10 @@ from .numerics import (as_finite_array, as_matrix, as_reservoir_pair, as_square_
                        as_vector, check_positive_int, is_real, symmetric_gram)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """A finite scalar history, most recent sample first."""
+    """A finite scalar history, most recent sample first.  It compares and
+    hashes by identity, as do the other records that hold arrays."""
 
     values: np.ndarray
 
@@ -57,14 +58,20 @@ class MetricTensor:
     matrix.  Its squared column norms, the diagonal of ``Q``, bound every
     entry of ``Q`` and are checked finite in O(N tau), so a tensor that
     overflows raises ContractViolation before ``Q`` is formed.  A float64
-    ``phi`` is stored without a copy and marked read-only.  ``matrix`` is
-    formed from it by :func:`numerics.symmetric_gram` on first read, exactly
-    symmetric, read-only and cached, so the cache never goes stale.  A tensor
-    is immutable.
+    ``phi`` that owns its data is stored without a copy and marked
+    read-only; a view is copied first, so no write to its base reaches the
+    tensor.  ``matrix`` is formed from ``phi`` by
+    :func:`numerics.symmetric_gram` on first read, exactly symmetric,
+    read-only and cached.  A tensor is immutable, so that cache and a
+    readout's filter (:func:`readout_eval`) never go stale.  One case stays
+    open: a view of an owned ``phi`` taken before construction still
+    writes into the tensor.
     """
 
     def __init__(self, phi):
         phi = as_matrix(phi, "metric tensor")
+        if phi.base is not None:
+            phi = phi.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
             as_finite_array(np.einsum("ij,ij->j", phi, phi), 1, "metric tensor")
         phi.flags.writeable = False
@@ -237,17 +244,21 @@ def _finite_value(value, what: str) -> float:
     return value
 
 
+def _check_horizons(tensor: MetricTensor, *histories: TimeSeries) -> None:
+    if any(h.horizon != tensor.horizon for h in histories):
+        raise ContractViolation(
+            f"history horizons ({', '.join(str(h.horizon) for h in histories)}) do not "
+            f"match tensor horizon {tensor.horizon}"
+        )
+
+
 def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
     """Evaluate ``K(u, v) = u^T Q v`` as ``(Phi u) . (Phi v)``, in O(N tau)
     with no tau x tau matrix formed.  A dot product is exactly commutative,
     so swapping the arguments keeps the bits.  A value that is not finite
     raises ContractViolation, as in kernel_poly and readout_eval.
     """
-    if u.horizon != tensor.horizon or v.horizon != tensor.horizon:
-        raise ContractViolation(
-            f"history horizons ({u.horizon}, {v.horizon}) do not match tensor horizon "
-            f"{tensor.horizon}"
-        )
+    _check_horizons(tensor, u, v)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite_value reports it
         value = (tensor.phi @ u.values) @ (tensor.phi @ v.values)
     return _finite_value(value, "kernel")
@@ -267,20 +278,24 @@ def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
     return _finite_value(value, "polynomial kernel")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReadoutModel:
     """Kernel readout: coefficients over support histories plus a finite
     real bias.
 
-    ``combined`` is the history ``sum_i beta_i u_i``, formed once here so
-    that :func:`readout_eval` needs one kernel evaluation per query; it is
-    ``None`` when there are no supports.
+    ``combined`` is the history ``h = sum_i beta_i u_i``, formed once here;
+    it is ``None`` when there are no supports.  The readout on a tensor is
+    the linear filter ``r = Q h = Phi^T (Phi h)`` applied to the query, and
+    :func:`readout_eval` keeps the filter of the last tensor it was given
+    in ``_filter`` as ``(tensor, r)``, so a model holds at most one tensor.
     """
 
     supports: tuple[TimeSeries, ...]
     coefficients: np.ndarray
     bias: float = 0.0
     combined: TimeSeries | None = field(init=False, repr=False, compare=False)
+    _filter: tuple[MetricTensor, np.ndarray] | None = field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         coeffs = as_finite_array(np.atleast_1d(self.coefficients), 1, "readout coefficients")
@@ -304,15 +319,28 @@ class ReadoutModel:
 def readout_eval(model: ReadoutModel, tensor: MetricTensor, v: TimeSeries) -> float:
     """Evaluate ``sum_i beta_i K(u_i, v) + bias``; no supports means the bias.
 
-    The kernel is bilinear, so the sum is evaluated in primal form as
-    ``K(sum_i beta_i u_i, v) + bias``: one kernel evaluation per query, in
-    O(N tau) for a built tensor, against the model's combined history,
-    whatever the number of supports.  The result equals the per-support
-    sum up to rounding.
+    The kernel is bilinear, so the sum is ``K(h, v) + bias = r . v + bias``
+    with ``h`` the model's combined history and ``r = Phi^T (Phi h)``.  The
+    filter ``r`` is formed once per (model, tensor), in O(N tau), and kept
+    on the model until a different tensor comes in; each query then costs
+    O(tau), whatever the number of supports.  The result equals the
+    per-support sum up to rounding.  A query, and the supports if any,
+    must have the tensor's horizon.  A filter or value that is not finite
+    raises ContractViolation, as in kernel_eval.
     """
     if model.combined is None:
+        _check_horizons(tensor, v)
         return float(model.bias)
-    return _finite_value(model.bias + kernel_eval(tensor, model.combined, v), "readout")
+    _check_horizons(tensor, model.combined, v)
+    memo = model._filter
+    if memo is None or memo[0] is not tensor:
+        with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
+            r = tensor.phi.T @ (tensor.phi @ model.combined.values)
+        memo = (tensor, as_finite_array(r, 1, "readout filter"))
+        object.__setattr__(model, "_filter", memo)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_value reports it
+        value = model.bias + memo[1] @ v.values
+    return _finite_value(value, "readout")
 
 
 def _check_positive_real(value, name: str) -> None:

@@ -30,7 +30,8 @@ from reskernel import (
 )
 from reskernel import temporal_kernel
 from reskernel.coupling import draw_reservoir, generate_input, generate_reservoir
-from reskernel.numerics import symmetric_gram
+from reskernel.motifs import MotifComparison, MotifPrediction, MotifSet
+from reskernel.numerics import EigenDecomposition, symmetric_gram
 from reskernel.verify import run_initial_state_error_containment
 
 
@@ -58,6 +59,23 @@ def test_time_series_exposes_horizon():
 def test_time_series_rejects_malformed_values(bad):
     with pytest.raises(ContractViolation):
         TimeSeries(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TimeSeries([1.0, 2.0]),
+    lambda: ReadoutModel((TimeSeries([1.0, 2.0]),), [0.5], bias=0.25),
+    lambda: MotifSet(np.eye(2), [2.0, 1.0]),
+    lambda: MotifPrediction(np.eye(2), [1.0, 0.5], True),
+    lambda: MotifComparison(np.ones(2), np.zeros(2), np.arange(2)),
+    lambda: EigenDecomposition(np.array([2.0, 1.0]), np.eye(2)),
+], ids=["TimeSeries", "ReadoutModel", "MotifSet", "MotifPrediction", "MotifComparison",
+        "EigenDecomposition"])
+def test_a_record_of_arrays_compares_and_hashes_by_identity(make):
+    # A field-wise == would take the truth value of an array and raise.
+    record, twin = make(), make()
+    assert record == record and record != twin
+    assert hash(record) == hash(record)
+    assert len({record, twin}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +274,19 @@ def test_a_tensor_shares_its_feature_matrix_read_only():
     assert tensor.matrix.tobytes() == symmetric_gram(phi).tobytes()
 
 
+def test_a_tensor_of_a_view_keeps_its_values_when_the_base_is_written():
+    base = np.ones((2, 4))
+    tensor = MetricTensor(base[:, :3])
+    supports, v = (TimeSeries([1.0, -2.0, 0.5]),), TimeSeries([0.25, 1.0, 3.0])
+    model = ReadoutModel(supports, [1.5], bias=0.125)
+    matrix, value = tensor.matrix.tobytes(), readout_eval(model, tensor, v)
+    base[0, 0] = 5.0  # the view was copied, so the base stays writable
+    assert tensor.phi[0, 0] == 1.0
+    assert tensor.matrix.tobytes() == matrix
+    assert readout_eval(model, tensor, v) == value
+    assert readout_eval(ReadoutModel(supports, [1.5], bias=0.125), tensor, v) == value
+
+
 # ---------------------------------------------------------------------------
 # index gather for reservoirs with one nonzero per row
 # ---------------------------------------------------------------------------
@@ -367,6 +398,10 @@ _OVERFLOWS = {
                                              TimeSeries(np.ones(400))),
     "simulate_state batch": lambda: simulate_state(
         np.full((2, 2), 10.0), [1.0, 1.0], [TimeSeries(np.ones(400))] * 2),
+    # Q = Phi^T Phi has finite entries 1e300, but the filter Q h reaches 2e310.
+    "readout_eval": lambda: readout_eval(
+        ReadoutModel((TimeSeries(np.full(2, 1e10)),), [1.0]),
+        MetricTensor(np.full((1, 2), 1e150)), TimeSeries(np.ones(2))),
 }
 
 
@@ -461,6 +496,8 @@ def test_readout_with_no_supports_returns_bias():
     tensor = MetricTensor(np.eye(2))
     model = ReadoutModel(supports=(), coefficients=np.zeros(0), bias=0.75)
     assert readout_eval(model, tensor, TimeSeries(np.ones(2))) == 0.75
+    with pytest.raises(ContractViolation, match="^history horizons \\(5\\) do not match"):
+        readout_eval(model, tensor, TimeSeries(np.ones(5)))
 
 
 def test_readout_single_support_reduces_to_kernel():
@@ -571,23 +608,48 @@ def test_primal_readout_matches_the_per_support_sum_property(case):
 
 
 @pytest.mark.parametrize("n_supports", [0, 1, 2, 7, 40])
-def test_readout_makes_one_kernel_evaluation_per_query(monkeypatch, n_supports):
-    calls = []
-
-    def counting_kernel_eval(tensor, u, v):
-        calls.append(1)
-        return kernel_eval(tensor, u, v)
-
-    monkeypatch.setattr(temporal_kernel, "kernel_eval", counting_kernel_eval)
+def test_readout_forms_its_filter_once_per_tensor(monkeypatch, n_supports):
     res, coup = _random_pair(4, 0.9, 3)
-    tensor = build_metric_tensor(res, coup, 8)
+    first = build_metric_tensor(res, coup, 8)
+    second = scale_metric_tensor(first, 0.5)
     rng = np.random.default_rng(53)
-    model = ReadoutModel(supports=tuple(TimeSeries(rng.normal(size=8))
-                                        for _ in range(n_supports)),
-                         coefficients=rng.normal(size=n_supports), bias=0.5)
-    for _ in range(3):
-        readout_eval(model, tensor, TimeSeries(rng.normal(size=8)))
-    assert len(calls) == (3 if n_supports else 0)
+    supports = tuple(TimeSeries(rng.normal(size=8)) for _ in range(n_supports))
+    coeffs = rng.normal(size=n_supports)
+    queries = [TimeSeries(rng.normal(size=8)) for _ in range(3)]
+    switches = (first, second, first)
+    fresh = [[readout_eval(ReadoutModel(supports, coeffs, bias=0.5), tensor, v).hex()
+              for v in queries] for tensor in switches]
+    formed = []
+    check = temporal_kernel.as_finite_array
+
+    def counting_check(a, ndim, name):
+        formed.append(name)
+        return check(a, ndim, name)
+
+    monkeypatch.setattr(temporal_kernel, "as_finite_array", counting_check)
+    model = ReadoutModel(supports, coeffs, bias=0.5)
+    got = [[readout_eval(model, tensor, v).hex() for v in queries] for tensor in switches]
+    assert got == fresh
+    assert formed.count("readout filter") == (len(switches) if n_supports else 0)
+
+
+@pytest.mark.parametrize("regime", ["cycle_permutation", "random_iid"])
+def test_readout_matches_the_state_recursion(regime):
+    n, tau = 30, 60
+    res = generate_reservoir(ReservoirSpec(regime=regime, size=n, nu=0.99), Seed(9))
+    coup = generate_input(InputCouplingSpec(kind="gaussian", size=n), Seed(9))
+    tensor = build_metric_tensor(res, coup, tau)
+    rng = np.random.default_rng(61)
+    supports = [TimeSeries(rng.uniform(-1.0, 1.0, tau)) for _ in range(20)]
+    model = ReadoutModel(tuple(supports), rng.standard_normal(20),
+                         bias=float(rng.standard_normal()))
+    support_states = simulate_state(res, coup, supports)
+    for _ in range(10):
+        v = TimeSeries(rng.uniform(-1.0, 1.0, tau))
+        terms = model.coefficients * (simulate_state(res, coup, v) @ support_states)
+        reference = math.fsum([model.bias, *terms])
+        scale = abs(model.bias) + math.fsum(np.abs(terms))
+        assert abs(readout_eval(model, tensor, v) - reference) <= 1e-10 * scale
 
 
 def test_readout_rejects_support_and_query_horizon_mismatches():
