@@ -89,10 +89,27 @@ def check_positive_int(value, name: str) -> None:
         raise ContractViolation(f"{name} must be a positive integer")
 
 
+def as_number_array(a, name: str, complex_ok: bool = False) -> np.ndarray:
+    """``a`` as a float array, or a complex one where ``complex_ok``: the one
+    rule for what an array holds.  Only integer and float arrays pass, and
+    complex ones where ``complex_ok``; flags, strings, bytes, objects and
+    ragged nestings raise ``"<name> must be an array of real numbers"`` (or
+    ``complex numbers``).  A float64 array passes without a copy."""
+    kinds, what = ("iufc", "complex") if complex_ok else ("iuf", "real")
+    try:
+        arr = np.asarray(a)
+    except (ValueError, TypeError) as exc:
+        raise ContractViolation(f"{name} must be an array of {what} numbers") from exc
+    if arr.dtype.kind not in kinds:
+        raise ContractViolation(f"{name} must be an array of {what} numbers")
+    return arr.astype(complex if complex_ok else float, copy=False)
+
+
 def as_finite_array(a, ndim: int, name: str) -> np.ndarray:
     """``a`` as a float array of ``ndim`` dimensions, every entry finite: the one
-    array rule.  An empty array passes; callers check size and length themselves."""
-    arr = np.asarray(a, dtype=float)
+    array rule, on top of :func:`as_number_array`.  An empty array passes;
+    callers check size and length themselves."""
+    arr = as_number_array(a, name)
     if arr.ndim != ndim:
         raise ContractViolation(f"{name} must be {ndim}-dimensional, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):

@@ -2,8 +2,8 @@
 
 Each retained motif is mapped through the discrete Fourier transform; the
 resulting complex coefficients, tagged with normalized motif weights, form
-a point cloud in the complex plane.  Coverage of a fixed grid over
-``[-7, 7]^2`` measures how spectrally rich the kernel is.  Sweeping the
+a point cloud in the complex plane.  Coverage of the fixed grid over
+``[-7, 7)^2`` measures how spectrally rich the kernel is.  Sweeping the
 contraction scale ``nu`` toward 1 reveals a sharp rise of coverage for the
 cycle reservoir with aperiodic sign couplings, and no such rise for dense
 random reservoirs.
@@ -11,7 +11,6 @@ random reservoirs.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -20,56 +19,16 @@ import numpy as np
 from . import coupling as cp
 from .errors import ContractViolation
 from .motifs import MotifSet, check_threshold_ratio, extract_motifs
-from .numerics import as_finite_array, check_positive_int, dft, is_real
+from .numerics import as_finite_array, as_number_array, check_positive_int, dft
 from .temporal_kernel import build_from_specs, scale_metric_tensor
 
 
-# A grid's width may differ from a whole number of cells by this share only.
-TILING_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Square occupancy grid centered at the origin.
-
-    The default covers ``[-7, 7]`` per axis with side-0.05 cells, giving
-    280 x 280 = 78400 cells.  Cells are half-open: a point exactly on an
-    edge belongs to the higher-index cell.  Both sides are positive real
-    numbers, stored as ``float``, and the cells tile the width: ``2 *
-    half_width / cell_side`` is within ``TILING_RTOL`` (relative) of a
-    whole number, so the grid spans exactly ``[-half_width, half_width)``.
-    """
-
-    half_width: float = 7.0
-    cell_side: float = 0.05
-
-    def __post_init__(self):
-        if not all(is_real(side) and side > 0.0 for side in (self.half_width, self.cell_side)):
-            raise ContractViolation("grid dimensions must be positive")
-        # Python floats overflow to inf where numpy scalars would warn.
-        object.__setattr__(self, "half_width", float(self.half_width))
-        object.__setattr__(self, "cell_side", float(self.cell_side))
-        # grid_summary keys cell (ix, iy) as ix * cells_per_axis + iy in int64;
-        # the first test keeps an infinite side or ratio out of cells_per_axis.
-        if not (2.0 * self.half_width / self.cell_side < math.inf and self.total_cells < 2**63):
-            raise ContractViolation("grid must have fewer than 2**63 cells")
-        if self.cells_per_axis < 1:
-            raise ContractViolation("grid must contain at least one cell per axis")
-        ratio = 2.0 * self.half_width / self.cell_side
-        if abs(ratio - self.cells_per_axis) > TILING_RTOL * ratio:
-            raise ContractViolation(f"cell_side {self.cell_side} does not tile the grid "
-                                    f"width {2.0 * self.half_width}")
-
-    @property
-    def cells_per_axis(self) -> int:
-        return int(round(2.0 * self.half_width / self.cell_side))
-
-    @property
-    def total_cells(self) -> int:
-        return self.cells_per_axis**2
-
-
-DEFAULT_GRID = GridSpec()
+# The occupancy grid: ``[-HALF_WIDTH, HALF_WIDTH)`` per axis in cells of side
+# CELL_SIDE, 280 x 280 = 78400 cells.  Cells are half-open: a point exactly on
+# an edge belongs to the higher-index cell.
+HALF_WIDTH = 7.0
+CELL_SIDE = 0.05
+CELLS_PER_AXIS = 280
 
 
 def coefficient_cloud(motif_set: MotifSet) -> tuple[np.ndarray, np.ndarray]:
@@ -88,15 +47,19 @@ def coefficient_cloud(motif_set: MotifSet) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GridSummary:
-    """Occupancy statistics of one cloud on one grid."""
+    """Occupancy statistics of one cloud on the grid."""
 
     cells_visited: int
-    relative_area: float
     weighted_relative_area: float
     discarded_points: int
 
+    @property
+    def relative_area(self) -> float:
+        """The share of the grid's cells that the cloud visits."""
+        return self.cells_visited / CELLS_PER_AXIS**2
 
-def grid_summary(points, weights, grid: GridSpec = DEFAULT_GRID) -> GridSummary:
+
+def grid_summary(points, weights) -> GridSummary:
     """Map a cloud of complex ``points`` with non-negative ``weights``, one
     per point, onto the grid once and report all occupancy measures.
 
@@ -104,28 +67,25 @@ def grid_summary(points, weights, grid: GridSpec = DEFAULT_GRID) -> GridSummary:
     counted).  The weighted measure averages point weights within each
     visited cell and sums the averages over the grid.
     """
-    pts = np.asarray(points, dtype=complex)
+    pts = as_number_array(points, "cloud points", complex_ok=True)
     re, im = (as_finite_array(part, 1, "cloud points") for part in (pts.real, pts.imag))
     wts = as_finite_array(weights, 1, "cloud weights")
     if wts.shape != re.shape or np.any(wts < 0.0):
         raise ContractViolation("cloud weights must be non-negative, one per point")
-    n_axis = grid.cells_per_axis
     # Test the float cell indices before the int64 cast, which a point far off
     # the grid would overflow; an index that overflows to inf is off the grid.
     with np.errstate(over="ignore"):
-        fx = np.floor((re + grid.half_width) / grid.cell_side)
-        fy = np.floor((im + grid.half_width) / grid.cell_side)
-    inside = (fx >= 0) & (fx < n_axis) & (fy >= 0) & (fy < n_axis)
+        fx = np.floor((re + HALF_WIDTH) / CELL_SIDE)
+        fy = np.floor((im + HALF_WIDTH) / CELL_SIDE)
+    inside = (fx >= 0) & (fx < CELLS_PER_AXIS) & (fy >= 0) & (fy < CELLS_PER_AXIS)
     discarded = int(np.sum(~inside))
-    keys = fx[inside].astype(np.int64) * n_axis + fy[inside].astype(np.int64)
+    keys = fx[inside].astype(np.int64) * CELLS_PER_AXIS + fy[inside].astype(np.int64)
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse, weights=wts[inside])
     counts = np.bincount(inverse)
-    total = float(grid.total_cells)
     return GridSummary(
         cells_visited=int(unique_keys.shape[0]),
-        relative_area=unique_keys.shape[0] / total,
-        weighted_relative_area=float(np.sum(sums / counts)) / total,
+        weighted_relative_area=float(np.sum(sums / counts)) / CELLS_PER_AXIS**2,
         discarded_points=discarded,
     )
 
@@ -198,10 +158,14 @@ class RichnessReport:
     trial: int
     n_motifs: int
     cells_visited: int
-    relative_area: float
     weighted_relative_area: float
     discarded_points: int
     seed: int
+
+    @property
+    def relative_area(self) -> float:
+        """The share of the grid's cells that the trial's cloud visits."""
+        return self.cells_visited / CELLS_PER_AXIS**2
 
 
 def trial_count(regime: str, input_kind: str) -> int:
@@ -220,7 +184,7 @@ def sweep(config: SweepConfig) -> list[RichnessReport]:
     of ``nu`` with :func:`scale_metric_tensor`.  ``build_from_specs`` scales
     its own unit-scale tensor the same way, so each row equals the tensor it
     gives at the row's ``nu``, and adding a grid value leaves the other rows
-    unchanged.  Coverage is measured on :data:`DEFAULT_GRID`.  Reports are
+    unchanged.  Coverage is measured on the one grid.  Reports are
     sorted by (nu, regime, input_kind, trial).
     """
     horizon = config.horizon if config.horizon is not None else 2 * config.state_dim
@@ -244,7 +208,6 @@ def sweep(config: SweepConfig) -> list[RichnessReport]:
                         trial=trial,
                         n_motifs=len(motif_set),
                         cells_visited=summary.cells_visited,
-                        relative_area=summary.relative_area,
                         weighted_relative_area=summary.weighted_relative_area,
                         discarded_points=summary.discarded_points,
                         seed=seed.base,

@@ -37,12 +37,16 @@ from .numerics import (as_finite_array, as_matrix, as_reservoir_pair, as_square_
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A finite scalar history, most recent sample first.  It compares and
-    hashes by identity, as do the other records that hold arrays."""
+    hashes by identity, as do the other records that hold arrays.  It stores
+    a read-only copy of ``values``, so no later write by the caller reaches
+    it, or a readout built on it."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", as_vector(self.values, "time series"))
+        values = as_vector(self.values, "time series").copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def horizon(self) -> int:
@@ -288,6 +292,8 @@ class ReadoutModel:
     the linear filter ``r = Q h = Phi^T (Phi h)`` applied to the query, and
     :func:`readout_eval` keeps the filter of the last tensor it was given
     in ``_filter`` as ``(tensor, r)``, so a model holds at most one tensor.
+    The model stores a read-only copy of ``coefficients``, as a
+    :class:`TimeSeries` does of its values, so ``combined`` never goes stale.
     """
 
     supports: tuple[TimeSeries, ...]
@@ -298,7 +304,9 @@ class ReadoutModel:
         init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        coeffs = as_finite_array(np.atleast_1d(self.coefficients), 1, "readout coefficients")
+        coeffs = as_finite_array(np.atleast_1d(self.coefficients), 1,
+                                 "readout coefficients").copy()
+        coeffs.flags.writeable = False
         if len(self.supports) != coeffs.shape[0]:
             raise ContractViolation("one coefficient per support history is required")
         if not (is_real(self.bias) and -math.inf < self.bias < math.inf):

@@ -19,12 +19,16 @@ import numpy as np
 
 from reskernel import (
     SweepConfig,
+    build_from_specs,
     build_metric_tensor,
+    coefficient_cloud,
     compare_motifs,
     extract_motifs,
+    grid_summary,
     numerical_rank,
     predict_cycle,
     predict_symmetric,
+    scale_metric_tensor,
     sweep,
 )
 from reskernel import cli
@@ -252,6 +256,42 @@ def test_richness_rises_toward_instability_then_collapses():
             f"through 0.99: {rising} (weighted: {rising_w}), collapse at 1.0: "
             f"{collapses}, cycle above random-W mean at nu<=0.99: "
             f"{cycle_above_random}; {elapsed:.0f}s")
+
+
+def test_the_richness_peak_sits_near_the_edge_of_stability():
+    """The cycle / pi-signs relative area peaks at ``x* = N(1 - nu*)`` in
+    [0.5, 2.5], and x* does not grow with N.
+
+    The bounds come from the finite-size measurement of ROADMAP item 6 (trial
+    0, threshold 1e-2, tau = 2N, the cloud scaled by ``sqrt(200 / tau)`` so
+    that N = 100 is the paper's measure), which put x* at 2.0, 1.5, 1.0 and
+    0.75 for N = 50, 100, 200 and 400.  The x grid reaches below 0.5, so the
+    lower bound can fail as well as the upper one.
+    """
+    start = time.perf_counter()
+    xs = 0.25 * np.arange(1, 13)
+    peaks = {}
+    for n in (50, 100, 200, 400):
+        tau = 2 * n
+        _, _, unit = build_from_specs(cp.ReservoirSpec("cycle_permutation", n, 1.0),
+                                      cp.InputCouplingSpec("ones_pi_signs", n), tau,
+                                      cp.trial_seed(0, 0))
+        areas = []
+        for x in xs:
+            points, weights = coefficient_cloud(
+                extract_motifs(scale_metric_tensor(unit, 1.0 - x / n), 1e-2))
+            areas.append(grid_summary(points * np.sqrt(200 / tau), weights).relative_area)
+        peaks[n] = float(xs[int(np.argmax(areas))])
+    elapsed = time.perf_counter() - start
+
+    found = list(peaks.values())
+    in_bounds = all(0.5 <= x <= 2.5 for x in found)
+    settles = all(b <= a for a, b in zip(found, found[1:]))
+    table = ", ".join(f"N={n}: {x:.2f}" for n, x in peaks.items())
+    _report("the richness peak x* = N(1 - nu*) lies in [0.5, 2.5] and does not grow with N",
+            in_bounds and settles,
+            f"x* {table}; in bounds: {in_bounds}, non-increasing in N: {settles}; "
+            f"{elapsed:.1f}s")
 
 
 def test_cli_runs_are_byte_deterministic(tmp_path, capsys):

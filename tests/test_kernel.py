@@ -78,6 +78,21 @@ def test_a_record_of_arrays_compares_and_hashes_by_identity(make):
     assert len({record, twin}) == 2
 
 
+def test_a_readout_keeps_its_arrays_when_the_caller_writes_them():
+    a, beta = np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0])
+    u = TimeSeries(a)
+    model = ReadoutModel((u,), beta)
+    tensor = build_metric_tensor(*_random_pair(3, 0.9, 3), 4)
+    q = TimeSeries([0.5, -1.0, 2.0, 0.25])
+    a[0], beta[0] = 10.0, 3.0
+    assert u.values.tolist() == [1.0, 0.0, 0.0, 0.0] and model.coefficients.tolist() == [1.0]
+    assert readout_eval(model, tensor, q) == pytest.approx(
+        model.coefficients[0] * kernel_eval(tensor, model.supports[0], q), rel=1e-12, abs=0.0)
+    for array in (u.values, model.coefficients):
+        with pytest.raises(ValueError):
+            array[0] = 10.0
+
+
 # ---------------------------------------------------------------------------
 # simulate_state
 # ---------------------------------------------------------------------------

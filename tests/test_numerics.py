@@ -1,5 +1,7 @@
 """Eigendecomposition, singular values, transforms, and rank counting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,6 @@ from reskernel import (
     BoundParams,
     ContractViolation,
     ConvergenceError,
-    GridSpec,
     InputCouplingSpec,
     MetricTensor,
     MotifPrediction,
@@ -379,6 +380,50 @@ def test_a_non_finite_array_entry_is_rejected_by_name(call, name, bad):
         call(bad)
 
 
+# Arrays that hold no real numbers, each of a kind numpy would otherwise
+# convert to float: complex, flag, bytes, string, object, ragged.
+_NOT_REAL = {
+    "complex": np.array([1 + 2j, 3.0]),
+    "bool": np.array([True, False]),
+    "bytes": [b"1", b"2"],
+    "str": ["abc", "1.0"],
+    "object": np.array([1, 2], dtype=object),
+    "ragged": [[1.0, 2.0], [3.0]],
+}
+
+
+@pytest.mark.parametrize("bad", list(_NOT_REAL.values()), ids=list(_NOT_REAL))
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda bad: TimeSeries(bad), "time series", id="TimeSeries.values"),
+    pytest.param(lambda bad: MetricTensor(bad), "metric tensor", id="MetricTensor.phi"),
+    pytest.param(lambda bad: grid_summary(np.zeros(2), bad), "cloud weights",
+                 id="grid_summary.weights"),
+])
+def test_an_array_of_anything_but_real_numbers_is_rejected_by_name(call, name, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match=f"^{name} must be an array of real numbers$"):
+            call(bad)
+
+
+_NOT_COMPLEX = {kind: bad for kind, bad in _NOT_REAL.items() if kind != "complex"}
+
+
+@pytest.mark.parametrize("bad", list(_NOT_COMPLEX.values()), ids=list(_NOT_COMPLEX))
+def test_cloud_points_take_only_numbers(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation,
+                           match="^cloud points must be an array of complex numbers$"):
+            grid_summary(bad, np.ones(len(bad)))
+
+
+def test_integer_and_float_arrays_of_any_width_are_stored_as_float64():
+    assert MetricTensor(np.eye(2, dtype=np.int32)).phi.dtype == np.float64
+    assert TimeSeries(np.array([1, 2], dtype=np.uint8)).values.tolist() == [1.0, 2.0]
+    assert TimeSeries(np.array([0.5], dtype=np.float32)).values.dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # the scalar contract: every scalar parameter is an integer, a real number or
 # a flag by the rules of reskernel.numerics, and keeps its own range.  The
@@ -432,10 +477,6 @@ _REAL_CASES = [
     pytest.param(lambda bad: _minimal(nu=bad), "^need 0 < nu ", id="minimal_state_scale.nu"),
     pytest.param(lambda bad: _minimal(contraction_rate=bad), "< contraction_rate ",
                  id="minimal_state_scale.contraction_rate"),
-    pytest.param(lambda bad: GridSpec(half_width=bad), "^grid dimensions must be positive$",
-                 id="GridSpec.half_width"),
-    pytest.param(lambda bad: GridSpec(cell_side=bad), "^grid dimensions must be positive$",
-                 id="GridSpec.cell_side"),
 ]
 
 
@@ -451,7 +492,6 @@ def test_numpy_reals_and_integers_are_real_numbers():
     assert ReservoirSpec("cycle_permutation", 4, np.float64(0.5)).nu == 0.5
     assert ReservoirSpec("cycle_permutation", 4, np.int64(1)).nu == 1
     assert kernel_poly(_TENSOR, _SERIES, _SERIES, np.float32(1.0), 1) == 6.0
-    assert GridSpec(np.int64(1), 0.5).cells_per_axis == 4
 
 
 # One case per flag parameter: the call with the bad value, and its message.

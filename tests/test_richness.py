@@ -9,7 +9,6 @@ import pytest
 
 from reskernel import (
     ContractViolation,
-    GridSpec,
     GridSummary,
     MetricTensor,
     MotifSet,
@@ -28,6 +27,7 @@ from reskernel import (
     trial_count,
     trial_seed,
 )
+from reskernel.richness import CELL_SIDE, CELLS_PER_AXIS, HALF_WIDTH
 
 
 def _motif_set(vectors, weights):
@@ -43,41 +43,20 @@ def _motif_set(vectors, weights):
 # ---------------------------------------------------------------------------
 
 def test_default_grid_dimensions():
-    grid = GridSpec()
-    assert grid.half_width == 7.0
-    assert grid.cell_side == 0.05
-    assert grid.cells_per_axis == 280
-    assert grid.total_cells == 78400
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(half_width=0.0, cell_side=0.05),
-    dict(half_width=7.0, cell_side=0.0),
-    dict(half_width=7.0, cell_side=-1.0),
-    dict(half_width=0.01, cell_side=0.05),
-    dict(half_width=float("inf"), cell_side=0.05),
-    dict(half_width=1e308, cell_side=1e-10),
-    dict(half_width=1e6, cell_side=1e-6),  # 2e12 cells per axis: int64 keys would wrap
-    dict(half_width=1e300, cell_side=1e-5),  # finite, but far past int64 keys
-    dict(half_width=np.float64(1e308), cell_side=1e-10),  # a numpy ratio would overflow
-])
-def test_grid_spec_rejects_degenerate_geometry(kwargs):
-    with pytest.raises(ContractViolation):
-        GridSpec(**kwargs)
-
-
-@pytest.mark.parametrize("half_width, cell_side", [(1.0, 0.3), (7, 0.03), (1.0, 0.75),
-                                                   (7.0, 0.05 * (1 + 1e-8))])
-def test_a_cell_side_must_tile_the_grid_width(half_width, cell_side):
-    # GridSpec(1.0, 0.3) would round 6.67 cells up to 7 and span [-1, 1.1).
-    with pytest.raises(ContractViolation, match="does not tile the grid width"):
-        GridSpec(half_width, cell_side)
+    assert round(2 * HALF_WIDTH / CELL_SIDE) == CELLS_PER_AXIS == 280
 
 
 @pytest.mark.parametrize("cell_side, cells", [(0.05, 280), (0.025, 560), (0.1, 140),
                                               (0.2, 70)])
 def test_the_default_width_takes_every_cell_side_in_use(cell_side, cells):
-    assert GridSpec(7.0, cell_side).cells_per_axis == cells
+    # The cell sides of ROADMAP item 6's study tile the grid's width, and a
+    # lattice of their cell centres lies wholly on the grid.
+    assert cells * cell_side == pytest.approx(2 * HALF_WIDTH, rel=1e-12)
+    centres = -HALF_WIDTH + (np.arange(cells) + 0.5) * cell_side
+    points = (centres[:, None] + 1j * centres[None, :]).ravel()
+    summary = grid_summary(points, np.ones(points.size))
+    assert summary.discarded_points == 0
+    assert summary.cells_visited == min(cells, CELLS_PER_AXIS) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -138,38 +117,36 @@ def test_cloud_container_validation():
 # grid occupancy
 # ---------------------------------------------------------------------------
 
-def test_grid_summary_counts_cells_and_discards_on_a_hand_grid():
-    grid = GridSpec(half_width=1.0, cell_side=0.25)
-    assert grid.total_cells == 64
+def test_grid_summary_counts_cells_and_discards_points_off_the_grid():
     points = np.array([
-        -1.0 + 0.0j,     # leftmost column, kept
+        -7.0 + 0.0j,     # leftmost column, kept
         -0.5 + 0.5j,     # interior
         -0.5 + 0.5j,     # same cell again
-        1.0 + 0.0j,      # right edge, half-open, discarded
-        0.0 - 1.5j,      # below the grid, discarded
+        7.0 + 0.0j,      # right edge, half-open, discarded
+        0.0 - 7.5j,      # below the grid, discarded
     ])
     weights = np.array([0.1, 0.3, 0.5, 0.9, 0.9])
-    summary = grid_summary(points, weights, grid)
+    summary = grid_summary(points, weights)
     assert summary.cells_visited == 2
-    assert summary.relative_area == pytest.approx(2.0 / 64.0, abs=0.0)
+    assert summary.relative_area == 2.0 / 78400.0
     # cell means are 0.1 and (0.3 + 0.5) / 2
-    assert summary.weighted_relative_area == pytest.approx(0.5 / 64.0, rel=1e-12)
+    assert summary.weighted_relative_area == pytest.approx(0.5 / 78400.0, rel=1e-12)
     assert summary.discarded_points == 2
 
 
 def test_a_cloud_entirely_off_the_grid_visits_nothing():
-    grid = GridSpec(half_width=1.0, cell_side=0.25)
-    summary = grid_summary(np.array([1.0 + 0.0j, -2.0 + 0.5j, 0.5 + 1.0j]),
-                           np.array([0.2, 0.3, 0.5]), grid)
-    assert summary == GridSummary(cells_visited=0, relative_area=0.0,
-                                  weighted_relative_area=0.0, discarded_points=3)
+    summary = grid_summary(np.array([7.0 + 0.0j, -8.0 + 0.5j, 0.5 + 7.0j]),
+                           np.array([0.2, 0.3, 0.5]))
+    assert summary == GridSummary(cells_visited=0, weighted_relative_area=0.0,
+                                  discarded_points=3)
+    assert summary.relative_area == 0.0
     empty = (np.empty(0, dtype=complex), np.empty(0))
-    assert grid_summary(*empty, grid) == GridSummary(0, 0.0, 0.0, 0)
+    assert grid_summary(*empty) == GridSummary(0, 0.0, 0)
 
 
 def test_points_far_off_the_grid_are_discarded_without_a_cast():
     points = np.array([1e300 + 0j, -1e19 + 0j, 0.5 + 0.5j])
-    summary = grid_summary(points, [1.0, 1.0, 1.0], GridSpec(half_width=1.0, cell_side=0.25))
+    summary = grid_summary(points, [1.0, 1.0, 1.0])
     assert summary.discarded_points == 2
     assert summary.cells_visited == 1
     # An index past the float range is off the grid too.
@@ -178,13 +155,10 @@ def test_points_far_off_the_grid_are_discarded_without_a_cast():
 
 
 def test_cell_boundaries_are_half_open():
-    grid = GridSpec(half_width=1.0, cell_side=0.25)
-    inside = grid_summary(np.array([0.25 + 0.25j]), np.array([1.0]), grid)
-    assert inside.cells_visited == 1
-    other = grid_summary(np.array([0.25 - 1e-9 + 0.25j]), np.array([1.0]), grid)
-    assert other.cells_visited == 1
-    # the two points land in horizontally adjacent cells
-    assert inside.relative_area == other.relative_area
+    # 0.25 is the lower edge of cell 145 on both axes (-7 + 145 * 0.05), so a
+    # point on it and a point just below it land in adjacent cells.
+    points = np.array([0.25 + 0.25j, 0.25 - 1e-9 + 0.25j])
+    assert grid_summary(points, [1.0, 1.0]).cells_visited == 2
 
 
 def test_weighted_area_never_exceeds_plain_area():
@@ -249,8 +223,9 @@ def test_sweep_defaults_fill_horizon_and_trial_counts():
 
 def test_sweep_takes_no_grid_parameter():
     assert list(inspect.signature(sweep).parameters) == ["config"]
+    assert list(inspect.signature(grid_summary).parameters) == ["points", "weights"]
     with pytest.raises(TypeError):
-        sweep(SweepConfig(nu_values=(0.9,), state_dim=4), grid=GridSpec())
+        sweep(SweepConfig(nu_values=(0.9,), state_dim=4), grid=None)
 
 
 @pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
@@ -275,7 +250,6 @@ def test_sweep_rows_equal_one_build_per_nu(regime, kind):
             expected.append(RichnessReport(
                 nu=nu, regime=regime, input_kind=kind, trial=trial,
                 n_motifs=len(motif_set), cells_visited=summary.cells_visited,
-                relative_area=summary.relative_area,
                 weighted_relative_area=summary.weighted_relative_area,
                 discarded_points=summary.discarded_points, seed=seed.base))
     assert sweep(config) == expected
