@@ -194,6 +194,9 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
 
 
 def _horizon(resolved: dict) -> int:
+    """``--tau``, or ``2 N`` by default.  N is checked first, so a bad N is
+    reported as the reservoir size, not as the horizon derived from it."""
+    check_positive_int(resolved["N"], "reservoir size")
     horizon = resolved["tau"] if resolved["tau"] is not None else 2 * resolved["N"]
     check_positive_int(horizon, "horizon")
     return horizon

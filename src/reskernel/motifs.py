@@ -26,8 +26,8 @@ import numpy as np
 from .coupling import check_nu
 from .errors import ContractViolation
 from .numerics import (as_finite_array, as_reservoir_pair, as_spectrum, as_vector,
-                       check_positive_int, clamp_spectrum, fix_signs, is_flag, is_real,
-                       sym_eig, symmetric_gram)
+                       check_positive_int, clamp_spectrum, effective_horizon, fix_signs,
+                       is_flag, is_real, sym_eig, symmetric_gram)
 from .temporal_kernel import MetricTensor, TimeSeries
 
 # Relative eigenvalue gap under which predicted motifs count as degenerate
@@ -125,21 +125,33 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     negative raises :class:`PsdViolationError`.  Motifs with weight below
     ``threshold_ratio`` times the top weight are dropped.  An all-zero
     tensor yields an empty motif set, which is a meaningful signal (the
-    kernel is identically zero), not an error.
+    kernel is identically zero), not an error, and solves no eigenproblem.
 
-    ``Q = Phi^T Phi`` has rank at most N, so when ``N < tau`` the eigenpairs
-    come from the N x N Gram ``Phi Phi^T``: the motifs are
-    ``Phi^T u_i / sqrt(lambda_i)`` under :func:`numerics.fix_signs`, and the
-    spectrum is padded with exact zeros to length tau.  The tau x tau ``Q``
-    (``tensor.matrix``) is solved instead when ``tau <= N``, when a retained
-    eigenvalue lies within ``DEGENERACY_RTOL`` of a neighbour (the first
-    dropped one included), or when the smallest retained eigenvalue is below
-    ``DUAL_ROUTE_MIN_RATIO`` times the top.
+    Only the first ``m = numerics.effective_horizon(phi)`` columns of ``Phi``
+    lie above rounding, so the eigenpairs are those of ``Q``'s leading
+    m x m block, and the motifs and the spectrum are padded with exact
+    zeros to length tau.  A ``random_iid`` reservoir's columns decay
+    geometrically, so m stays near 55 whatever N and tau; a cycle or
+    symmetric one keeps m = tau on every shipped run.
+
+    That block has rank at most N, so when ``N < m`` the eigenpairs come
+    from the N x N Gram of ``Phi[:, :m]``: the motifs are
+    ``Phi[:, :m]^T u_i / sqrt(lambda_i)`` under :func:`numerics.fix_signs`.
+    The m x m block (``tensor.matrix`` when ``m = tau``) is solved directly
+    instead when ``m <= N``, when a retained eigenvalue lies within
+    ``DEGENERACY_RTOL`` of a neighbour (the first dropped one included), or
+    when the smallest retained eigenvalue is below ``DUAL_ROUTE_MIN_RATIO``
+    times the top.
     """
     check_threshold_ratio(threshold_ratio)
     n, tau = tensor.state_dim, tensor.horizon
-    if n < tau:
-        eig = sym_eig(symmetric_gram(tensor.phi.T))
+    m = effective_horizon(tensor.phi)
+    if m == 0:  # an all-zero Phi: the kernel is identically zero
+        return MotifSet(vectors=np.zeros((0, tau)), spectrum=np.zeros(tau))
+    head = tensor.phi[:, :m]
+    vectors = None
+    if n < m:
+        eig = sym_eig(symmetric_gram(head.T))
         spectrum = np.concatenate((clamp_spectrum(eig.eigenvalues, "metric tensor"),
                                    np.zeros(tau - n)))
         count = _retained_count(spectrum, threshold_ratio)
@@ -148,14 +160,19 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
         # picks for the tau x tau Q.  The cluster test goes in the change that
         # makes that basis canonical and regenerates the row (ROADMAP item 2).
         if (np.all(_cluster_ends(spectrum[:count + 1]))
-                and (count == 0 or spectrum[count - 1] >= DUAL_ROUTE_MIN_RATIO * spectrum[0])):
-            vectors = fix_signs(tensor.phi.T @ eig.eigenvectors[:, :count]
-                                / np.sqrt(spectrum[:count]))
-            return MotifSet(vectors=vectors.T, spectrum=spectrum)
-    eig = sym_eig(tensor.matrix)
-    clamped = clamp_spectrum(eig.eigenvalues, "metric tensor")
-    count = _retained_count(clamped, threshold_ratio)
-    return MotifSet(vectors=eig.eigenvectors[:, :count].T, spectrum=clamped)
+                and spectrum[count - 1] >= DUAL_ROUTE_MIN_RATIO * spectrum[0]):
+            vectors = fix_signs(head.T @ eig.eigenvectors[:, :count]
+                                / np.sqrt(spectrum[:count])).T
+    if vectors is None:
+        # Uncut, Q is the tensor's cached matrix, whose bits the cycle rows read.
+        eig = sym_eig(tensor.matrix if m == tau else symmetric_gram(head))
+        spectrum = np.concatenate((clamp_spectrum(eig.eigenvalues, "metric tensor"),
+                                   np.zeros(tau - m)))
+        count = _retained_count(spectrum, threshold_ratio)
+        vectors = eig.eigenvectors[:, :count].T
+    if m < tau:
+        vectors = np.concatenate((vectors, np.zeros((count, tau - m))), axis=1)
+    return MotifSet(vectors=vectors, spectrum=spectrum)
 
 
 def represent(motif_set: MotifSet, series: TimeSeries) -> np.ndarray:

@@ -18,6 +18,8 @@ measures) assumes a single eigendecomposition convention, fixed here once:
 A symmetric eigenproblem has two routes that share one input rule and one
 solver-failure error: :func:`sym_eig` for callers that read eigenvectors,
 and :func:`sym_eigvals` for those that read only the spectrum.
+:func:`effective_horizon` says how many leading columns of a feature matrix
+lie above rounding, so an eigenproblem of ``Q`` can be cut to that block.
 
 Matrices and vectors are plain numpy arrays (float64, or complex128 for
 spectra of discrete Fourier transforms).
@@ -269,6 +271,26 @@ def symmetric_gram(a: np.ndarray) -> np.ndarray:
     where it already is)."""
     gram = a.T @ a
     return 0.5 * (gram + gram.T)
+
+
+def effective_horizon(phi) -> int:
+    """The smallest ``m`` such that the Frobenius norm of ``phi[:, m:]`` is at
+    most machine epsilon times the largest column norm of ``phi``; 0 for an
+    all-zero ``phi``.
+
+    Dropping those columns changes ``Q = Phi^T Phi`` by at most about
+    ``2 eps ||Phi||_2^2`` in the 2-norm, the backward error of the
+    eigensolver itself, so the eigenpairs of ``Q`` are those of the leading
+    m x m block padded with exact zeros.  ``phi`` must be a non-empty, 2-D,
+    finite matrix whose squared column norms are finite.
+    """
+    phi = as_matrix(phi, "feature matrix")
+    with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
+        sq_norms = as_finite_array(np.einsum("ij,ij->j", phi, phi), 1, "feature matrix")
+    # tail[m] is ||phi[:, m:]||_F^2; summed from the last column, so it never
+    # falls toward column 0 and the columns above the cut are a prefix.
+    tail = np.cumsum(sq_norms[::-1])[::-1]
+    return int(np.count_nonzero(tail > np.finfo(float).eps ** 2 * np.max(sq_norms)))
 
 
 def largest_singular_value(a) -> float:

@@ -342,6 +342,17 @@ def test_an_empty_regime_name_is_an_unknown_regime(tmp_path, capsys, regimes):
     assert (code, stderr) == (1, "error: unknown regime ''\n")
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize("command", ["sweep", "motifs", "predict"])
+def test_a_bad_reservoir_size_is_named_before_the_horizon_it_sets(tmp_path, capsys,
+                                                                   command, n):
+    out = tmp_path / "x"
+    code, stdout, stderr = run_cli(capsys, command, "--N", n, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: reservoir size must be a positive integer\n"
+    assert not out.exists()
+
+
 def test_sweep_reports_the_grid_it_swept(tmp_path, capsys):
     # Rounding to 9 places folds the five grid points into one value, swept once.
     code, stdout, _ = run_cli(capsys, "sweep", "--N", "4", "--regimes", "cycle",

@@ -37,7 +37,7 @@ from reskernel import (
 from reskernel import motifs as motifs_module
 from reskernel.coupling import generate_input, generate_reservoir
 from reskernel.motifs import DEGENERACY_RTOL, DUAL_ROUTE_MIN_RATIO
-from reskernel.numerics import sym_eig, symmetric_gram
+from reskernel.numerics import effective_horizon, sym_eig, symmetric_gram
 
 
 def _tensor_for(regime, n, nu, horizon, seed, kind="gaussian", period=None,
@@ -220,18 +220,58 @@ def test_an_ill_conditioned_retained_set_takes_the_square_route(monkeypatch, reg
     _, _, tensor = _tensor_for(regime, 100, 0.95, 200, Seed(5))
     sides = _solved_sides(monkeypatch)
     motifs = extract_motifs(tensor, threshold_ratio=1e-6)
-    assert sides == [100, 200]
+    if regime == "random_iid":
+        # Its columns fall below rounding after m < N of them, so the m x m block
+        # of Q is the square route, solved with no Gram first.
+        m = effective_horizon(tensor.phi)
+        assert m < 100 and sides == [m]
+        assert not np.any(motifs.vectors[:, m:]) and not np.any(motifs.spectrum[m:])
+    else:
+        assert sides == [100, 200]
     assert motifs.spectrum[len(motifs) - 1] < DUAL_ROUTE_MIN_RATIO * motifs.spectrum[0]
     gram = motifs.vectors @ motifs.vectors.T
     assert np.max(np.abs(gram - np.eye(len(motifs)))) <= 1e-12
 
 
+@pytest.mark.parametrize("threshold", [1e-2, 1e-6])
+@pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
+def test_cutting_phi_at_its_effective_horizon_keeps_the_motifs(monkeypatch, regime, threshold):
+    for seed in range(5):
+        _, _, tensor = _tensor_for(regime, 100, 0.95, 200, Seed(seed))
+        cut = extract_motifs(tensor, threshold)
+        with monkeypatch.context() as patch:  # the oracle keeps every column of Phi
+            patch.setattr(motifs_module, "effective_horizon", lambda phi: phi.shape[1])
+            full = extract_motifs(tensor, threshold)
+        values, k = full.spectrum, len(full)
+        assert len(cut) == k > 0
+        assert np.max(np.abs(cut.spectrum - values)) <= 1e-12 * values[0]
+        # Either solve fixes an eigenvector only to an angle of about
+        # eps * lambda_0 / gap, so an index is non-degenerate when both of its
+        # gaps, the one to the first dropped eigenvalue included, are open by
+        # DEGENERACY_RTOL and exceed 1e-10 * lambda_0, where that angle is 2.2e-6.
+        gaps = values[:k] - values[1:k + 1]
+        open_gaps = (gaps > DEGENERACY_RTOL * values[:k]) & (gaps > 1e-10 * values[0])
+        isolated = open_gaps & np.concatenate(([True], open_gaps[:-1]))
+        assert np.any(isolated)
+        dots = np.abs(np.sum(cut.vectors * full.vectors, axis=1))
+        assert np.all(dots[isolated] >= 1.0 - 1e-10)
+        m = effective_horizon(tensor.phi)
+        if m == tensor.horizon:  # nothing is cut, so nothing moves
+            assert regime != "random_iid"
+            assert cut.vectors.tobytes() == full.vectors.tobytes()
+            assert cut.spectrum.tobytes() == full.spectrum.tobytes()
+        else:
+            assert regime == "random_iid" and m < 100
+            assert not np.any(cut.vectors[:, m:]) and not np.any(cut.spectrum[m:])
+
+
 def test_an_all_zero_feature_matrix_gives_the_empty_set(monkeypatch):
     tensor = build_metric_tensor(0.5 * np.eye(3), np.zeros(3), 8)
     assert not np.any(tensor.phi)
+    assert effective_horizon(tensor.phi) == 0
     sides = _solved_sides(monkeypatch)
     motifs = extract_motifs(tensor)
-    assert sides == [3]
+    assert sides == []  # no column lies above rounding, so nothing is solved
     assert len(motifs) == 0
     assert motifs.vectors.shape == (0, 8)
     assert motifs.spectrum.tobytes() == np.zeros(8).tobytes()

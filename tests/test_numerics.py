@@ -1,5 +1,6 @@
 """Eigendecomposition, singular values, transforms, and rank counting."""
 
+import math
 import warnings
 
 import numpy as np
@@ -18,8 +19,10 @@ from reskernel import (
     PsdViolationError,
     ReadoutModel,
     ReservoirSpec,
+    Seed,
     SweepConfig,
     TimeSeries,
+    build_metric_tensor,
     dft,
     extract_motifs,
     grid_summary,
@@ -34,7 +37,8 @@ from reskernel import (
     sym_eig,
     sym_eigvals,
 )
-from reskernel.numerics import symmetric_gram
+from reskernel.coupling import generate_reservoir
+from reskernel.numerics import effective_horizon, symmetric_gram
 
 
 def _random_symmetric(rng, n):
@@ -307,6 +311,45 @@ def test_rank_of_periodic_coupling_tensor_equals_period():
     tensor = build_metric_tensor(res, coup, 40)
     spectrum = sym_eig(tensor.matrix).eigenvalues
     assert numerical_rank(spectrum) == 10
+
+
+# ---------------------------------------------------------------------------
+# effective_horizon
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rate", [0.25, 0.5, 0.8])
+def test_the_effective_horizon_of_a_diagonal_reservoir_is_its_geometric_tail(rate):
+    # Column i of Phi is rate^i w, so ||Phi[:, m:]||_F^2 = rate^(2m) ||w||^2 / (1 - rate^2)
+    # up to a term rate^(2 tau) below rounding, against eps^2 ||w||^2 for the cut.
+    tensor = build_metric_tensor(rate * np.eye(3), np.array([1.0, -2.0, 0.5]), 1000)
+    eps = np.finfo(float).eps
+    expected = math.ceil(math.log(eps * math.sqrt(1.0 - rate**2)) / math.log(rate))
+    assert 0 < expected < tensor.horizon
+    assert effective_horizon(tensor.phi) == expected
+
+
+def test_the_effective_horizon_of_a_slowly_decaying_cycle_is_the_whole_horizon():
+    n, tau, nu = 10, 100, 0.9  # nu^tau = 2.7e-5, far above eps
+    reservoir = generate_reservoir(ReservoirSpec("cycle_permutation", n, nu), Seed(0))
+    tensor = build_metric_tensor(reservoir, np.ones(n), tau)
+    assert effective_horizon(tensor.phi) == tau
+
+
+def test_the_effective_horizon_of_an_all_zero_feature_matrix_is_zero():
+    assert effective_horizon(np.zeros((3, 8))) == 0
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[1.0, np.nan]]), "feature matrix contains non-finite entries"),
+    (np.array([[1e200, 1.0]]), "feature matrix contains non-finite entries"),  # squares overflow
+    (np.zeros((2, 0)), "feature matrix must be non-empty"),
+    (np.ones(3), "feature matrix must be 2-dimensional, got ndim=1"),
+])
+def test_the_effective_horizon_rejects_a_bad_feature_matrix(bad, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            effective_horizon(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from reskernel import (
     trial_count,
     trial_seed,
 )
+from reskernel import motifs
 from reskernel.richness import CELL_SIDE, CELLS_PER_AXIS, HALF_WIDTH
 
 
@@ -288,6 +289,37 @@ def test_default_sweep_builds_one_tensor_per_trial(monkeypatch):
     reports = sweep(SweepConfig(state_dim=6))
     assert len(reports) == 22 * 31
     assert horizons == [12] * 31
+
+
+_RANDOM_SWEEP = SweepConfig(regimes=("random_iid",), trials=3)
+
+
+def test_random_rows_keep_their_counts_when_phi_is_cut(monkeypatch):
+    cut = sweep(_RANDOM_SWEEP)
+    # The oracle keeps every column of Phi.
+    monkeypatch.setattr(motifs, "effective_horizon", lambda phi: phi.shape[1])
+    full = sweep(_RANDOM_SWEEP)
+    assert len(cut) == len(full) == 22 * 3
+    for a, b in zip(cut, full):
+        assert (a.nu, a.trial, a.n_motifs, a.cells_visited, a.discarded_points) == \
+            (b.nu, b.trial, b.n_motifs, b.cells_visited, b.discarded_points)
+        assert abs(a.weighted_relative_area - b.weighted_relative_area) <= 1e-15
+
+
+def test_random_rows_solve_less_than_the_state_dimension(monkeypatch):
+    # A random reservoir's columns fall below rounding after about 55 of
+    # them, so no sweep row may go back to the N x N Gram or the tau x tau Q.
+    sides = []
+    solve = motifs.sym_eig
+
+    def recording(matrix):
+        sides.append(matrix.shape[0])
+        return solve(matrix)
+
+    monkeypatch.setattr(motifs, "sym_eig", recording)
+    sweep(_RANDOM_SWEEP)
+    assert len(sides) == 22 * 3
+    assert max(sides) < _RANDOM_SWEEP.state_dim
 
 
 _REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "reference"
