@@ -260,8 +260,9 @@ def cmd_predict(args) -> int:
     if res_spec.regime == cp.SYMMETRIC_WIGNER:
         prediction = predict_symmetric(reservoir, coupling_vec, horizon)
         recon = symmetric_gram(prediction.weights[:, None] * prediction.vectors)
-        residual = float(np.max(np.abs(recon - tensor.matrix)))
-        scale = float(np.max(np.abs(tensor.matrix)))
+        q = symmetric_gram(tensor.phi)
+        residual = float(np.max(np.abs(recon - q)))
+        scale = float(np.max(np.abs(q)))
         report = "reconstruction.csv"
         write_report = partial(
             _io.write_csv, header=["max_abs_residual", "tensor_max_abs", "relative_residual"],

@@ -137,8 +137,8 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     That block has rank at most N, so when ``N < m`` the eigenpairs come
     from the N x N Gram of ``Phi[:, :m]``: the motifs are
     ``Phi[:, :m]^T u_i / sqrt(lambda_i)`` under :func:`numerics.fix_signs`.
-    The m x m block (``tensor.matrix`` when ``m = tau``) is solved directly
-    instead when ``m <= N``, when a retained eigenvalue lies within
+    The m x m block, ``symmetric_gram(Phi[:, :m])`` formed here, is solved
+    directly instead when ``m <= N``, when a retained eigenvalue lies within
     ``DEGENERACY_RTOL`` of a neighbour (the first dropped one included), or
     when the smallest retained eigenvalue is below ``DUAL_ROUTE_MIN_RATIO``
     times the top.
@@ -164,8 +164,9 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
             vectors = fix_signs(head.T @ eig.eigenvectors[:, :count]
                                 / np.sqrt(spectrum[:count])).T
     if vectors is None:
-        # Uncut, Q is the tensor's cached matrix, whose bits the cycle rows read.
-        eig = sym_eig(tensor.matrix if m == tau else symmetric_gram(head))
+        with np.errstate(over="ignore", invalid="ignore"):  # sym_eig reports it
+            q = symmetric_gram(head)
+        eig = sym_eig(q)
         spectrum = np.concatenate((clamp_spectrum(eig.eigenvalues, "metric tensor"),
                                    np.zeros(tau - m)))
         count = _retained_count(spectrum, threshold_ratio)

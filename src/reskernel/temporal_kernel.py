@@ -24,14 +24,13 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import coupling as cp
 from .errors import ContractViolation
-from .numerics import (as_finite_array, as_matrix, as_reservoir_pair, as_square_matrix,
-                       as_vector, check_positive_int, is_real, symmetric_gram)
+from .numerics import (as_finite_array, as_matrix, as_reservoir_pair, as_vector,
+                       check_positive_int, is_real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +52,7 @@ class TimeSeries:
         return int(self.values.shape[0])
 
 
+@dataclass(frozen=True, eq=False)
 class MetricTensor:
     """The horizon-``tau`` kernel of one reservoir, ``K(u, v) = u^T Q v``.
 
@@ -64,33 +64,24 @@ class MetricTensor:
     overflows raises ContractViolation before ``Q`` is formed.  A float64
     ``phi`` that owns its data is stored without a copy and marked
     read-only; a view is copied first, so no write to its base reaches the
-    tensor.  ``matrix`` is formed from ``phi`` by
-    :func:`numerics.symmetric_gram` on first read, exactly symmetric,
-    read-only and cached.  A tensor is immutable, so that cache and a
-    readout's filter (:func:`readout_eval`) never go stale.  One case stays
-    open: a view of an owned ``phi`` taken before construction still
-    writes into the tensor.
+    tensor.  ``phi`` is all a tensor stores: a reader that needs ``Q``
+    forms it with :func:`numerics.symmetric_gram`.  A tensor is immutable,
+    so a readout's filter (:func:`readout_eval`) never goes stale, and
+    ``dataclasses.replace`` builds a new tensor under the same rules.  One
+    case stays open: a view of an owned ``phi`` taken before construction
+    still writes into the tensor.
     """
 
-    def __init__(self, phi):
-        phi = as_matrix(phi, "metric tensor")
+    phi: np.ndarray
+
+    def __post_init__(self):
+        phi = as_matrix(self.phi, "metric tensor")
         if phi.base is not None:
             phi = phi.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
             as_finite_array(np.einsum("ij,ij->j", phi, phi), 1, "metric tensor")
         phi.flags.writeable = False
-        self.__dict__["phi"] = phi
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MetricTensor is immutable; cannot set {name!r}")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The tau x tau ``Q``, formed from ``phi`` on first read."""
-        with np.errstate(over="ignore", invalid="ignore"):  # as_square_matrix reports it
-            gram = as_square_matrix(symmetric_gram(self.phi), "metric tensor")
-        gram.flags.writeable = False
-        return gram
+        object.__setattr__(self, "phi", phi)
 
     @property
     def state_dim(self) -> int:

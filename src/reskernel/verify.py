@@ -8,8 +8,9 @@ the geometric decay envelope, and the kernel error caused by an unknown
 bounded initial state stays inside its two-sided closed-form bounds.
 
 The sampled suites share one sampling loop and take a ``tamper`` flag: when
-set, :func:`inject_asymmetry` is applied to a copy of each freshly built
-tensor's matrix, and the suites read that matrix in place of the tensor.
+set, :func:`inject_asymmetry` is applied to ``Q = Phi^T Phi`` formed from
+each freshly built tensor, and the suites read that matrix in place of the
+tensor.
 It exists as a negative control: injecting an asymmetry must make the
 suites fail and produce a replayable report.  A suite's verdict is its
 first failure: it passes exactly when it recorded no replay.
@@ -27,7 +28,7 @@ import numpy as np
 from . import coupling as cp
 from .errors import ContractViolation
 from .numerics import (CLAMP_RTOL, SYMMETRY_ATOL, asymmetry, check_positive_int, is_flag,
-                       numerical_rank, relative_negativity, sym_eigvals)
+                       numerical_rank, relative_negativity, sym_eigvals, symmetric_gram)
 from .temporal_kernel import (
     BoundParams,
     TimeSeries,
@@ -104,9 +105,10 @@ def _sampled_builds(n_configs: int, base_seed: int, stream: int, salt: int,
     """Yield ``(sampler, sample, reservoir, coupling, tensor, tampered)`` per
     configuration: sample ``i`` is drawn from stream ``stream`` of
     ``Seed(base_seed)`` with seed ``mix_seed(base_seed, salt, i)`` and built
-    with warnings silenced.  ``tampered`` is a copy of the tensor's matrix
-    passed through :func:`inject_asymmetry` if the flag ``tamper`` is set,
-    else ``None``.  A suite may draw from ``sampler`` between builds."""
+    with warnings silenced.  ``tampered`` is the tensor's ``Q``, formed from
+    ``phi`` by :func:`numerics.symmetric_gram` and passed through
+    :func:`inject_asymmetry`, if the flag ``tamper`` is set, else ``None``.
+    A suite may draw from ``sampler`` between builds."""
     if not is_flag(tamper):
         raise ContractViolation("tamper must be a bool")
     sampler = cp.seed_generator(cp.Seed(base_seed), stream)
@@ -115,7 +117,7 @@ def _sampled_builds(n_configs: int, base_seed: int, stream: int, salt: int,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reservoir, coupling_vec, tensor = build_from_specs(*sample)
-        tampered = inject_asymmetry(tensor.matrix.copy()) if tamper else None
+        tampered = inject_asymmetry(symmetric_gram(tensor.phi)) if tamper else None
         yield sampler, sample, reservoir, coupling_vec, tensor, tampered
 
 
@@ -196,7 +198,7 @@ def run_spectrum_properties(n_configs: int, base_seed: int = 0,
     decay_replay = None
     for _, sample, _, coupling_vec, tensor, tampered in _sampled_builds(
             n_configs, base_seed, 902, 23, tamper):
-        q = tensor.matrix if tampered is None else tampered
+        q = symmetric_gram(tensor.phi) if tampered is None else tampered
         asym = asymmetry(q)
         worst_asym = max(worst_asym, asym)
         if asym > SYMMETRY_ATOL:

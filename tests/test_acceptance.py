@@ -33,6 +33,7 @@ from reskernel import (
 )
 from reskernel import cli
 from reskernel import coupling as cp
+from reskernel.numerics import symmetric_gram
 from reskernel.verify import (
     run_initial_state_error_containment,
     run_kernel_state_equivalence,
@@ -86,7 +87,7 @@ def test_tensor_entries_obey_geometric_decay_bound():
                     powers = np.add.outer(np.arange(80), np.arange(80))
                     bound = sq_norm * nu ** powers
                     worst_excess = max(worst_excess,
-                                       float(np.max(np.abs(tensor.matrix) - bound)))
+                                       float(np.max(np.abs(symmetric_gram(tensor.phi)) - bound)))
                     n_tensors += 1
     ok = worst_excess <= 1e-9
     _report("tensor entries stay under the geometric decay envelope",
@@ -154,7 +155,7 @@ def test_symmetric_components_reconstruct_the_tensor():
                                        horizon, seed)
         pred = predict_symmetric(reservoir, w, horizon)
         rebuilt = (pred.vectors * pred.weights[:, None] ** 2).T @ pred.vectors
-        worst = max(worst, float(np.max(np.abs(tensor.matrix - rebuilt))))
+        worst = max(worst, float(np.max(np.abs(symmetric_gram(tensor.phi) - rebuilt))))
     ok = worst <= 1e-9
     _report("symmetric rank-one components rebuild the tensor",
             ok, f"20 instances up to N=50, tau=100, worst residual {worst:.3g} "
@@ -167,9 +168,9 @@ def test_cycle_block_predictions_are_exact_eigenvectors():
     seed = cp.mix_seed(0, 6, 0)
     tensor, _, w = _tensor("cycle_permutation", n, nu, "gaussian", horizon, seed)
     pred = predict_cycle(nu, w, horizon)
-    residual = np.max(np.abs(tensor.matrix @ pred.vectors.T
-                             - pred.vectors.T * pred.weights[None, :] ** 2))
-    allowance = 1e-8 * np.max(np.abs(tensor.matrix))
+    q = symmetric_gram(tensor.phi)
+    residual = np.max(np.abs(q @ pred.vectors.T - pred.vectors.T * pred.weights[None, :] ** 2))
+    allowance = 1e-8 * np.max(np.abs(q))
     motifs = extract_motifs(tensor, threshold_ratio=1e-6)
     comparison = compare_motifs(motifs, pred)
     worst_weight = float(np.max(comparison.weight_rel_errors))

@@ -205,7 +205,7 @@ def test_a_malformed_batch_is_rejected(histories, x0):
 def test_tensor_corner_entry_is_coupling_norm_squared():
     res, coup = _random_pair(9, 0.85, 5)
     tensor = build_metric_tensor(res, coup, 12)
-    assert tensor.matrix[0, 0] == pytest.approx(float(coup @ coup), rel=1e-14)
+    assert symmetric_gram(tensor.phi)[0, 0] == pytest.approx(float(coup @ coup), rel=1e-14)
 
 
 def test_scalar_reservoir_tensor_is_geometric():
@@ -213,7 +213,7 @@ def test_scalar_reservoir_tensor_is_geometric():
     expected = np.array([[1.0, 0.5, 0.25],
                          [0.5, 0.25, 0.125],
                          [0.25, 0.125, 0.0625]])
-    assert np.allclose(tensor.matrix, expected, rtol=1e-12)
+    assert np.allclose(symmetric_gram(tensor.phi), expected, rtol=1e-12)
 
 
 def test_tensor_matches_matrix_power_oracle():
@@ -223,13 +223,13 @@ def test_tensor_matches_matrix_power_oracle():
             tensor = build_metric_tensor(res, coup, 5)
         ref = oracles.metric_tensor_by_powers(res, coup, 5)
         scale = max(1.0, np.max(np.abs(ref)))
-        assert np.max(np.abs(tensor.matrix - ref)) < 1e-12 * scale
+        assert np.max(np.abs(symmetric_gram(tensor.phi) - ref)) < 1e-12 * scale
 
 
 def test_tensor_is_exactly_symmetric():
     res, coup = _random_pair(8, 0.95, 2)
-    tensor = build_metric_tensor(res, coup, 20)
-    assert np.array_equal(tensor.matrix, tensor.matrix.T)
+    q = symmetric_gram(build_metric_tensor(res, coup, 20).phi)
+    assert np.array_equal(q, q.T)
 
 
 def test_tensor_warns_when_horizon_below_state_dim():
@@ -263,10 +263,11 @@ def test_a_tensor_of_a_built_feature_matrix_is_the_built_tensor():
     built = build_metric_tensor(res, coup, 12)
     given = MetricTensor(built.phi)
     assert (given.state_dim, given.horizon) == (6, 12)
-    assert given.matrix.tobytes() == built.matrix.tobytes()
+    assert symmetric_gram(given.phi).tobytes() == symmetric_gram(built.phi).tobytes()
     rng = np.random.default_rng(43)
     u, v = TimeSeries(rng.normal(size=12)), TimeSeries(rng.normal(size=12))
     assert kernel_eval(given, u, v) == kernel_eval(built, u, v)
+    assert list(vars(given)) == list(vars(built)) == ["phi"]  # an evaluation stores no Q
 
 
 def test_a_tensor_shares_its_feature_matrix_read_only():
@@ -275,18 +276,25 @@ def test_a_tensor_shares_its_feature_matrix_read_only():
     # A float64 feature matrix is taken without a copy and marked read-only.
     assert np.shares_memory(tensor.phi, phi) and not phi.flags.writeable
     assert (tensor.state_dim, tensor.horizon) == (4, 8)
-    # No tensor takes a new matrix or factor, so none keeps a stale one: it is
-    # no dataclass to replace, its attributes cannot be set, and its factor and
-    # the matrix formed from it are read-only.
-    with pytest.raises(TypeError):
-        dataclasses.replace(tensor, phi=2.0 * phi)
-    for name in ("matrix", "phi", "state_dim", "horizon"):
+    # A tensor's attributes cannot be set and its factor is read-only.
+    for name in ("phi", "state_dim", "horizon"):
         with pytest.raises(AttributeError):
             setattr(tensor, name, None)
-    for array in (tensor.phi, tensor.matrix):
-        with pytest.raises(ValueError):
-            array[0, 0] = 1.0
-    assert tensor.matrix.tobytes() == symmetric_gram(phi).tobytes()
+    with pytest.raises(ValueError):
+        tensor.phi[0, 0] = 1.0
+    # dataclasses.replace builds a new tensor under the constructor's rules.
+    before = tensor.phi.tobytes()
+    bad = phi.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ContractViolation, match="^metric tensor contains non-finite"):
+        dataclasses.replace(tensor, phi=bad)
+    base = np.ones((4, 9))
+    replaced = dataclasses.replace(tensor, phi=base[:, :8])
+    assert not np.shares_memory(replaced.phi, base) and base.flags.writeable
+    assert not replaced.phi.flags.writeable
+    assert replaced.phi.tobytes() == np.ones((4, 8)).tobytes()
+    assert tensor.phi is phi and tensor.phi.tobytes() == before
+    assert list(vars(tensor)) == list(vars(replaced)) == ["phi"]
 
 
 def test_a_tensor_of_a_view_keeps_its_values_when_the_base_is_written():
@@ -294,12 +302,13 @@ def test_a_tensor_of_a_view_keeps_its_values_when_the_base_is_written():
     tensor = MetricTensor(base[:, :3])
     supports, v = (TimeSeries([1.0, -2.0, 0.5]),), TimeSeries([0.25, 1.0, 3.0])
     model = ReadoutModel(supports, [1.5], bias=0.125)
-    matrix, value = tensor.matrix.tobytes(), readout_eval(model, tensor, v)
+    phi, value = tensor.phi.tobytes(), readout_eval(model, tensor, v)
     base[0, 0] = 5.0  # the view was copied, so the base stays writable
     assert tensor.phi[0, 0] == 1.0
-    assert tensor.matrix.tobytes() == matrix
+    assert tensor.phi.tobytes() == phi
     assert readout_eval(model, tensor, v) == value
     assert readout_eval(ReadoutModel(supports, [1.5], bias=0.125), tensor, v) == value
+    assert list(vars(tensor)) == ["phi"]  # the filter is kept on the model, not the tensor
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +349,8 @@ def test_gather_build_is_byte_equal_to_the_dense_loop(monkeypatch, case):
     dense_phi, dense = _dense_build(monkeypatch, reservoir, coupling, 3 * n)
     phi = temporal_kernel._feature_matrix(reservoir, coupling, 3 * n)
     assert phi.tobytes() == dense_phi.tobytes()
-    assert build_metric_tensor(reservoir, coupling, 3 * n).matrix.tobytes() == \
-        dense.matrix.tobytes()
+    gathered = build_metric_tensor(reservoir, coupling, 3 * n)
+    assert symmetric_gram(gathered.phi).tobytes() == symmetric_gram(dense.phi).tobytes()
 
 
 def test_two_nonzeros_in_a_row_take_the_dense_path():
@@ -351,7 +360,7 @@ def test_two_nonzeros_in_a_row_take_the_dense_path():
     coupling = np.linspace(-1.0, 1.0, 5)
     ref = oracles.metric_tensor_by_powers(reservoir, coupling, 9)
     tensor = build_metric_tensor(reservoir, coupling, 9)
-    assert np.max(np.abs(tensor.matrix - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(symmetric_gram(tensor.phi) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +379,7 @@ def test_scaling_by_one_returns_the_same_bits(regime):
     tensor = build_metric_tensor(unit, coupling, 18)
     scaled = scale_metric_tensor(tensor, 1.0)
     assert scaled.phi.tobytes() == tensor.phi.tobytes()
-    assert scaled.matrix.tobytes() == tensor.matrix.tobytes()
+    assert symmetric_gram(scaled.phi).tobytes() == symmetric_gram(tensor.phi).tobytes()
 
 
 @pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
@@ -382,16 +391,17 @@ def test_scaled_tensor_equals_the_build_of_the_scaled_reservoir(regime, horizon,
         warnings.simplefilter("ignore")  # horizon 7 is below the state dimension
         scaled = scale_metric_tensor(build_metric_tensor(unit, coupling, horizon), nu)
         direct = build_metric_tensor(nu * unit, coupling, horizon)
-    assert np.array_equal(scaled.matrix, scaled.matrix.T)
+    q, direct_q = symmetric_gram(scaled.phi), symmetric_gram(direct.phi)
+    assert np.array_equal(q, q.T)
     assert (scaled.horizon, scaled.state_dim) == (horizon, 12)
-    scale = np.max(np.abs(direct.matrix))
-    assert np.max(np.abs(scaled.matrix - direct.matrix)) <= 1e-13 * scale
+    scale = np.max(np.abs(direct_q))
+    assert np.max(np.abs(q - direct_q)) <= 1e-13 * scale
 
 
 def test_scaling_by_an_integer_nu_matches_the_float():
     tensor = build_metric_tensor(np.array([[0.5]]), np.array([1.0]), 3)
-    assert scale_metric_tensor(tensor, 2).matrix.tobytes() == \
-        scale_metric_tensor(tensor, 2.0).matrix.tobytes()
+    assert scale_metric_tensor(tensor, 2).phi.tobytes() == \
+        scale_metric_tensor(tensor, 2.0).phi.tobytes()
 
 
 def test_scaling_rejects_a_non_finite_nu():
@@ -456,14 +466,15 @@ def test_kernel_is_exactly_swap_invariant():
 def test_the_feature_route_agrees_with_the_matrix_route(regime):
     unit, coupling = _unit_pair(regime, 12)
     tensor = scale_metric_tensor(build_metric_tensor(unit, coupling, 36), 0.9)
+    q = symmetric_gram(tensor.phi)
     rng = np.random.default_rng(37)
     for _ in range(5):
         u, v = rng.normal(size=36), rng.normal(size=36)
         value = kernel_eval(tensor, TimeSeries(u), TimeSeries(v))
         assert value == kernel_eval(tensor, TimeSeries(v), TimeSeries(u))
         # |K(u, v)| <= sqrt(K(u, u) K(v, v)) is the scale of the value.
-        scale = math.sqrt((u @ tensor.matrix @ u) * (v @ tensor.matrix @ v))
-        assert abs(value - u @ tensor.matrix @ v) <= 1e-12 * scale
+        scale = math.sqrt((u @ q @ u) * (v @ q @ v))
+        assert abs(value - u @ q @ v) <= 1e-12 * scale
 
 
 def test_kernel_self_similarity_is_nonnegative():
@@ -473,7 +484,7 @@ def test_kernel_self_similarity_is_nonnegative():
     for _ in range(10):
         u = rng.normal(size=10)
         k = kernel_eval(tensor, TimeSeries(u), TimeSeries(u))
-        assert k >= -1e-10 * float(u @ u) * np.max(np.abs(tensor.matrix))
+        assert k >= -1e-10 * float(u @ u) * np.max(np.abs(symmetric_gram(tensor.phi)))
 
 
 def test_kernel_rejects_horizon_mismatch():
@@ -549,7 +560,7 @@ def _per_support_readout(model, tensor, v):
 def _assert_primal_matches_per_support(model, tensor, v):
     # |Q| |v| bounds the rounding of every product with Q; Q v alone reads 0
     # for v in the null space of Q (tau > N), where both sums are rounding.
-    q_v = float(np.linalg.norm(np.abs(tensor.matrix) @ np.abs(v.values)))
+    q_v = float(np.linalg.norm(np.abs(symmetric_gram(tensor.phi)) @ np.abs(v.values)))
     scale = abs(model.bias) + sum(abs(beta) * float(np.linalg.norm(u.values)) * q_v
                                   for beta, u in zip(model.coefficients, model.supports))
     error = abs(readout_eval(model, tensor, v) - _per_support_readout(model, tensor, v))

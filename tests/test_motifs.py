@@ -88,7 +88,7 @@ def test_full_spectrum_is_kept_alongside_retained_weights():
     motifs = extract_motifs(tensor)
     assert motifs.spectrum.shape == (12,)
     assert np.sum(motifs.spectrum) == pytest.approx(
-        float(np.trace(tensor.matrix)), rel=1e-10)
+        float(np.trace(symmetric_gram(tensor.phi))), rel=1e-10)
     assert np.all(np.diff(motifs.spectrum) <= 0.0)
 
 
@@ -157,7 +157,7 @@ def _solved_sides(monkeypatch):
 def _square_route(tensor):
     """The tau x tau route at the default threshold, formed here from the
     eigenpairs of ``Q`` with the clamp and the retention rule of ``extract_motifs``."""
-    eig = sym_eig(tensor.matrix)
+    eig = sym_eig(symmetric_gram(tensor.phi))
     spectrum = np.where(eig.eigenvalues < 0.0, 0.0, eig.eigenvalues)
     weights = np.sqrt(spectrum)
     count = int(np.sum(weights >= 1e-2 * weights[0]))
@@ -175,7 +175,7 @@ def test_the_gram_route_agrees_with_the_square_route(monkeypatch, regime, n, hor
     sides = _solved_sides(monkeypatch)
     gram = extract_motifs(tensor)
     assert sides == [n]
-    square = sym_eig(tensor.matrix)
+    square = sym_eig(symmetric_gram(tensor.phi))
     values = np.where(square.eigenvalues < 0.0, 0.0, square.eigenvalues)
     k = len(gram)
     assert 0 < k == int(np.sum(np.sqrt(values) >= 1e-2 * np.sqrt(values[0])))
@@ -210,6 +210,7 @@ def test_a_horizon_of_at_most_n_keeps_the_square_route_bit_for_bit(monkeypatch, 
     sides = _solved_sides(monkeypatch)
     motifs = extract_motifs(tensor)
     assert sides == [horizon]
+    assert list(vars(tensor)) == ["phi"]  # the tau x tau Q was formed, not kept
     square = _square_route(tensor)
     assert motifs.vectors.tobytes() == square.vectors.tobytes()
     assert motifs.spectrum.tobytes() == square.spectrum.tobytes()
@@ -282,7 +283,7 @@ def test_the_cycle_sweep_rows_solve_q_only_at_nu_one(monkeypatch):
     _, _, unit = build_from_specs(spec, InputCouplingSpec(kind="ones_pi_signs", size=100),
                                   200, Seed(0))
     sides = _solved_sides(monkeypatch)
-    square_at, formed_at = [], []
+    square_at = []
     for nu in default_nu_grid():
         del sides[:]
         scaled = scale_metric_tensor(unit, nu)
@@ -290,10 +291,9 @@ def test_the_cycle_sweep_rows_solve_q_only_at_nu_one(monkeypatch):
         assert sides[0] == 100
         if 200 in sides:
             square_at.append(nu)
-        if "matrix" in vars(scaled):  # the tau x tau Q was formed and cached
-            formed_at.append(nu)
+        assert list(vars(scaled)) == ["phi"]  # a tau x tau Q is never kept
     assert len(default_nu_grid()) == 22
-    assert square_at == formed_at == [1.0]
+    assert square_at == [1.0]
 
 
 def test_the_feature_route_forms_no_tau_by_tau_matrix(monkeypatch):
@@ -313,7 +313,7 @@ def test_the_feature_route_forms_no_tau_by_tau_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sides == [n] and len(motifs) > 0  # the N x N Gram route
-    assert "matrix" not in vars(tensor) and "matrix" not in vars(scaled)
+    assert list(vars(tensor)) == list(vars(scaled)) == ["phi"]
     # One 2000 x 2000 matrix is 32 MB; Phi is 0.16 MB.
     assert peak < 8 * tau * tau / 10
 
@@ -360,6 +360,14 @@ def test_motif_set_rejects_non_finite_entries(bad):
     MotifSet(**good)
     with pytest.raises(ContractViolation, match="finite"):
         MotifSet(**dict(good, **bad))
+
+
+def test_a_q_that_overflows_where_it_is_formed_is_reported_not_warned():
+    # The column norm is finite, but Q + Q^T, summed on the way to an exactly
+    # symmetric Q, is not; warnings are errors under pytest.
+    tensor = MetricTensor(np.full((3, 1), 1.3e154 / np.sqrt(3)))
+    with pytest.raises(ContractViolation, match="non-finite"):
+        extract_motifs(tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +544,7 @@ def test_symmetric_reconstruction_matches_built_tensor():
         res, coup, tensor = _tensor_for("symmetric_wigner", 12, 0.9, 24, seed)
         pred = predict_symmetric(res, coup, 24)
         recon = (pred.vectors * pred.weights[:, None] ** 2).T @ pred.vectors
-        assert np.max(np.abs(recon - tensor.matrix)) <= 1e-9
+        assert np.max(np.abs(recon - symmetric_gram(tensor.phi))) <= 1e-9
 
 
 def test_one_unit_symmetric_prediction_has_the_extracted_weight():
@@ -552,7 +560,7 @@ def test_symmetric_squared_weights_sum_to_the_trace(seed):
     res, coup, tensor = _tensor_for("symmetric_wigner", 8, 0.9, 16, mix_seed(0, 61, seed))
     pred = predict_symmetric(res, coup, 16)
     assert float(np.sum(pred.weights ** 2)) == pytest.approx(
-        float(np.trace(tensor.matrix)), rel=1e-12)
+        float(np.trace(symmetric_gram(tensor.phi))), rel=1e-12)
 
 
 def test_symmetric_prediction_rejects_asymmetric_reservoir():
@@ -822,8 +830,9 @@ def test_prediction_container_rejects_non_finite_entries(vectors, weights):
 
 def test_records_store_no_horizon_and_derive_it_from_their_arrays():
     stored = {record.__name__: [f.name for f in dataclasses.fields(record)]
-              for record in (MotifSet, MotifPrediction, MotifComparison)}
+              for record in (MetricTensor, MotifSet, MotifPrediction, MotifComparison)}
     assert stored == {
+        "MetricTensor": ["phi"],
         "MotifSet": ["vectors", "spectrum"],
         "MotifPrediction": ["vectors", "weights", "orthonormal", "extras"],
         "MotifComparison": ["alignments", "weight_rel_errors", "cluster_ids"],
@@ -833,8 +842,8 @@ def test_records_store_no_horizon_and_derive_it_from_their_arrays():
     # A tensor stores its feature matrix alone.
     assert list(vars(tensor)) == list(vars(scaled)) == ["phi"]
     motifs = extract_motifs(tensor)
-    assert tensor.horizon == tensor.phi.shape[1] == tensor.matrix.shape[0] == 8
-    assert scaled.horizon == scaled.phi.shape[1] == scaled.matrix.shape[0] == 8
+    assert tensor.horizon == tensor.phi.shape[1] == symmetric_gram(tensor.phi).shape[0] == 8
+    assert scaled.horizon == scaled.phi.shape[1] == symmetric_gram(scaled.phi).shape[0] == 8
     assert motifs.horizon == motifs.spectrum.shape[0] == motifs.vectors.shape[1] == 8
     predictions = [
         predict_random(0.9, coup, 8),

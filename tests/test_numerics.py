@@ -309,7 +309,7 @@ def test_rank_of_periodic_coupling_tensor_equals_period():
     coup = generate_input(InputCouplingSpec(kind="periodic_binary", size=20, period=10),
                           Seed(0))
     tensor = build_metric_tensor(res, coup, 40)
-    spectrum = sym_eig(tensor.matrix).eigenvalues
+    spectrum = sym_eig(symmetric_gram(tensor.phi)).eigenvalues
     assert numerical_rank(spectrum) == 10
 
 
