@@ -151,7 +151,10 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     head = tensor.phi[:, :m]
     vectors = None
     if n < m:
-        eig = sym_eig(symmetric_gram(head.T))
+        with np.errstate(over="ignore", invalid="ignore"):  # sym_eig reports it
+            gram = symmetric_gram(head.T)
+        eig = sym_eig(gram)
+        del gram  # freed before the motifs are formed: 8 MB at N = 1000
         spectrum = np.concatenate((clamp_spectrum(eig.eigenvalues, "metric tensor"),
                                    np.zeros(tau - n)))
         count = _retained_count(spectrum, threshold_ratio)

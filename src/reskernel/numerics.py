@@ -287,9 +287,10 @@ def effective_horizon(phi) -> int:
     phi = as_matrix(phi, "feature matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
         sq_norms = as_finite_array(np.einsum("ij,ij->j", phi, phi), 1, "feature matrix")
-    # tail[m] is ||phi[:, m:]||_F^2; summed from the last column, so it never
-    # falls toward column 0 and the columns above the cut are a prefix.
-    tail = np.cumsum(sq_norms[::-1])[::-1]
+        # tail[m] is ||phi[:, m:]||_F^2; summed from the last column, so it never
+        # falls toward column 0 and the columns above the cut are a prefix.  A
+        # sum that overflows to inf still lies above the cut.
+        tail = np.cumsum(sq_norms[::-1])[::-1]
     return int(np.count_nonzero(tail > np.finfo(float).eps ** 2 * np.max(sq_norms)))
 
 

@@ -99,7 +99,7 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
 
     The oldest sample is consumed first, so after the loop ``values[0]`` is
     the most recent input absorbed into the state.  The drives ``u_t w`` of
-    every step are formed up front, then one loop ``x = W x + drive_t``
+    every step are formed up front, then the loop of :func:`advance_states`
     advances every history at once, one column each.  A single history
     gives the bits of the plain loop ``x = W @ x + u * w``.
 
@@ -134,12 +134,27 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
     # inputs[t, j] is the sample history j feeds in at step t, oldest first.
     inputs = np.stack([h.values[::-1] for h in histories], axis=1)
     drive = inputs[:, np.newaxis, :] * w_vec[:, np.newaxis]
-    with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
-        for step in drive:
-            x = w_mat @ x
-            x += step
-    x = as_finite_array(x, 2, "simulated state")
+    x = as_finite_array(advance_states(w_mat, x, drive), 2, "simulated state")
     return x[:, 0] if single else x
+
+
+def advance_states(reservoir: np.ndarray, state: np.ndarray, drive) -> np.ndarray:
+    """The state after ``x = W @ x; x += step`` for each step of ``drive`` in
+    turn, oldest first: the one loop of the state recursion.
+
+    ``reservoir`` is (N, N) and ``state`` (N, k), or a stack of them along a
+    leading batch axis, (B, N, N) and (B, N, k), run as one stacked product
+    per step.  ``drive`` is any iterable of steps that broadcast against the
+    state, so a caller may form each step only as the loop reaches it.  The
+    inputs are not checked and ``state`` is not written; the caller validates
+    the arrays and reports a result that overflows, as :func:`simulate_state`
+    does with ``as_finite_array``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports it
+        for step in drive:
+            state = reservoir @ state
+            state += step
+    return state
 
 
 def _row_gather(w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -370,6 +370,14 @@ def test_a_q_that_overflows_where_it_is_formed_is_reported_not_warned():
         extract_motifs(tensor)
 
 
+def test_a_feature_matrix_whose_norms_sum_past_range_is_reported_not_warned():
+    # Each squared column norm (1e308) is finite, but their running sum in
+    # effective_horizon and the N x N Gram of the three columns overflow.
+    tensor = MetricTensor(np.full((1, 3), 1e154))
+    with pytest.raises(ContractViolation, match="non-finite"):
+        extract_motifs(tensor)
+
+
 # ---------------------------------------------------------------------------
 # represent
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from reskernel import (
     run_kernel_state_equivalence,
     run_spectrum_properties,
 )
+from reskernel.coupling import seed_generator
 from reskernel.numerics import CLAMP_RTOL, clamp_spectrum
 from reskernel.verify import inject_asymmetry
 
@@ -258,8 +260,100 @@ def test_equivalence_simulates_each_configuration_in_one_call(monkeypatch):
     assert calls == [4] * 5
 
 
-def test_containment_simulates_each_trial_in_two_calls(monkeypatch):
-    calls = _count_simulations(monkeypatch)
-    result = run_initial_state_error_containment(trials=3)
-    assert result.passed
-    assert calls == [2] * 6
+def _containment_radius():
+    scale = reskernel.minimal_state_scale(verify.CONTAINMENT_SIGNAL_BOUND, 1.0,
+                                          verify.CONTAINMENT_NU,
+                                          verify.CONTAINMENT_CONTRACTION_RATE)
+    return reskernel.initial_state_radius(reskernel.BoundParams(
+        verify.CONTAINMENT_SIGNAL_BOUND, 1.0, verify.CONTAINMENT_CONTRACTION_RATE, scale,
+        verify.CONTAINMENT_HORIZON))
+
+
+def _per_trial_containment(t, generate_reservoir=reskernel.generate_reservoir):
+    """``(error, scale)`` of containment trial ``t`` at base seed 0, drawn
+    and simulated one trial at a time by two ``simulate_state`` calls: the
+    reference loop of the batched suite.  ``scale`` is the sum of the norm
+    products of the two dot products that form the error."""
+    n, horizon, bound = (verify.CONTAINMENT_STATE_DIM, verify.CONTAINMENT_HORIZON,
+                         verify.CONTAINMENT_SIGNAL_BOUND)
+    seed = reskernel.mix_seed(0, 19, t)
+    reservoir = generate_reservoir(reskernel.ReservoirSpec(
+        regime="random_iid", size=n, nu=verify.CONTAINMENT_NU), seed)
+    coupling_vec = reskernel.generate_input(reskernel.InputCouplingSpec(
+        kind="gaussian", size=n, normalize_unit=True), seed)
+    rng = seed_generator(seed, 7)
+    u, v = (reskernel.TimeSeries(rng.uniform(-bound, bound, horizon)) for _ in range(2))
+    direction = rng.standard_normal(n)
+    x0 = direction * (_containment_radius() / np.linalg.norm(direction))
+    x_u, x_v = reskernel.simulate_state(reservoir, coupling_vec, [u, v], x0).T
+    z_u, z_v = reskernel.simulate_state(reservoir, coupling_vec, [u, v]).T
+    scale = (np.linalg.norm(x_u) * np.linalg.norm(x_v)
+             + np.linalg.norm(z_u) * np.linalg.norm(z_v))
+    return float(x_u @ x_v) - float(z_u @ z_v), scale
+
+
+# The batched and the per-trial recursion do the same arithmetic in other
+# product kernels; their errors agree to a few roundings of the dot products'
+# scale (measured: at most 2.2e-16 absolute, about 6 eps of the scale).
+CONTAINMENT_RTOL = 64 * np.finfo(float).eps
+
+
+def test_batched_containment_matches_per_trial_simulation_whatever_the_batch(monkeypatch):
+    trials = verify.CONTAINMENT_BATCH + 5
+    batches = []
+    errors = verify._containment_errors
+
+    def recorded(res_spec, in_spec, seeds, radius):
+        batches.append(errors(res_spec, in_spec, seeds, radius))
+        return batches[-1]
+
+    monkeypatch.setattr(verify, "_containment_errors", recorded)
+    result = run_initial_state_error_containment(trials)
+    assert [len(b) for b in batches] == [verify.CONTAINMENT_BATCH, 5]
+    for t, err in enumerate(np.concatenate(batches)):
+        expected, scale = _per_trial_containment(t)
+        assert abs(err - expected) <= CONTAINMENT_RTOL * scale, t
+    # Each trial's products are the same in any batch, so the result keeps its bits.
+    for batch in (1, 7):
+        monkeypatch.setattr(verify, "CONTAINMENT_BATCH", batch)
+        assert run_initial_state_error_containment(trials) == result
+    assert result.passed and result.n_checked == trials and result.worst >= 0.0
+
+
+def test_a_failure_in_a_later_batch_replays_that_trial(monkeypatch):
+    bad = verify.CONTAINMENT_BATCH + 3
+    bad_seed = reskernel.mix_seed(0, 19, bad)
+    generate = reskernel.generate_reservoir
+
+    def slow_to_decay(spec, seed):
+        # An x0 that barely decays drives the error far outside the bounds.
+        if seed.base == bad_seed.base:
+            return 0.999 * np.eye(spec.size)
+        return generate(spec, seed)
+
+    monkeypatch.setattr(verify.cp, "generate_reservoir", slow_to_decay)
+    result = run_initial_state_error_containment(2 * verify.CONTAINMENT_BATCH)
+    assert not result.passed
+    expected, scale = _per_trial_containment(bad, slow_to_decay)
+    replay = result.replay
+    assert replay["seed"] == bad_seed.base
+    assert replay["error"] == pytest.approx(expected, rel=0.0, abs=CONTAINMENT_RTOL * scale)
+    assert replay["error"] > replay["upper"]
+    assert result.worst == replay["upper"] - replay["error"]
+    assert json.loads(json.dumps(replay)) == replay
+
+
+def _containment_peak(trials):
+    tracemalloc.start()
+    try:
+        run_initial_state_error_containment(trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_containment_memory_does_not_grow_with_the_trial_count():
+    one_batch = _containment_peak(verify.CONTAINMENT_BATCH)
+    four_batches = _containment_peak(4 * verify.CONTAINMENT_BATCH)
+    # A batch holds about 1.3 MB; a stack of every trial would add 3 batches.
+    assert four_batches <= one_batch + 64 * 1024
