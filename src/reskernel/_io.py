@@ -266,9 +266,10 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def _read_text(path, what: str) -> str:
-    """A UTF-8 input file's text; failing to open or decode it is a ContractViolation."""
+    """A UTF-8 input file's text, without a leading byte-order mark; failing
+    to open or decode it is a ContractViolation."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractViolation(f"cannot read {what} {path}: {exc}") from exc
 

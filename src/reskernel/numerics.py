@@ -312,14 +312,22 @@ def dft(v) -> np.ndarray:
 
     Entry ``k`` of each row equals ``sum_j v[j] * exp(-2i*pi*j*k/n)``.  A
     ``(k, n)`` array is transformed in one call, with the same bits as
-    transforming its rows one at a time.
+    transforming its rows one at a time.  For real input, entries 0 and
+    ``n/2`` (``n`` even) are real, and their imaginary parts are exactly 0.0:
+    the FFT leaves rounding there, whose sign would pick a richness grid cell.
     """
     arr = np.asarray(v)
     if arr.ndim == 0 or arr.size == 0:
         raise ContractViolation("dft expects a non-empty array of at least one dimension")
     if not np.all(np.isfinite(arr)):
         raise ContractViolation("dft input contains non-finite entries")
-    return np.fft.fft(np.asarray(arr, dtype=complex))
+    out = np.fft.fft(np.asarray(arr, dtype=complex))
+    if np.isrealobj(arr):
+        n = arr.shape[-1]
+        out.imag[..., 0] = 0.0
+        if n % 2 == 0:
+            out.imag[..., n // 2] = 0.0
+    return out
 
 
 def numerical_rank(eigenvalues) -> int:

@@ -148,24 +148,17 @@ class SweepConfig:
         object.__setattr__(self, "nu_values", tuple(sorted(set(self.nu_values))))
 
 
-@dataclass(frozen=True)
-class RichnessReport:
-    """One sweep row: occupancy measures of a single trial."""
+@dataclass(frozen=True, kw_only=True)
+class RichnessReport(GridSummary):
+    """One sweep row: the grid summary of a single trial's cloud, with the
+    labels of that trial as keyword-only fields."""
 
     nu: float
     regime: str
     input_kind: str
     trial: int
     n_motifs: int
-    cells_visited: int
-    weighted_relative_area: float
-    discarded_points: int
     seed: int
-
-    @property
-    def relative_area(self) -> float:
-        """The share of the grid's cells that the trial's cloud visits."""
-        return self.cells_visited / CELLS_PER_AXIS**2
 
 
 def trial_count(regime: str, input_kind: str) -> int:
@@ -202,15 +195,7 @@ def sweep(config: SweepConfig) -> list[RichnessReport]:
                                                config.threshold_ratio)
                     summary = grid_summary(*coefficient_cloud(motif_set))
                     reports.append(RichnessReport(
-                        nu=nu,
-                        regime=regime,
-                        input_kind=kind,
-                        trial=trial,
-                        n_motifs=len(motif_set),
-                        cells_visited=summary.cells_visited,
-                        weighted_relative_area=summary.weighted_relative_area,
-                        discarded_points=summary.discarded_points,
-                        seed=seed.base,
-                    ))
+                        **vars(summary), nu=nu, regime=regime, input_kind=kind,
+                        trial=trial, n_motifs=len(motif_set), seed=seed.base))
     reports.sort(key=lambda r: (r.nu, r.regime, r.input_kind, r.trial))
     return reports

@@ -179,6 +179,39 @@ def test_parse_config_file_details(tmp_path):
         _io.parse_config_file(tmp_path / "missing.conf")
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+def test_config_and_series_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # The same files with and without a UTF-8 byte-order mark give the same
+    # parse and byte-identical outputs.
+    outputs = []
+    for mark in (b"", _BOM):
+        work = tmp_path / ("bom" if mark else "plain")
+        work.mkdir()
+        conf, series = work / "run.conf", work / "u.txt"
+        conf.write_bytes(mark + b"regime = cycle\ninput = pi-signs\nN = 6\ntau = 6\n")
+        series.write_bytes(mark + b"1.0\n-0.5\n")
+        assert _io.parse_config_file(conf) == {"regime": "cycle", "input": "pi-signs",
+                                               "N": "6", "tau": "6"}
+        assert np.array_equal(_io.read_time_series(series).values, [1.0, -0.5])
+        for argv in (["motifs", "--config", str(conf)],
+                     ["kernel", str(series), str(series), "--N", "2"]):
+            code, _, stderr = run_cli(capsys, *argv, "--out", str(work / argv[0]))
+            assert (code, stderr) == (0, "")
+        outputs.append({p.relative_to(work): p.read_bytes()
+                        for p in sorted(work.glob("*/*.csv"))})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_a_file_with_a_byte_order_mark_that_is_not_utf8_keeps_the_codec_message(tmp_path):
+    for read in (_io.parse_config_file, _io.read_time_series):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(_BOM + b"1.0\n\xff\n")
+        with pytest.raises(ContractViolation, match="'utf-8' codec can't decode"):
+            read(bad)
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------

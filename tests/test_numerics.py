@@ -259,6 +259,29 @@ def test_dft_rejects_malformed_input(bad):
         dft(bad)
 
 
+@pytest.mark.parametrize("n", [199, 200])
+def test_dft_of_real_rows_has_exactly_real_zero_and_half_coefficients(n):
+    # The FFT leaves rounding in the imaginary part of entries 0 and n/2 of a
+    # real row; dft zeroes exactly those and keeps every other entry's bits.
+    rows = np.random.default_rng(n).normal(size=(40, n))
+    raw = np.fft.fft(rows.astype(complex))
+    real_at = [0, n // 2] if n % 2 == 0 else [0]
+    assert np.count_nonzero(raw[:, real_at].imag) > 0
+    out = dft(rows)
+    assert not np.any(out[:, real_at].imag)
+    assert out[:, real_at].real.tobytes() == raw[:, real_at].real.tobytes()
+    rest = np.setdiff1d(np.arange(n), real_at)
+    assert out[:, rest].tobytes() == raw[:, rest].tobytes()
+
+
+def test_dft_of_complex_input_keeps_the_fft_bits():
+    rng = np.random.default_rng(5)
+    real_valued = rng.normal(size=(6, 200)).astype(complex)
+    assert np.count_nonzero(np.fft.fft(real_valued)[:, [0, 100]].imag) > 0
+    for rows in (real_valued, real_valued + 1j * rng.normal(size=(6, 200))):
+        assert dft(rows).tobytes() == np.fft.fft(rows).tobytes()
+
+
 @pytest.mark.parametrize("k, n", [(1, 1), (1, 7), (5, 16), (12, 12), (8, 200)])
 def test_dft_of_a_matrix_transforms_each_row(k, n):
     # One call on a (k, n) array gives the bits of k calls on its rows.  The

@@ -1,6 +1,7 @@
 """Coefficient clouds, grid occupancy, and the damping-factor sweep."""
 
 import csv
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -107,6 +108,24 @@ def test_cloud_holds_the_per_motif_transforms_in_motif_order():
     assert np.array_equal(weights, np.repeat(share, 20))
 
 
+@pytest.mark.parametrize("n, index", [(199, 0), (200, 100)])
+def test_a_real_coefficient_with_negative_rounding_is_binned_at_imaginary_zero(n, index):
+    # A real motif's coefficients 0 and n/2 are real.  The FFT can leave a
+    # rounding below zero in their imaginary part, large enough to cross the
+    # cell edge at 0; the cloud holds an exact zero there, so the point shares
+    # its cell with one in the middle of the cell above that edge.
+    rows = np.random.default_rng(n).normal(size=(2000, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    raw = np.fft.fft(rows.astype(complex))[:, index].imag
+    noisy = np.flatnonzero(np.floor((raw + HALF_WIDTH) / CELL_SIDE) < CELLS_PER_AXIS // 2)
+    assert noisy.size > 0
+    points, _ = coefficient_cloud(_motif_set(rows[noisy[0]], [1.0]))
+    point = points[index]
+    assert point.imag == 0.0
+    middle = complex(point.real, CELL_SIDE / 2)
+    assert grid_summary([point, middle], [0.5, 0.5]).cells_visited == 1
+
+
 def test_cloud_container_validation():
     with pytest.raises(ContractViolation):
         grid_summary(np.zeros(2, dtype=complex), np.array([0.5, -0.5]))
@@ -208,6 +227,20 @@ def test_sweep_rows_are_sorted_and_seeded_deterministically():
         assert isinstance(report, RichnessReport)
         assert report.n_motifs >= 1
         assert 0.0 <= report.weighted_relative_area <= report.relative_area
+
+
+def test_a_sweep_row_is_its_grid_summary_plus_keyword_only_labels():
+    labels = ("nu", "regime", "input_kind", "trial", "n_motifs", "seed")
+    assert issubclass(RichnessReport, GridSummary)
+    assert RichnessReport.relative_area is GridSummary.relative_area
+    assert tuple(RichnessReport.__annotations__) == labels
+    measures = tuple(f.name for f in dataclasses.fields(GridSummary))
+    fields = dataclasses.fields(RichnessReport)
+    assert tuple(f.name for f in fields) == measures + labels
+    assert all(f.kw_only for f in fields if f.name in labels)
+    config = SweepConfig(nu_values=(0.95,), regimes=("cycle_permutation",), state_dim=6)
+    (row,) = sweep(config)
+    assert isinstance(row, GridSummary)
 
 
 def test_sweep_defaults_fill_horizon_and_trial_counts():
