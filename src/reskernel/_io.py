@@ -267,11 +267,14 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def _read_text(path, what: str) -> str:
     """A UTF-8 input file's text, without a leading byte-order mark; failing
-    to open or decode it is a ContractViolation."""
+    to open or decode it is a ContractViolation.  The mark is dropped after
+    decoding, so a decode error counts its position from the file's first
+    byte."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractViolation(f"cannot read {what} {path}: {exc}") from exc
+    return text.removeprefix("\ufeff")
 
 
 def read_time_series(path) -> TimeSeries:

@@ -40,6 +40,7 @@ from .richness import SweepConfig, sweep
 from .temporal_kernel import (
     ReadoutModel,
     build_from_specs,
+    check_poly_params,
     kernel_eval,
     kernel_poly,
     readout_eval,
@@ -396,6 +397,8 @@ def cmd_kernel(args) -> int:
         raise UsageError(f"time series horizons differ: {u.horizon} vs {v.horizon}")
     if (args.offset is None) != (args.degree is None):
         raise UsageError("--offset and --degree must be given together")
+    if args.offset is not None:
+        check_poly_params(args.offset, args.degree)
     if len(args.coeff or []) != len(args.support or []):
         raise UsageError("one --coeff per --support is required")
     if args.bias is not None and not args.support:

@@ -98,10 +98,8 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
     that share a horizon.
 
     The oldest sample is consumed first, so after the loop ``values[0]`` is
-    the most recent input absorbed into the state.  The drives ``u_t w`` of
-    every step are formed up front, then the loop of :func:`advance_states`
-    advances every history at once, one column each.  A single history
-    gives the bits of the plain loop ``x = W @ x + u * w``.
+    the most recent input absorbed into the state.  :func:`advance_states`
+    advances every history at once, one column each.
 
     Parameters
     ----------
@@ -126,35 +124,36 @@ def simulate_state(reservoir, coupling, series: TimeSeries | Sequence[TimeSeries
         raise ContractViolation("at least one history is required")
     if len({h.horizon for h in histories}) > 1:
         raise ContractViolation("histories must share one horizon")
-    if initial_state is None:
-        x = np.zeros((w_mat.shape[0], len(histories)))
-    else:
-        x0 = as_vector(initial_state, "initial state", w_mat.shape[0])
-        x = np.repeat(x0[:, np.newaxis], len(histories), axis=1)
-    # inputs[t, j] is the sample history j feeds in at step t, oldest first.
-    inputs = np.stack([h.values[::-1] for h in histories], axis=1)
-    drive = inputs[:, np.newaxis, :] * w_vec[:, np.newaxis]
-    x = as_finite_array(advance_states(w_mat, x, drive), 2, "simulated state")
+    n = w_mat.shape[0]
+    x0 = np.zeros(n) if initial_state is None else as_vector(initial_state, "initial state", n)
+    x = np.repeat(x0[:, np.newaxis], len(histories), axis=1)
+    inputs = np.stack([h.values for h in histories], axis=1)
+    x = as_finite_array(advance_states(w_mat, w_vec, x, inputs), 2, "simulated state")
     return x[:, 0] if single else x
 
 
-def advance_states(reservoir: np.ndarray, state: np.ndarray, drive) -> np.ndarray:
-    """The state after ``x = W @ x; x += step`` for each step of ``drive`` in
-    turn, oldest first: the one loop of the state recursion.
+def advance_states(reservoir: np.ndarray, coupling: np.ndarray, state: np.ndarray,
+                   inputs: np.ndarray) -> np.ndarray:
+    """The one state loop: the state after ``x = W x + w u`` absorbs ``inputs``.
 
-    ``reservoir`` is (N, N) and ``state`` (N, k), or a stack of them along a
-    leading batch axis, (B, N, N) and (B, N, k), run as one stacked product
-    per step.  ``drive`` is any iterable of steps that broadcast against the
-    state, so a caller may form each step only as the loop reaches it.  The
-    inputs are not checked and ``state`` is not written; the caller validates
-    the arrays and reports a result that overflows, as :func:`simulate_state`
-    does with ``as_finite_array``.
+    ``reservoir`` is (N, N), ``coupling`` (N,), ``state`` (N, k) and
+    ``inputs`` (tau, k), column ``j`` the history of state column ``j``,
+    most recent first as in a :class:`TimeSeries`; the loop walks it oldest
+    first, one product ``[x; u] = [W | w] [x; u]`` per step with the input
+    in the state's last row.  A stack along a batch axis, (B, N, N), (B, N),
+    (B, N, k) and (tau, B, k), takes one stacked product per step.  Nothing
+    is checked and ``state`` is not written; the caller reports a result
+    that overflows, as :func:`simulate_state` does.
     """
+    n = reservoir.shape[-1]
+    step = np.concatenate((reservoir, coupling[..., np.newaxis]), axis=-1)
+    x = np.concatenate((state, np.empty(state.shape[:-2] + (1, state.shape[-1]))), axis=-2)
+    top, last = x[..., :n, :], x[..., n, :]
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports it
-        for step in drive:
-            state = reservoir @ state
-            state += step
-    return state
+        for u in inputs[::-1]:
+            last[...] = u
+            top[...] = step @ x
+    return top
 
 
 def _row_gather(w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -274,13 +273,19 @@ def kernel_eval(tensor: MetricTensor, u: TimeSeries, v: TimeSeries) -> float:
     return _finite_value(value, "kernel")
 
 
-def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
-                offset: float, degree: int) -> float:
-    """Polynomial kernel ``(u^T Q v + offset)^degree`` with integer degree >= 1
-    and a finite real offset."""
+def check_poly_params(offset, degree) -> None:
+    """Reject a polynomial-kernel degree that is not an integer >= 1, or an
+    offset that is not a finite real number."""
     check_positive_int(degree, "degree")
     if not (is_real(offset) and -math.inf < offset < math.inf):
         raise ContractViolation("offset must be finite")
+
+
+def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
+                offset: float, degree: int) -> float:
+    """Polynomial kernel ``(u^T Q v + offset)^degree`` with integer degree >= 1
+    and a finite real offset (:func:`check_poly_params`)."""
+    check_poly_params(offset, degree)
     try:
         value = (kernel_eval(tensor, u, v) + offset) ** degree
     except OverflowError:  # a Python float power raises where numpy gives inf

@@ -7,9 +7,10 @@ semidefinite with rank bounded by the state dimension, tensor entries obey
 the geometric decay envelope, and the kernel error caused by an unknown
 bounded initial state stays inside its two-sided closed-form bounds.  The
 containment suite runs its trials in batches of :data:`CONTAINMENT_BATCH`,
-each batch one stacked state recursion, so its cost is not one Python-level
+each batch one stacked :func:`temporal_kernel.advance_states` recursion,
+one product per step for the whole batch, so its cost is not a Python-level
 matrix product per trial and step, and its memory does not grow with the
-trial count.
+trial count.  Every state the suites read comes from that one loop.
 
 The sampled suites share one sampling loop and take a ``tamper`` flag: when
 set, :func:`inject_asymmetry` is applied to ``Q = Phi^T Phi`` formed from
@@ -244,13 +245,12 @@ def _containment_errors(res_spec: cp.ReservoirSpec, in_spec: cp.InputCouplingSpe
     A trial draws its reservoir and coupling from ``seed``, then ``u``, ``v``
     and the direction of ``x0``, of norm ``radius``, from stream 7 of it.
     Its four state columns are ``(u, v)`` from ``x0`` and ``(u, v)`` from
-    zero.  The drive of each step is formed only as the loop reaches it, so
-    the batch holds no horizon x B x N x 4 array.
+    zero, so the batch holds its states and a horizon x B x 4 array of inputs.
     """
     k = len(seeds)
     reservoirs = np.empty((k, CONTAINMENT_STATE_DIM, CONTAINMENT_STATE_DIM))
     couplings = np.empty((k, CONTAINMENT_STATE_DIM))
-    # inputs[t, b] holds the four columns' samples of trial b at step t, oldest first.
+    # inputs[:, b] holds the four histories of trial b, most recent first.
     inputs = np.empty((CONTAINMENT_HORIZON, k, 4))
     state = np.zeros((k, CONTAINMENT_STATE_DIM, 4))
     for b, seed in enumerate(seeds):
@@ -259,11 +259,11 @@ def _containment_errors(res_spec: cp.ReservoirSpec, in_spec: cp.InputCouplingSpe
         rng = cp.seed_generator(seed, 7)
         for j in range(2):
             inputs[:, b, j] = inputs[:, b, j + 2] = rng.uniform(
-                -CONTAINMENT_SIGNAL_BOUND, CONTAINMENT_SIGNAL_BOUND, CONTAINMENT_HORIZON)[::-1]
+                -CONTAINMENT_SIGNAL_BOUND, CONTAINMENT_SIGNAL_BOUND, CONTAINMENT_HORIZON)
         direction = rng.standard_normal(CONTAINMENT_STATE_DIM)
         state[b, :, :2] = (direction * (radius / float(np.linalg.norm(direction))))[:, np.newaxis]
-    drive = (step[:, np.newaxis, :] * couplings[:, :, np.newaxis] for step in inputs)
-    x = as_finite_array(advance_states(reservoirs, state, drive), 3, "simulated state")
+    x = as_finite_array(advance_states(reservoirs, couplings, state, inputs), 3,
+                        "simulated state")
     # A stacked (1 x N) @ (N x 1) product has the bits of each trial's dot product.
     from_x0 = x[:, np.newaxis, :, 0] @ x[:, :, 1, np.newaxis]
     from_zero = x[:, np.newaxis, :, 2] @ x[:, :, 3, np.newaxis]

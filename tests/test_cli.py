@@ -212,6 +212,14 @@ def test_a_file_with_a_byte_order_mark_that_is_not_utf8_keeps_the_codec_message(
             read(bad)
 
 
+def test_a_decode_error_counts_its_position_from_the_first_byte(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(_BOM + b"1.0\n\xff")  # the 0xff byte is at file offset 7
+    for read in (_io.parse_config_file, _io.read_time_series):
+        with pytest.raises(ContractViolation, match="position 7"):
+            read(bad)
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -639,6 +647,19 @@ def test_arbitrary_input_file_bytes_never_raise(tmp_path_factory, data, command)
     assert code in (0, 1)
 
 
+def test_a_bad_degree_is_rejected_before_the_tensor_is_built(tmp_path, capsys):
+    # A horizon of 2 below N = 4 would warn if the tensor were built first.
+    u_file = tmp_path / "u.txt"
+    _write_series(u_file, [1.0, 2.0])
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(capsys, "kernel", str(u_file), str(u_file), "--N", "4",
+                              "--regime", "random", "--degree", "0", "--offset", "1",
+                              "--out", str(out))
+    assert code == 1
+    assert stderr == "error: degree must be a positive integer\n"
+    assert not out.exists()
+
+
 def test_kernel_missing_file_is_a_usage_failure(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "kernel", str(tmp_path / "absent.txt"),
                               str(tmp_path / "absent.txt"),
@@ -707,6 +728,7 @@ _EARLY_USAGE_ERRORS = {
     "predict nu": ["predict", "--N", "4", "--nu", "1.5"],
     "kernel horizons": ["kernel", "{u}", "{short}", "--N", "2"],
     "kernel offset without degree": ["kernel", "{u}", "{u}", "--N", "2", "--offset", "1"],
+    "kernel offset": ["kernel", "{u}", "{u}", "--N", "2", "--offset", "inf", "--degree", "2"],
     "kernel support without coeff": ["kernel", "{u}", "{u}", "--N", "2", "--support", "{u}"],
     "kernel coeff without support": ["kernel", "{u}", "{u}", "--N", "2", "--coeff", "2.0"],
     "kernel bias without support": ["kernel", "{u}", "{u}", "--N", "2", "--bias", "5"],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,12 +166,17 @@ def test_one_history_gives_the_bits_of_the_plain_loop(n, with_initial_state):
     res, coup = _random_pair(n, 0.9, n)
     values = rng.uniform(-1.0, 1.0, 53)
     x0 = rng.normal(size=n) if with_initial_state else None
-    x = np.zeros(n) if x0 is None else x0.copy()
+    # The one-product loop: [x; u] = [W | w] [x; u], oldest sample first.
+    step = np.column_stack((res, coup))
+    x = np.zeros(n + 1)
+    if x0 is not None:
+        x[:n] = x0
     for u in values[::-1]:
-        x = res @ x + u * coup
+        x[n] = u
+        x[:n] = step @ x
     got = simulate_state(res, coup, TimeSeries(values), initial_state=x0)
     assert got.shape == (n,)
-    assert got.tobytes() == x.tobytes()
+    assert got.tobytes() == x[:n].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 40])
@@ -185,6 +191,35 @@ def test_each_column_of_a_batch_is_its_history_alone(n, with_initial_state):
     for j, history in enumerate(histories):
         alone = simulate_state(res, coup, history, initial_state=x0)
         assert np.max(np.abs(batch[:, j] - alone)) <= 1e-13 * max(1.0, np.max(np.abs(alone)))
+
+
+def test_a_long_batch_holds_no_array_per_step():
+    res, coup = _random_pair(50, 0.9, 3)
+    rng = np.random.default_rng(3)
+    histories = [TimeSeries(rng.uniform(-1.0, 1.0, 20_000)) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        simulate_state(res, coup, histories)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The inputs are 0.64 MB; a (tau, N, k) array of drives would be 32 MB.
+    assert peak < 2 * 1024 * 1024
+
+
+def test_a_stacked_recursion_gives_the_bits_of_each_item_alone():
+    rng = np.random.default_rng(8)
+    stack = [_random_pair(9, 0.9, seed) for seed in range(5)]
+    reservoirs = np.stack([res for res, _ in stack])
+    couplings = np.stack([coup for _, coup in stack])
+    states = rng.normal(size=(5, 9, 3))
+    inputs = rng.uniform(-1.0, 1.0, (40, 5, 3))
+    got = temporal_kernel.advance_states(reservoirs, couplings, states, inputs)
+    assert got.shape == (5, 9, 3)
+    for b in range(5):
+        alone = temporal_kernel.advance_states(reservoirs[b], couplings[b], states[b],
+                                               inputs[:, b])
+        assert got[b].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("histories, x0", [
