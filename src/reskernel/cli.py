@@ -273,7 +273,9 @@ def cmd_predict(args) -> int:
                    f"reconstruction residual {_io.fmt_float(residual)} "
                    f"(tensor scale {_io.fmt_float(scale)})"]
     else:
+        del reservoir  # each N x N and N x tau buffer goes after its last reader
         empirical = extract_motifs(tensor, resolved["threshold"])
+        del tensor
         predict = predict_random if res_spec.regime == cp.RANDOM_IID else predict_cycle
         prediction = predict(res_spec.nu, coupling_vec, horizon)
         comparison = compare_motifs(empirical, prediction)

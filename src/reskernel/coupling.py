@@ -248,7 +248,9 @@ def draw_reservoir(spec: ReservoirSpec, seed: Seed) -> tuple[np.ndarray, float]:
     measure once per trial.
     """
     if spec.regime == CYCLE_PERMUTATION:
-        return np.roll(np.eye(spec.size), 1, axis=0), 1.0
+        raw = np.eye(spec.size, k=-1)  # W[i, i - 1] = 1, with no second N x N array
+        raw[0, -1] = 1.0
+        return raw, 1.0
     raw = _sample(seed_generator(seed, _RESERVOIR_DOMAIN), spec.distribution,
                   (spec.size, spec.size))
     if spec.regime == SYMMETRIC_WIGNER:

@@ -28,7 +28,7 @@ from .errors import ContractViolation
 from .numerics import (as_finite_array, as_reservoir_pair, as_spectrum, as_vector,
                        check_positive_int, clamp_spectrum, effective_horizon, fix_signs,
                        is_flag, is_real, sym_eig, symmetric_gram)
-from .temporal_kernel import MetricTensor, TimeSeries
+from .temporal_kernel import MetricTensor
 
 # Relative eigenvalue gap under which predicted motifs count as degenerate
 # and are compared as subspaces.
@@ -142,6 +142,9 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     ``DEGENERACY_RTOL`` of a neighbour (the first dropped one included), or
     when the smallest retained eigenvalue is below ``DUAL_ROUTE_MIN_RATIO``
     times the top.
+
+    Beside ``Phi``, the N x N route holds the Gram, then its eigenvectors until
+    the m x k motifs exist, then the motifs (twice while their signs are fixed).
     """
     check_threshold_ratio(threshold_ratio)
     n, tau = tensor.state_dim, tensor.horizon
@@ -164,8 +167,10 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
         # makes that basis canonical and regenerates the row (ROADMAP item 2).
         if (np.all(_cluster_ends(spectrum[:count + 1]))
                 and spectrum[count - 1] >= DUAL_ROUTE_MIN_RATIO * spectrum[0]):
-            vectors = fix_signs(head.T @ eig.eigenvectors[:, :count]
-                                / np.sqrt(spectrum[:count])).T
+            vectors = head.T @ eig.eigenvectors[:, :count]
+            vectors /= np.sqrt(spectrum[:count])
+            del eig  # freed before fix_signs, which may copy the m x k motifs
+            vectors = fix_signs(vectors).T
     if vectors is None:
         with np.errstate(over="ignore", invalid="ignore"):  # sym_eig reports it
             q = symmetric_gram(head)
@@ -177,20 +182,6 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
     if m < tau:
         vectors = np.concatenate((vectors, np.zeros((count, tau - m))), axis=1)
     return MotifSet(vectors=vectors, spectrum=spectrum)
-
-
-def represent(motif_set: MotifSet, series: TimeSeries) -> np.ndarray:
-    """Coordinates of a history in the retained motif basis.
-
-    Entry ``i`` is ``weights[i] * <motif_i, series>``; inner products of
-    these representation vectors reproduce the kernel up to the truncation
-    committed by the retention threshold.
-    """
-    if series.horizon != motif_set.horizon:
-        raise ContractViolation(
-            f"history horizon {series.horizon} does not match motif horizon {motif_set.horizon}"
-        )
-    return motif_set.weights * (motif_set.vectors @ series.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,18 +290,18 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
 
 
 def _cycle_shift_products(vec: np.ndarray) -> np.ndarray:
-    """Autocorrelations ``<v, P^m v>`` of a vector under the cycle shift.
+    """Autocorrelations ``C[i, j] = <v, P^((j - i) mod n) v>`` under the cycle shift.
 
-    The table is mirrored (``table[m] == table[n - m]`` bit-exactly) so
-    matrices indexed with it come out exactly symmetric.
+    ``C`` is a read-only view of one mirrored table (``table[m] == table[n -
+    m]`` bit-exactly), so matrices formed with it come out exactly symmetric.
     """
     n = vec.shape[0]
-    table = np.empty(n)
+    table = np.empty(2 * n)
     for m in range(n // 2 + 1):
         table[m] = float(np.dot(vec, np.roll(vec, m)))
-    for m in range(n // 2 + 1, n):
-        table[m] = table[n - m]
-    return table
+    table[n // 2 + 1:n] = table[(n - 1) // 2:0:-1]
+    table[n:] = table[:n]  # row i of the view reads table[n - i:2n - i]
+    return np.lib.stride_tricks.sliding_window_view(table[1:], n)[::-1]
 
 
 def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
@@ -326,8 +317,7 @@ def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
     p = block.shape[0]
     tau = n_blocks * p
     damp = nu ** np.arange(p)
-    shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    eig = sym_eig(np.outer(damp, damp) * _cycle_shift_products(block)[shift])
+    eig = sym_eig(np.outer(damp, damp) * _cycle_shift_products(block))
     values = clamp_spectrum(eig.eigenvalues, "cycle core tensor")
     # -expm1(m log nu) is 1 - nu^m without the cancellation the subtraction
     # suffers as nu -> 1, where log(nu) of the exact nu keeps its relative accuracy.
@@ -337,6 +327,7 @@ def _predict_cycle_core(block: np.ndarray, nu: float, n_blocks: int,
     tiles = np.empty((tau, p))
     for b in range(n_blocks):
         tiles[b * p:(b + 1) * p, :] = eig.eigenvectors * nu ** (b * p)
+    del eig  # freed before the norms square the tiles
     tiles /= np.linalg.norm(tiles, axis=0)[None, :]
     return MotifPrediction(
         vectors=tiles.T,

@@ -161,7 +161,8 @@ def as_spectrum(values, name: str) -> np.ndarray:
 
 def asymmetry(m: np.ndarray) -> float:
     """``max |A - A^T|``: a square matrix is symmetric when this is at most ``SYMMETRY_ATOL``."""
-    return float(np.max(np.abs(m - m.T)))
+    diff = m - m.T
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def relative_negativity(values: np.ndarray) -> float:
@@ -187,14 +188,13 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """The one sign rule: ``vectors`` with each column scaled by ``+1`` or ``-1``
     so that its largest-magnitude component is positive, the lowest index
     winning ties.  A column that already satisfies it keeps its bits."""
-    # argmax returns the first occurrence, so magnitude ties resolve to the
-    # lowest index as required.
-    idx = np.argmax(np.abs(vectors), axis=0)
+    # argmax returns the first occurrence, so magnitude ties resolve to the lowest
+    # index; it reads C-ordered |vectors^T| along its rows and so copies nothing.
+    idx = np.argmax(np.abs(vectors.T, order="C"), axis=1)
     anchors = vectors[idx, np.arange(vectors.shape[1])]
     flip = anchors < 0.0
-    if np.any(flip):
-        vectors = vectors.copy()
-        vectors[:, flip] *= -1.0
+    if np.any(flip):  # one C-ordered copy, as a product with +1.0 or -1.0 is exact
+        vectors = np.multiply(vectors, np.where(flip, -1.0, 1.0), order="C")
     return vectors
 
 
@@ -235,6 +235,8 @@ def sym_eig(a) -> EigenDecomposition:
     ConvergenceError
         If the solver fails or the factorization misses the orthonormality
         or reconstruction targets.
+
+    Beside the input and the eigenvectors it holds at most two n x n arrays.
     """
     m, (values, vectors) = _solve_symmetric(a, np.linalg.eigh)
 
@@ -242,9 +244,12 @@ def sym_eig(a) -> EigenDecomposition:
     # the solver's index order within tied groups.
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vectors = fix_signs(vectors[:, order])
+    vectors = vectors[:, order]  # the solver's copy is freed here
+    vectors = fix_signs(vectors)
 
-    ortho = float(np.max(np.abs(vectors.T @ vectors - np.eye(m.shape[0]))))
+    ortho = vectors.T @ vectors
+    ortho.flat[::ortho.shape[0] + 1] -= 1.0  # minus I: its zeros change no bit
+    ortho = float(np.max(np.abs(ortho, out=ortho)))
     if ortho > _ORTHONORMALITY_TOL:
         raise ConvergenceError("eigenvectors lost orthonormality", residual=ortho)
     scale = float(np.max(np.abs(m)))
@@ -267,10 +272,12 @@ def sym_eigvals(a) -> np.ndarray:
 
 def symmetric_gram(a: np.ndarray) -> np.ndarray:
     """``A^T A`` made exactly symmetric: the BLAS product is symmetric only up
-    to rounding, so it is averaged with its transpose (a no-op on its bits
-    where it already is)."""
+    to rounding, so it is averaged in place with its transpose, which numpy
+    copies (a no-op on its bits where it already is)."""
     gram = a.T @ a
-    return 0.5 * (gram + gram.T)
+    gram += gram.T
+    gram *= 0.5
+    return gram
 
 
 def effective_horizon(phi) -> int:

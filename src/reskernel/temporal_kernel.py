@@ -240,9 +240,9 @@ def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCo
     """
     raw, sigma = cp.draw_reservoir(reservoir_spec, seed)
     coupling = cp.generate_input(coupling_spec, seed)
-    unit = build_metric_tensor(raw * (1.0 / sigma), coupling, horizon)
-    return (raw * (reservoir_spec.nu / sigma), coupling,
-            scale_metric_tensor(unit, reservoir_spec.nu))
+    tensor = scale_metric_tensor(build_metric_tensor(raw * (1.0 / sigma), coupling, horizon),
+                                 reservoir_spec.nu)  # the unit tensor is freed here
+    return raw * (reservoir_spec.nu / sigma), coupling, tensor
 
 
 def _finite_value(value, what: str) -> float:

@@ -942,6 +942,30 @@ def test_a_motif_file_is_streamed_not_joined(tmp_path):
     assert peak < path.stat().st_size / 8
 
 
+def test_predict_holds_phi_and_the_motifs_and_three_square_arrays(tmp_path, capsys):
+    n, tau = 300, 600
+    argv = ["predict", "--regime", "cycle", "--N", str(n), "--tau", str(tau),
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0  # fills the lazy tables of the CSV writer
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("compared 300 motifs")
+    square, phi = 8 * n * n, 8 * n * tau
+    motifs = phi  # all N motifs are retained
+    # The peak is MotifSet's orthonormality check: Phi, the motifs, and c = 3
+    # arrays of motifs x motifs (their Gram, I and the difference).  The other
+    # stages hold Phi and four N x N arrays (a sym_eig of the Gram holds it and
+    # three more), Phi and the motifs twice while their signs are fixed, or
+    # the motifs and four N x N arrays.  Keeping the reservoir or the tensor to
+    # the end adds N x N or Phi; 0.5 N^2 covers the vectors of length tau and
+    # the command's own objects.
+    assert peak < phi + motifs + 3.5 * square
+
+
 def test_time_series_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(77)
     series = TimeSeries(rng.normal(size=9))

@@ -408,6 +408,29 @@ def _unit_pair(regime, n, seed=4):
     return raw * (1.0 / sigma), coupling
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_the_cycle_draw_has_the_bits_of_the_rolled_identity(n):
+    raw, sigma = draw_reservoir(ReservoirSpec("cycle_permutation", n, 0.9), Seed(0))
+    assert sigma == 1.0
+    assert raw.flags.c_contiguous
+    assert raw.tobytes() == np.roll(np.eye(n), 1, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
+def test_a_build_has_the_bits_of_the_unit_tensor_scaled_beside_the_reservoir(regime):
+    # The build frees its unit tensor before it scales the reservoir; the
+    # results keep the bits of forming both from the unit-scale draw.
+    spec = ReservoirSpec(regime, 12, 0.8)
+    coupling_spec = InputCouplingSpec(kind="gaussian", size=12)
+    reservoir, coupling, tensor = temporal_kernel.build_from_specs(spec, coupling_spec, 30,
+                                                                   Seed(2))
+    raw, sigma = draw_reservoir(spec, Seed(2))
+    unit = build_metric_tensor(raw * (1.0 / sigma), generate_input(coupling_spec, Seed(2)), 30)
+    assert reservoir.tobytes() == (raw * (0.8 / sigma)).tobytes()
+    assert coupling.tobytes() == generate_input(coupling_spec, Seed(2)).tobytes()
+    assert tensor.phi.tobytes() == scale_metric_tensor(unit, 0.8).phi.tobytes()
+
+
 @pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
 def test_scaling_by_one_returns_the_same_bits(regime):
     unit, coupling = _unit_pair(regime, 6)

@@ -31,7 +31,6 @@ from reskernel import (
     predict_cycle,
     predict_random,
     predict_symmetric,
-    represent,
     scale_metric_tensor,
 )
 from reskernel import motifs as motifs_module
@@ -338,8 +337,6 @@ def test_an_empty_set_is_checked_against_its_horizon_like_any_other():
     with pytest.raises(ContractViolation, match="motif length"):
         MotifSet(vectors=np.zeros((0, 3)), spectrum=np.zeros(4))
     empty = MotifSet(vectors=np.zeros((0, 4)), spectrum=np.zeros(4))
-    with pytest.raises(ContractViolation, match="history horizon 3"):
-        represent(empty, TimeSeries(np.ones(3)))
     other = MotifPrediction(vectors=np.eye(3), weights=np.ones(3), orthonormal=True)
     with pytest.raises(ContractViolation, match="horizons differ"):
         compare_motifs(empty, other)
@@ -376,60 +373,6 @@ def test_a_feature_matrix_whose_norms_sum_past_range_is_reported_not_warned():
     tensor = MetricTensor(np.full((1, 3), 1e154))
     with pytest.raises(ContractViolation, match="non-finite"):
         extract_motifs(tensor)
-
-
-# ---------------------------------------------------------------------------
-# represent
-# ---------------------------------------------------------------------------
-
-def test_represent_in_motif_coordinates_identity_case():
-    tensor = MetricTensor(np.eye(3))
-    motifs = extract_motifs(tensor)
-    u = np.array([0.5, -2.0, 0.25])
-    assert np.allclose(represent(motifs, TimeSeries(u)), u, atol=1e-14)
-
-
-def test_represent_of_top_motif_is_top_weight_axis():
-    _, _, tensor = _tensor_for("random_iid", 5, 0.9, 9, Seed(3))
-    motifs = extract_motifs(tensor)
-    rep = represent(motifs, TimeSeries(motifs.vectors[0]))
-    expected = np.zeros(len(motifs))
-    expected[0] = motifs.weights[0]
-    assert np.allclose(rep, expected, atol=1e-9 * motifs.weights[0])
-
-
-def test_represent_annihilates_directions_outside_the_span():
-    nu, tau = 0.6, 8
-    tensor = build_metric_tensor(np.array([[nu]]), np.array([1.0]), tau)
-    motifs = extract_motifs(tensor)
-    u = np.zeros(tau)
-    u[0], u[1] = -motifs.vectors[0][1], motifs.vectors[0][0]
-    rep = represent(motifs, TimeSeries(u))
-    assert np.max(np.abs(rep)) < 1e-12
-
-
-def test_represent_inner_products_approximate_the_kernel():
-    res, coup, tensor = _tensor_for("random_iid", 8, 0.95, 20, Seed(11))
-    motifs = extract_motifs(tensor, threshold_ratio=0.05)
-    discarded = float(np.sum(motifs.spectrum) - np.sum(motifs.weights ** 2))
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        u = rng.normal(size=20)
-        v = rng.normal(size=20)
-        approx = float(represent(motifs, TimeSeries(u))
-                       @ represent(motifs, TimeSeries(v)))
-        exact = kernel_eval(tensor, TimeSeries(u), TimeSeries(v))
-        bound = discarded * np.linalg.norm(u) * np.linalg.norm(v) + 1e-12
-        assert abs(approx - exact) <= bound
-
-
-def test_represent_rejects_horizon_mismatch_and_empty_set_passthrough():
-    tensor = MetricTensor(np.eye(3))
-    motifs = extract_motifs(tensor)
-    with pytest.raises(ContractViolation):
-        represent(motifs, TimeSeries(np.ones(4)))
-    empty = extract_motifs(MetricTensor(np.zeros((3, 3))))
-    assert represent(empty, TimeSeries(np.ones(3))).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Eigendecomposition, singular values, transforms, and rank counting."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ from reskernel import (
     sym_eigvals,
 )
 from reskernel.coupling import generate_reservoir
-from reskernel.numerics import effective_horizon, symmetric_gram
+from reskernel.numerics import effective_horizon, fix_signs, symmetric_gram
 
 
 def _random_symmetric(rng, n):
@@ -171,6 +172,56 @@ def test_a_solver_failure_is_a_convergence_error(monkeypatch, solver, route):
     monkeypatch.setattr(np.linalg, solver, failing)
     with pytest.raises(ConvergenceError, match="^eigensolver failed: no convergence$"):
         route(np.eye(3))
+
+
+def _sorted_and_signed(values, vectors):
+    """The pairs sym_eig checks: descending, stable within ties, sign-fixed."""
+    order = np.argsort(-values, kind="stable")
+    return values[order], fix_signs(vectors[:, order])
+
+
+@pytest.mark.parametrize("n", [6, 200])
+def test_eigenvectors_that_are_not_orthonormal_are_a_convergence_error(monkeypatch, n):
+    a = _random_symmetric(np.random.default_rng(n), n)
+    values, vectors = np.linalg.eigh(a)
+    vectors[:, 2] *= 1.001
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: (values, vectors))
+    with pytest.raises(ConvergenceError, match="^eigenvectors lost orthonormality") as err:
+        sym_eig(a)
+    _, m = _sorted_and_signed(values, vectors)
+    assert err.value.residual == float(np.max(np.abs(m.T @ m - np.eye(n))))
+
+
+@pytest.mark.parametrize("n", [6, 200])
+def test_eigenvalues_that_do_not_rebuild_the_input_are_a_convergence_error(monkeypatch, n):
+    a = _random_symmetric(np.random.default_rng(n), n)
+    values, vectors = np.linalg.eigh(a)
+    wrong = values + 0.5  # same order, orthonormal vectors: only the rebuild fails
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: (wrong, vectors))
+    with pytest.raises(ConvergenceError,
+                       match="^eigendecomposition does not reconstruct input") as err:
+        sym_eig(a)
+    w, m = _sorted_and_signed(wrong, vectors)
+    assert err.value.residual == float(np.max(np.abs(a - (m * w) @ m.T)))
+
+
+def test_sym_eig_holds_two_square_arrays_beside_its_input_and_result():
+    # Each n x n array stays under the 256 KiB above which numpy reuses a
+    # temporary operand by itself, so the count is the one the code makes.
+    n = 150
+    a = _random_symmetric(np.random.default_rng(4), n)
+    sym_eig(a)
+    tracemalloc.start()
+    try:
+        sym_eig(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # k = 3 arrays of 8 n^2 bytes: the returned eigenvectors and two work
+    # arrays, which are the solver's eigenvectors while they are reordered,
+    # then M^T M - I made in place, then the rebuilt input and its difference
+    # from A.  Forming M^T M, I and their difference apart makes k = 4.
+    assert peak < 3.25 * 8 * n * n
 
 
 # ---------------------------------------------------------------------------
