@@ -3,9 +3,9 @@
 All writers are atomic (write to a sibling temp file, then rename) and emit
 LF line endings with floats at 17 significant digits, so identical inputs
 produce byte-identical files.  CSV files are streamed to the temp file, a
-generic file one row at a time and a motif file one block of at most
-``_BLOCK_FIELDS`` fields at a time, so the largest string alive is one row
-or one block and peak memory does not grow with the size of the file.
+file of numbers by :func:`write_table` one block of at most ``_BLOCK_FIELDS``
+fields at a time, and one with text cells by :func:`write_csv` one row at a
+time, so peak memory does not grow with the size of the file.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation
-from .numerics import is_flag, is_int, is_real
+from .numerics import as_number_array, is_flag, is_int, is_real
 from .temporal_kernel import TimeSeries
 
 
@@ -39,7 +39,7 @@ _VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
 # Under an inexact power the product is off by less than 2**-46, so a
 # fraction this close to 1/2 could round either way.
 _TIE_MARGIN = 2.0 ** -30
-# write_motifs_csv formats at most this many fields at once.  A field costs
+# write_table formats at most this many fields at once.  A field costs
 # fmt_block about 300 bytes of temporaries, so a block peaks near 0.6 MB.
 _BLOCK_FIELDS = 2048
 
@@ -299,30 +299,30 @@ def read_time_series(path) -> TimeSeries:
     return TimeSeries(np.array(values))
 
 
-def write_motifs_csv(vectors: np.ndarray, weights: np.ndarray, path) -> None:
-    """One motif per row: index, weight, then the motif components.
+def write_table(path, header: list[str], *columns) -> None:
+    """A CSV file of numbers: ``header``, then one row per entry of the
+    ``columns``, integer or float arrays of one length, each 1-D (one field)
+    or 2-D (one field per column); a column of flags or text is refused.
 
-    A motif file can hold millions of floats, so :func:`fmt_block` formats
-    it in blocks of whole rows, and a row longer than a block in pieces, of
-    at most ``_BLOCK_FIELDS`` fields each.  The blocks are handed to
-    :func:`write_csv` as pre-formatted text, one at a time, so peak memory
-    is bounded by one block whatever the size of the file.  The index column
-    is formatted as a float, which prints an integer below 2**53 as ``%d``.
+    :func:`fmt_block` formats the table in blocks of whole rows, and a row
+    longer than a block in pieces, of at most ``_BLOCK_FIELDS`` fields each,
+    and each block's text goes to :func:`write_csv` in turn, so peak memory
+    is bounded by one block whatever the size of the file.  Every field is
+    formatted as a float, which prints an integer below 2**53 as ``%d``.
     """
-    count, horizon = vectors.shape
-    header = ["index", "weight"] + [f"m_{j}" for j in range(1, horizon + 1)]
-    width = horizon + 2
+    arrays = [as_number_array(column, "table column") for column in columns]
+    width = sum(a.shape[1] if a.ndim == 2 else 1 for a in arrays)
+    if (any(a.ndim not in (1, 2) for a in arrays) or len({len(a) for a in arrays}) != 1
+            or len(header) != width):
+        raise ContractViolation("a table needs 1-D or 2-D columns of one row count "
+                                "and one header field per column")
     pieces = -(-width // _BLOCK_FIELDS)
     step = -(-width // pieces)
     rows = max(1, _BLOCK_FIELDS // width)
 
     def blocks():
-        for start in range(0, count, rows):
-            stop = min(count, start + rows)
-            block = np.empty((stop - start, width))
-            block[:, 0] = np.arange(start + 1, stop + 1)
-            block[:, 1] = weights[start:stop]
-            block[:, 2:] = vectors[start:stop]
+        for start in range(0, len(arrays[0]), rows):
+            block = np.column_stack([a[start:start + rows] for a in arrays])
             for first in range(0, width, step):
                 yield fmt_block(block[:, first:first + step],
                                 "\n" if first + step >= width else ",")
@@ -330,23 +330,10 @@ def write_motifs_csv(vectors: np.ndarray, weights: np.ndarray, path) -> None:
     write_csv(path, header, blocks())
 
 
-def write_weights_csv(weights: np.ndarray, path) -> None:
-    write_csv(path, ["index", "weight"],
-              ([i + 1, float(w)] for i, w in enumerate(weights)))
-
-
-def write_weights_mean_std_csv(mean: np.ndarray, std: np.ndarray, path) -> None:
-    write_csv(path, ["index", "weight_mean", "weight_std"],
-              ([i + 1, float(mean[i]), float(std[i])] for i in range(mean.shape[0])))
-
-
-def write_comparison_csv(comparison, predicted_weights, empirical_weights, path) -> None:
-    n = comparison.n_compared
-    rows = ([i + 1, int(comparison.cluster_ids[i]), float(predicted_weights[i]),
-             float(empirical_weights[i]), float(comparison.weight_rel_errors[i]),
-             float(comparison.alignments[i])] for i in range(n))
-    write_csv(path, ["index", "cluster", "predicted_weight", "empirical_weight",
-                     "weight_rel_error", "alignment"], rows)
+def write_motifs_csv(vectors: np.ndarray, weights: np.ndarray, path) -> None:
+    """One motif per row: index, weight, then the motif components."""
+    header = ["index", "weight"] + [f"m_{j}" for j in range(1, vectors.shape[1] + 1)]
+    write_table(path, header, np.arange(1, vectors.shape[0] + 1), weights, vectors)
 
 
 _SWEEP_STAT_FIELDS = ("n_motifs", "cells_visited", "relative_area",

@@ -18,7 +18,6 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -232,12 +231,13 @@ def cmd_motifs(args) -> int:
         if trial == 0:
             first = motif_set
     out = Path(resolved["out"])
+    index = np.arange(1, first.horizon + 1)
     _io.write_motifs_csv(first.vectors, first.weights, out / "motifs.csv")
-    _io.write_weights_csv(weight_runs[0], out / "weights.csv")
+    _io.write_table(out / "weights.csv", ["index", "weight"], index, weight_runs[0])
     if trials > 1:
         stack = np.stack(weight_runs)
-        _io.write_weights_mean_std_csv(stack.mean(axis=0), stack.std(axis=0),
-                                       out / "weights_mean_std.csv")
+        _io.write_table(out / "weights_mean_std.csv", ["index", "weight_mean", "weight_std"],
+                        index, stack.mean(axis=0), stack.std(axis=0))
     print(f"retained {len(first)} of {first.horizon} motifs "
           f"(threshold {_io.fmt_float(resolved['threshold'])})")
     if len(first):
@@ -256,42 +256,50 @@ def cmd_predict(args) -> int:
         check_whole_copies(horizon, res_spec.size)
     reservoir, coupling_vec, tensor = build_from_specs(
         res_spec, in_spec, horizon, cp.trial_seed(resolved["seed"], 0))
-    # One regime test picks the evidence and its report: eigenvector claims are
-    # compared with extracted motifs, symmetric components rebuild the tensor.
+    # One regime test picks the evidence and its report (file name, header, columns):
+    # eigenvector claims are compared with extracted motifs, symmetric components
+    # rebuild the tensor.
     if res_spec.regime == cp.SYMMETRIC_WIGNER:
         prediction = predict_symmetric(reservoir, coupling_vec, horizon)
+        del reservoir  # each N x N and N x tau buffer goes after its last reader
         recon = symmetric_gram(prediction.weights[:, None] * prediction.vectors)
         q = symmetric_gram(tensor.phi)
-        residual = float(np.max(np.abs(recon - q)))
-        scale = float(np.max(np.abs(q)))
-        report = "reconstruction.csv"
-        write_report = partial(
-            _io.write_csv, header=["max_abs_residual", "tensor_max_abs", "relative_residual"],
-            rows=[[residual, scale, residual / scale if scale > 0.0 else 0.0]])
+        del tensor
+        scale = float(max(q.max(), -q.min()))  # max |Q|, with no |Q| formed
+        recon -= q
+        residual = float(np.max(np.abs(recon, out=recon)))
+        report = ("reconstruction.csv",
+                  ["max_abs_residual", "tensor_max_abs", "relative_residual"],
+                  [residual], [scale], [residual / scale if scale > 0.0 else 0.0])
         summary = ["symmetric regime: components are not eigenvectors; "
                    "wrote reconstruction residual instead of a comparison",
                    f"reconstruction residual {_io.fmt_float(residual)} "
                    f"(tensor scale {_io.fmt_float(scale)})"]
     else:
-        del reservoir  # each N x N and N x tau buffer goes after its last reader
+        del reservoir
         empirical = extract_motifs(tensor, resolved["threshold"])
         del tensor
         predict = predict_random if res_spec.regime == cp.RANDOM_IID else predict_cycle
         prediction = predict(res_spec.nu, coupling_vec, horizon)
         comparison = compare_motifs(empirical, prediction)
-        report = "comparison.csv"
-        write_report = partial(_io.write_comparison_csv, comparison, prediction.weights,
-                               empirical.weights)
-        summary = [f"compared {comparison.n_compared} motifs: "
+        n = comparison.n_compared
+        report = ("comparison.csv",
+                  ["index", "cluster", "predicted_weight", "empirical_weight",
+                   "weight_rel_error", "alignment"],
+                  np.arange(1, n + 1), comparison.cluster_ids, prediction.weights[:n],
+                  empirical.weights[:n], comparison.weight_rel_errors, comparison.alignments)
+        summary = [f"compared {n} motifs: "
                    f"min alignment {_io.fmt_float(comparison.min_alignment)}, "
                    f"max weight rel error {_io.fmt_float(comparison.max_weight_rel_error)}"]
     out = Path(resolved["out"])
     _io.write_motifs_csv(prediction.vectors, prediction.weights,
                          out / "predicted_motifs.csv")
-    _io.write_weights_csv(prediction.weights, out / "predicted_weights.csv")
-    write_report(out / report)
+    _io.write_table(out / "predicted_weights.csv", ["index", "weight"],
+                    np.arange(1, len(prediction) + 1), prediction.weights)
+    name, header, *columns = report
+    _io.write_table(out / name, header, *columns)
     print("\n".join(summary))
-    print(f"wrote predicted_motifs.csv, predicted_weights.csv, {report} in {out}")
+    print(f"wrote predicted_motifs.csv, predicted_weights.csv, {name} in {out}")
     return 0
 
 

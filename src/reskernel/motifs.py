@@ -87,7 +87,8 @@ class MotifSet:
             if np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
                 raise ContractViolation("motifs must have unit norm")
             gram = vec @ vec.T
-            if np.max(np.abs(gram - np.eye(vec.shape[0]))) > _GRAM_TOL:
+            gram.flat[::gram.shape[0] + 1] -= 1.0  # minus I, in place, as in sym_eig
+            if np.max(np.abs(gram, out=gram)) > _GRAM_TOL:
                 raise ContractViolation("motifs must be mutually orthonormal")
         object.__setattr__(self, "vectors", vec)
         object.__setattr__(self, "spectrum", spec)
@@ -145,6 +146,7 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
 
     Beside ``Phi``, the N x N route holds the Gram, then its eigenvectors until
     the m x k motifs exist, then the motifs (twice while their signs are fixed).
+    The m x m route holds the block while it is solved, then its eigenvectors.
     """
     check_threshold_ratio(threshold_ratio)
     n, tau = tensor.state_dim, tensor.horizon
@@ -175,6 +177,7 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
         with np.errstate(over="ignore", invalid="ignore"):  # sym_eig reports it
             q = symmetric_gram(head)
         eig = sym_eig(q)
+        del q  # freed before the motifs are padded, as the Gram is above
         spectrum = np.concatenate((clamp_spectrum(eig.eigenvalues, "metric tensor"),
                                    np.zeros(tau - m)))
         count = _retained_count(spectrum, threshold_ratio)

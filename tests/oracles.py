@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and self-contained: direct-summation
 Fourier transforms, matrix-power state evolution, a hand-rolled shifted QR
-eigensolver, and exact-rational binary expansions.  Nothing imports from
+eigensolver, exact-rational Grams and eigenvalue counts, and exact-rational
+binary expansions.  Nothing imports from
 :mod:`reskernel`, so agreement between these routines and the package is a
 genuine two-route check rather than a tautology.
 """
@@ -110,6 +111,62 @@ def eig_symmetric(matrix, rel_tol=1e-14, max_iterations=100000):
     values = np.diag(work).copy()
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
+
+
+# ---------------------------------------------------------------------------
+# exact rational spectra
+# ---------------------------------------------------------------------------
+
+def exact_gram(phi):
+    """The exact Gram matrix of a float matrix on its smaller side, as rows of
+    Fractions: ``Phi Phi^T`` when ``Phi`` has no more rows than columns, else
+    ``Phi^T Phi``.  Every float is a dyadic rational, so each entry is exact,
+    and both Grams have the same nonzero eigenvalues."""
+    rows = [[Fraction(x) for x in row] for row in np.asarray(phi, dtype=float).tolist()]
+    if len(rows) > len(rows[0]):
+        rows = [list(column) for column in zip(*rows)]
+    n = len(rows)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = sum((x * y for x, y in zip(rows[i], rows[j])),
+                                          Fraction(0))
+    return gram
+
+
+def count_below(matrix, s):
+    """How many eigenvalues of a symmetric matrix of Fractions lie below the
+    float ``s``: by Sylvester's law of inertia, the count of negative pivots
+    of the exact LDL^T factorization of ``matrix - s I``, taken without
+    pivoting.
+
+    A zero pivot means ``s`` is an eigenvalue of a leading block of the
+    matrix (of the matrix itself at the last pivot), where the pivots give
+    no count.  Then ``s`` moves up by one ulp and the factorization starts
+    again, so the count is of the eigenvalues below a float at most one ulp
+    above ``s``, and an eigenvalue at ``s`` itself counts as below it.
+    """
+    n = len(matrix)
+    while True:
+        shift = Fraction(s)
+        work = [[x - shift if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(matrix)]
+        below = 0
+        for k in range(n):
+            pivot = work[k][k]
+            if pivot == 0:
+                break
+            below += pivot < 0
+            lead = work[k]
+            for i in range(k + 1, n):  # the upper triangle of the Schur complement
+                factor = lead[i] / pivot
+                if factor:
+                    row = work[i]
+                    for j in range(i, n):
+                        row[j] -= factor * lead[j]
+        else:
+            return below
+        s = math.nextafter(s, math.inf)
 
 
 # ---------------------------------------------------------------------------

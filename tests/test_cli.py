@@ -776,34 +776,89 @@ def test_an_output_path_with_a_nul_byte_is_a_usage_failure(tmp_path, capsys, com
     assert stderr.startswith("error: cannot write ") and "null byte" in stderr
 
 
-def _generic_motifs_csv(vectors, weights, path):
-    """The motif file through write_csv's per-cell formatting."""
+def _per_cell_csv(path, header, *columns):
+    """A table through write_csv's per-cell formatting, as the weight and
+    comparison files were once written: an integer column's cells by ``str``,
+    a float column's by ``fmt_float``."""
+    _io.write_csv(path, header, ([cell for column in columns
+                                  for cell in np.atleast_1d(column[i]).tolist()]
+                                 for i in range(len(columns[0]))))
+
+
+def _motif_table(vectors, weights):
+    """The header and columns of a motif file."""
     header = ["index", "weight"] + [f"m_{j}" for j in range(1, vectors.shape[1] + 1)]
-    _io.write_csv(path, header, ([i + 1, float(weights[i])] + [float(c) for c in vectors[i]]
-                                 for i in range(vectors.shape[0])))
+    return header, (np.arange(1, vectors.shape[0] + 1), weights, vectors)
 
 
 # Rows of 102 fields: whole rows per block, and a last block part full.
 _ROWS_PER_BLOCK = _io._BLOCK_FIELDS // 102
 
 
-@pytest.mark.parametrize("vectors, weights", [
-    (np.array([[-0.0, 5e-324, 1e300, -1e300], [1.0, -2.0, 3.0, 2.0**53],
-               [0.1, -1e-300, 1e17, 123456789012345678.0]]), np.array([4.0, 1e-17, 0.5])),
-    (np.zeros((0, 5)), np.zeros(0)),
+@pytest.mark.parametrize("header, columns", [
+    _motif_table(np.array([[-0.0, 5e-324, 1e300, -1e300], [1.0, -2.0, 3.0, 2.0**53],
+                           [0.1, -1e-300, 1e17, 123456789012345678.0]]),
+                 np.array([4.0, 1e-17, 0.5])),
+    _motif_table(np.zeros((0, 5)), np.zeros(0)),
     # predict_cycle returns a transposed view
-    (np.random.default_rng(3).normal(size=(9, 5)).T, np.array([3.0, 2.0, 1.0, 0.5, 0.25])),
+    _motif_table(np.random.default_rng(3).normal(size=(9, 5)).T,
+                 np.array([3.0, 2.0, 1.0, 0.5, 0.25])),
     # predict_random's kind of vectors: mostly zeros
-    (np.eye(3, 7), np.ones(3)),
+    _motif_table(np.eye(3, 7), np.ones(3)),
     # one row longer than a block, written in pieces
-    (np.random.default_rng(4).normal(size=(2, 10_000)), np.array([1.0, -0.0])),
-    (np.random.default_rng(6).normal(size=(2 * _ROWS_PER_BLOCK + 5, 100)),
-     np.random.default_rng(7).random(2 * _ROWS_PER_BLOCK + 5)),
+    _motif_table(np.random.default_rng(4).normal(size=(2, 10_000)), np.array([1.0, -0.0])),
+    _motif_table(np.random.default_rng(6).normal(size=(2 * _ROWS_PER_BLOCK + 5, 100)),
+                 np.random.default_rng(7).random(2 * _ROWS_PER_BLOCK + 5)),
+    # weights.csv: an integer index beside a tail of exact zeros
+    (["index", "weight"], (np.arange(1, 7), np.array([3.5, 1.25, 1e-9, 4e-17, 0.0, 0.0]))),
+    # comparison.csv: integer index and cluster columns, and the inf weight
+    # error of a zero predicted weight
+    (["index", "cluster", "predicted_weight", "empirical_weight", "weight_rel_error",
+      "alignment"],
+     (np.arange(1, 5), np.array([0, 1, 1, 2], dtype=np.int64), np.array([2.0, 1.0, 1.0, 0.0]),
+      np.array([2.0, 0.99999999999999989, 1.0, 1e-12]), np.array([0.0, 1.1e-16, 0.0, np.inf]),
+      np.array([1.0, 0.99999999999999978, 0.99999999999999978, 0.5]))),
+    # reconstruction.csv: one row of scalars
+    (["max_abs_residual", "tensor_max_abs", "relative_residual"],
+     ([3.552713678800501e-15], [12.5], [2.842170943040401e-16])),
+    # a table of no rows is its header
+    (["index", "weight_mean", "weight_std"], (np.arange(1, 1), np.zeros(0), np.zeros(0))),
+    # two 2-D columns that make one row longer than a block
+    (["index"] + [f"c_{j}" for j in range(3000)],
+     (np.arange(1, 4), np.random.default_rng(10).normal(size=(3, 1500)),
+      np.random.default_rng(11).normal(size=(3, 1500)))),
 ])
-def test_motif_writer_bytes_equal_the_generic_csv_path(tmp_path, vectors, weights):
-    _io.write_motifs_csv(vectors, weights, tmp_path / "fast.csv")
-    _generic_motifs_csv(vectors, weights, tmp_path / "generic.csv")
+def test_table_writer_bytes_equal_the_generic_csv_path(tmp_path, header, columns):
+    _io.write_table(tmp_path / "fast.csv", header, *columns)
+    _per_cell_csv(tmp_path / "generic.csv", header, *columns)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+    if header[2:3] == ["m_1"]:  # a motif table, which write_motifs_csv labels itself
+        _io.write_motifs_csv(columns[2], columns[1], tmp_path / "motifs.csv")
+        assert (tmp_path / "motifs.csv").read_bytes() == (tmp_path / "fast.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns", [
+    (np.arange(1, 3), np.array([True, False])),
+    (np.arange(1, 3), np.array(["0.5", "0.25"])),
+    (np.arange(1, 3), [0.5, "0.25"]),
+])
+def test_a_flag_or_text_column_is_not_a_table_column(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ContractViolation, match="^table column must be an array of real numbers$"):
+        _io.write_table(path, ["index", "weight"], *columns)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["index", "weight"], (np.arange(1, 3), np.zeros(3))),  # row counts differ
+    (["index"], (np.arange(1, 3), np.zeros(2))),  # a column with no header field
+    (["a", "b"], (np.zeros((2, 2, 1)),)),  # 3-D
+    (["a"], (np.float64(1.0),)),  # 0-D
+    ([], ()),  # no columns
+])
+def test_a_table_of_ragged_or_unlabelled_columns_is_refused(tmp_path, header, columns):
+    with pytest.raises(ContractViolation, match="^a table needs 1-D or 2-D columns"):
+        _io.write_table(tmp_path / "t.csv", header, *columns)
 
 
 def test_zeros_take_the_block_formatters_fast_path(tmp_path, monkeypatch):
@@ -964,6 +1019,30 @@ def test_predict_holds_phi_and_the_motifs_and_three_square_arrays(tmp_path, caps
     # the end adds N x N or Phi; 0.5 N^2 covers the vectors of length tau and
     # the command's own objects.
     assert peak < phi + motifs + 3.5 * square
+
+
+def test_predict_symmetric_holds_phi_and_the_components_and_three_tau_square_arrays(
+        tmp_path, capsys):
+    n, tau = 100, 1200
+    argv = ["predict", "--regime", "symmetric", "--input", "gaussian", "--N", str(n),
+            "--nu", "0.9", "--tau", str(tau), "--seed", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0  # fills the lazy tables of the CSV writer
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("symmetric regime")
+    square, phi = 8 * tau * tau, 8 * n * tau
+    components = phi  # N components of length tau
+    # The peak is Q's Gram while the rebuild is alive: Phi, the components and
+    # c = 3 tau x tau arrays (the rebuild, the Gram, and the transpose numpy
+    # copies to average them).  The residual and the scale are then taken in
+    # the rebuild's buffer.  Forming rebuild - Q and its abs as new arrays
+    # reads 4.2 tau x tau arrays; 0.25 tau^2 covers the vectors of length tau
+    # and the command's own objects.
+    assert peak < phi + components + 3.25 * square
 
 
 def test_time_series_round_trip_is_exact(tmp_path):

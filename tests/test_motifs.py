@@ -189,6 +189,39 @@ def test_the_gram_route_agrees_with_the_square_route(monkeypatch, regime, n, hor
     assert np.all(dots[isolated] >= 1.0 - 1e-10)
 
 
+@pytest.mark.parametrize("regime, kind, n, tau, nu", [
+    *((regime, kind, 12, 24, nu)
+      for regime, kind in (("random_iid", "gaussian"), ("symmetric_wigner", "gaussian"),
+                           ("cycle_permutation", "ones_pi_signs"))
+      for nu in (0.5, 0.95, 1.0)),
+    ("random_iid", "gaussian", 12, 8, 0.95),  # tau < N: the exact Gram is tau x tau
+])
+def test_every_retained_eigenvalue_is_enclosed_by_the_exact_spectrum(regime, kind, n, tau, nu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a horizon below N warns
+        _, _, tensor = _tensor_for(regime, n, nu, tau, Seed(3), kind=kind)
+    motifs = extract_motifs(tensor, threshold_ratio=1e-6)
+    gram = oracles.exact_gram(tensor.phi)
+    # delta = c n eps lambda_0 with n = max(N, tau), the longest inner product
+    # the library sums to form a Gram, and c = 1: forming a Gram in floating
+    # point moves an entry by up to about n eps lambda_0, and the eigensolver's
+    # backward error adds a few eps lambda_0.  These cases need c = 0.125 at most.
+    delta = 1.0 * max(n, tau) * np.finfo(float).eps * motifs.spectrum[0]
+    # Intervals of retained eigenvalues that overlap are merged, so a
+    # degenerate cluster is checked by its multiplicity, with no basis.
+    groups = []
+    for value in sorted(motifs.spectrum[:len(motifs)]):
+        if groups and value - delta <= groups[-1][1]:
+            groups[-1][1] = value + delta
+        else:
+            groups.append([value - delta, value + delta])
+    assert len(motifs) > 0
+    for lo, hi in groups:
+        reported = int(np.sum((motifs.spectrum >= lo) & (motifs.spectrum <= hi)))
+        exact = oracles.count_below(gram, hi) - oracles.count_below(gram, lo)
+        assert exact == reported, (lo, hi)
+
+
 def test_the_cycle_at_nu_one_keeps_the_square_route_bit_for_bit(monkeypatch):
     spec = ReservoirSpec(regime="cycle_permutation", size=100, nu=1.0)
     _, _, tensor = build_from_specs(spec, InputCouplingSpec(kind="ones_pi_signs", size=100),
@@ -331,6 +364,23 @@ def test_motif_set_validation():
     skew = np.array([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
     with pytest.raises(ContractViolation):
         MotifSet(**dict(good, vectors=skew))
+
+
+def test_a_motif_set_checks_orthonormality_in_one_square_array():
+    k = 150
+    vectors = np.linalg.qr(np.random.default_rng(12).normal(size=(k, k)))[0].T.copy()
+    spectrum = np.linspace(2.0, 1.0, k)
+    MotifSet(vectors=vectors, spectrum=spectrum)
+    tracemalloc.start()
+    try:
+        MotifSet(vectors=vectors, spectrum=spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # With k motifs of length k, each of the checks holds one k x k array
+    # beside its input: the squares behind the norms, then the Gram, made
+    # G - I and |G - I| in place.  Forming I and G - I as new arrays reads 3.0.
+    assert peak < 1.25 * 8 * k * k
 
 
 def test_an_empty_set_is_checked_against_its_horizon_like_any_other():

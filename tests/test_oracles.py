@@ -4,6 +4,8 @@ If these fail, every cross-check downstream is meaningless, so they come
 first and use nothing but pencil-and-paper values.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,24 @@ def test_eig_symmetric_random_reconstruction():
         assert np.max(np.abs(vectors @ np.diag(values) @ vectors.T - a)) < 1e-11 * scale
         assert np.max(np.abs(vectors.T @ vectors - np.eye(8))) < 1e-11
         assert np.all(np.diff(values) <= 1e-13 * scale)
+
+
+def test_exact_gram_is_taken_on_the_smaller_side_without_rounding():
+    assert oracles.exact_gram([[1.0, 2.0, 0.0]]) == [[5]]
+    assert oracles.exact_gram([[1.0], [2.0], [0.0]]) == [[5]]
+    assert oracles.exact_gram([[0.1, 0.2]]) == [[Fraction(0.1) ** 2 + Fraction(0.2) ** 2]]
+    assert oracles.exact_gram([[1.0, 0.0], [1.0, 1.0]]) == [[1, 1], [1, 2]]
+
+
+def test_count_below_counts_eigenvalues_by_their_pivots():
+    diagonal = [[Fraction(3), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(2)]]
+    assert [oracles.count_below(diagonal, s) for s in (0.5, 1.5, 2.5, 3.5)] == [0, 1, 2, 3]
+    # s = 2 is an eigenvalue: the last pivot is zero, s moves up by one ulp,
+    # and the eigenvalue at s counts as below it.
+    assert oracles.count_below(diagonal, 2.0) == 2
+    # Eigenvalues -1 and 1: s = 0 is no eigenvalue, but a zero leading pivot.
+    swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    assert [oracles.count_below(swap, s) for s in (-2.0, 0.0, 2.0)] == [0, 1, 2]
 
 
 def test_state_by_powers_two_step_by_hand():
