@@ -83,7 +83,8 @@ class MotifSet:
             raise ContractViolation("spectrum must be non-negative, "
                                     "and positive for retained motifs")
         if vec.shape[0]:
-            norms = np.linalg.norm(vec, axis=1)
+            # Row-wise dot products, so no k x tau array of squares is formed.
+            norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
             if np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
                 raise ContractViolation("motifs must have unit norm")
             gram = vec @ vec.T

@@ -156,42 +156,94 @@ def advance_states(reservoir: np.ndarray, coupling: np.ndarray, state: np.ndarra
     return top
 
 
+# Columns per block of a doubling step: no temporary is wider.  A step in
+# one piece would hold N x tau/2 beside Phi (8 MB at N = 1000, tau = 2000).
+_GATHER_CHUNK = 32
+
+
 def _row_gather(w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(idx, vals)`` with ``W @ x == vals * x[idx]`` when every row of ``W``
-    has at most one nonzero (a weighted permutation such as the cycle);
-    ``None`` when some row has two."""
+    """``(idx, vals)`` with ``(W @ x)[r] = vals[r] * x[idx[r]]`` when every row
+    of ``W`` has at most one nonzero (a weighted permutation such as the
+    cycle); ``None`` when some row has two.  A zero row has ``idx = 0`` and
+    ``vals = 0``.  No N x N array is formed."""
     n = w_mat.shape[0]
+    count = np.count_nonzero(w_mat)
     # More than N nonzeros in all is the quick answer for a dense reservoir.
-    if np.count_nonzero(w_mat) > n or np.any(np.count_nonzero(w_mat, axis=1) > 1):
+    if count > n:
         return None
-    idx = np.argmax(w_mat != 0.0, axis=1)
-    return idx, w_mat[np.arange(n), idx]
+    rows = np.arange(n)
+    # A row's one nonzero is its maximum if positive, else its minimum.
+    top, bottom = w_mat.argmax(axis=1), w_mat.argmin(axis=1)
+    idx = np.where(w_mat[rows, top] > 0.0, top, bottom)
+    vals = w_mat[rows, idx]
+    idx[vals == 0.0] = 0
+    # One nonzero per row accounts for all of them only if no row has two.
+    return (idx, vals) if np.count_nonzero(vals) == count else None
+
+
+def _square_gather(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The gather of ``M @ M`` from that of ``M``; ``None`` when a product of
+    nonzeros is not finite or not normal, where rounding is not relative."""
+    other = vals[idx]
+    square = vals * other
+    size = np.abs(square)
+    normal = (size >= np.finfo(float).tiny) & (size < math.inf)
+    if not np.all(normal | (vals == 0.0) | (other == 0.0)):
+        return None
+    return idx[idx], square
 
 
 def _feature_matrix(w_mat: np.ndarray, w_vec: np.ndarray, horizon: int) -> np.ndarray:
-    """The N x tau matrix whose column ``i`` is ``W^i w``, by the recurrence
-    ``col_i = W col_(i-1)``.  A reservoir with at most one nonzero per row
-    is applied as an index gather, which gives the bits of the
-    matrix-vector product in O(N) per column."""
+    """The N x tau matrix whose column ``i`` is ``W^i w``.
+
+    A dense reservoir takes the recurrence ``col_i = W col_(i-1)``.  One
+    with at most one nonzero per row (:func:`_row_gather`) is built by
+    doubling: once ``k`` columns exist, columns ``[k, 2k)`` are ``vals *
+    Phi[idx, :k]`` for the gather ``(idx, vals)`` of ``W^k``, which then
+    squares into that of ``W^(2k)``: log2(tau) steps, O(N tau) work.  Once
+    a square leaves the normal range, the rest is the one-step recurrence.
+
+    An entry is the product of the recurrence's weights, grouped
+    differently, and a zero is ``+0.0`` as the recurrence's sum is.  With
+    weights in {0, +-1} the bits are the recurrence's.  Otherwise column
+    ``i`` takes at most ``i`` roundings on either path, so in the normal
+    range the two differ by at most ``2 i eps |Phi|``.
+    """
+    n = w_mat.shape[0]
+    phi = np.empty((n, horizon))
+    phi[:, 0] = w_vec
     gather = _row_gather(w_mat)
-    phi = np.empty((w_mat.shape[0], horizon))
-    col = w_vec.copy()
-    phi[:, 0] = col
-    for i in range(1, horizon):
-        if gather is None:
+    if gather is None:
+        col = w_vec.copy()
+        for i in range(1, horizon):
             col = w_mat @ col
-        else:
-            # Adding 0.0 turns a product's -0.0 into the +0.0 the matvec sums to.
-            col = gather[1] * col[gather[0]] + 0.0
-        phi[:, i] = col
+            phi[:, i] = col
+        return phi
+    done, power = 1, gather
+    while power is not None and done < horizon:
+        idx, vals = power
+        stop = min(2 * done, horizon)
+        for start in range(done, stop, _GATHER_CHUNK):
+            end = min(start + _GATHER_CHUNK, stop)
+            block = phi[idx, start - done:end - done]
+            block *= vals[:, np.newaxis]
+            np.add(block, 0.0, out=phi[:, start:end])  # -0.0 becomes +0.0
+            del block  # before the next one is gathered
+        done = stop
+        power = _square_gather(idx, vals) if done < horizon else None
+    idx, vals = gather
+    for i in range(done, horizon):
+        phi[:, i] = vals * phi[idx, i - 1] + 0.0
     return phi
 
 
-def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
+def build_metric_tensor(reservoir, coupling, horizon: int, *, nu: float = 1.0) -> MetricTensor:
     """The metric tensor of a reservoir over a given horizon.
 
     The tensor is ``MetricTensor(phi)`` of the N x tau feature matrix whose
-    column ``i`` is ``W^i w``.
+    column ``i`` is ``W^i w``.  With a finite real ``nu`` it is the tensor
+    of ``nu * W`` with the bits of ``scale_metric_tensor(build_metric_tensor(W,
+    w, tau), nu)``, its columns scaled in place, so one N x tau matrix is held.
 
     A horizon below the state dimension is legal but leaves the kernel
     blind to directions the reservoir can still reach, so it warns.  A
@@ -199,6 +251,7 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
     """
     w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
     check_positive_int(horizon, "horizon")
+    _check_finite_nu(nu)
     n = w_mat.shape[0]
     if horizon < n:
         warnings.warn(
@@ -208,7 +261,14 @@ def build_metric_tensor(reservoir, coupling, horizon: int) -> MetricTensor:
         )
     with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
         phi = _feature_matrix(w_mat, w_vec, horizon)
+        if nu != 1.0:  # a factor of 1.0 keeps every bit
+            phi *= float(nu) ** np.arange(horizon)
     return MetricTensor(phi)
+
+
+def _check_finite_nu(nu) -> None:
+    if not (is_real(nu) and -math.inf < nu < math.inf):
+        raise ContractViolation("nu must be finite")
 
 
 def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
@@ -220,8 +280,7 @@ def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
     ``nu = 1`` returns the same bits.  ``nu`` is any finite real number; a
     result that overflows raises ContractViolation.
     """
-    if not (is_real(nu) and -math.inf < nu < math.inf):
-        raise ContractViolation("nu must be finite")
+    _check_finite_nu(nu)
     with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
         phi = tensor.phi * float(nu) ** np.arange(tensor.horizon)
     return MetricTensor(phi)
@@ -233,15 +292,13 @@ def build_from_specs(reservoir_spec: cp.ReservoirSpec, coupling_spec: cp.InputCo
     metric tensor; returns ``(reservoir, coupling, tensor)``.
 
     The reservoir is :func:`coupling.generate_reservoir`'s, ``raw * (nu /
-    sigma)``.  The tensor is built once for the unit-scale draw ``raw * (1 /
-    sigma)`` and scaled to ``nu`` by :func:`scale_metric_tensor`, the route
-    :func:`richness.sweep` takes for every value of its grid, so each sweep
-    row equals this build at its ``nu``.
+    sigma)``.  The tensor is built for the unit-scale draw ``raw * (1 /
+    sigma)`` and scaled to ``nu``, the route :func:`richness.sweep` takes for
+    every value of its grid, so each sweep row equals this build at its ``nu``.
     """
     raw, sigma = cp.draw_reservoir(reservoir_spec, seed)
     coupling = cp.generate_input(coupling_spec, seed)
-    tensor = scale_metric_tensor(build_metric_tensor(raw * (1.0 / sigma), coupling, horizon),
-                                 reservoir_spec.nu)  # the unit tensor is freed here
+    tensor = build_metric_tensor(raw * (1.0 / sigma), coupling, horizon, nu=reservoir_spec.nu)
     return raw * (reservoir_spec.nu / sigma), coupling, tensor
 
 
@@ -342,24 +399,27 @@ def readout_eval(model: ReadoutModel, tensor: MetricTensor, v: TimeSeries) -> fl
     with ``h`` the model's combined history and ``r = Phi^T (Phi h)``.  The
     filter ``r`` is formed once per (model, tensor), in O(N tau), and kept
     on the model until a different tensor comes in; each query then costs
-    O(tau), whatever the number of supports.  The result equals the
-    per-support sum up to rounding.  A query, and the supports if any,
-    must have the tensor's horizon.  A filter or value that is not finite
-    raises ContractViolation, as in kernel_eval.
+    one dot product of length tau, whatever the number of supports.  The
+    result equals the per-support sum up to rounding.  A query, and the
+    supports if any, must have the tensor's horizon (the supports are
+    checked when the filter is formed).  A filter or value that is not
+    finite raises ContractViolation, as in kernel_eval.
     """
     if model.combined is None:
         _check_horizons(tensor, v)
         return float(model.bias)
-    _check_horizons(tensor, model.combined, v)
     memo = model._filter
     if memo is None or memo[0] is not tensor:
+        _check_horizons(tensor, model.combined, v)
         with np.errstate(over="ignore", invalid="ignore"):  # as_finite_array reports it
             r = tensor.phi.T @ (tensor.phi @ model.combined.values)
         memo = (tensor, as_finite_array(r, 1, "readout filter"))
         object.__setattr__(model, "_filter", memo)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite_value reports it
-        value = model.bias + memo[1] @ v.values
-    return _finite_value(value, "readout")
+    elif v.horizon != tensor.horizon:
+        _check_horizons(tensor, model.combined, v)
+    # vdot has the bits of @ but, as a Python float sum, sets no overflow
+    # warning; _finite_value reports it.
+    return _finite_value(float(model.bias) + float(np.vdot(memo[1], v.values)), "readout")
 
 
 def _check_positive_real(value, name: str) -> None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -367,10 +368,38 @@ def _signed_permutation(n, seed):
     return matrix
 
 
+def _assert_gather_matches_the_loop(monkeypatch, reservoir, coupling, horizon):
+    """The gather build against the dense loop ``col_i = W @ col_(i-1)``.
+
+    With every weight in {0, +-1} each product is exact on both paths, so
+    the bits must be equal.  Otherwise entry ``(r, i)`` is a product of the
+    same ``i`` weights and the coupling: the loop rounds ``i`` times and the
+    doubling at most ``i`` times, each by a relative ``eps / 2`` in the
+    normal range, so each path is within ``gamma_i = i (eps / 2) / (1 - i eps
+    / 2)`` of the exact product and the two within ``2 gamma_i / (1 -
+    gamma_i) |loop|``, below ``2 i eps |loop|`` while ``i eps < 1``.
+    """
+    dense_phi, dense = _dense_build(monkeypatch, reservoir, coupling, horizon)
+    assert temporal_kernel._row_gather(reservoir) is not None
+    phi = temporal_kernel._feature_matrix(reservoir, coupling, horizon)
+    if np.all(np.isin(reservoir, (-1.0, 0.0, 1.0))):
+        assert phi.tobytes() == dense_phi.tobytes()
+        gathered = build_metric_tensor(reservoir, coupling, horizon)
+        assert symmetric_gram(gathered.phi).tobytes() == symmetric_gram(dense.phi).tobytes()
+    else:
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(dense_phi) >= np.finfo(float).tiny, where=dense_phi != 0.0)
+        bound = 2.0 * np.arange(horizon) * eps * np.abs(dense_phi)
+        assert np.all(np.abs(phi - dense_phi) <= bound)
+        assert phi[:, :2].tobytes() == dense_phi[:, :2].tobytes()  # no product regrouped
+
+
 @pytest.mark.parametrize("case", ["cycle gaussian", "cycle periodic_binary",
                                   "cycle pi signs", "cycle N=1", "signed permutation",
                                   "signed permutation periodic_binary"])
 def test_gather_build_is_byte_equal_to_the_dense_loop(monkeypatch, case):
+    # Byte-equal at unit weights, and within the rounding bound of
+    # _assert_gather_matches_the_loop at nu = 0.9 or gaussian weights.
     n = 1 if case == "cycle N=1" else 8
     kind = {"cycle periodic_binary": "periodic_binary", "cycle pi signs": "ones_pi_signs",
             "signed permutation periodic_binary": "periodic_binary"}.get(case, "gaussian")
@@ -378,14 +407,94 @@ def test_gather_build_is_byte_equal_to_the_dense_loop(monkeypatch, case):
         kind=kind, size=n, period=4 if kind == "periodic_binary" else None), Seed(3))
     if case.startswith("signed permutation"):
         reservoir = _signed_permutation(n, 11)
+        unit = np.sign(reservoir)
     else:
-        reservoir = _cycle(n, 0.9)
-    assert temporal_kernel._row_gather(reservoir) is not None
-    dense_phi, dense = _dense_build(monkeypatch, reservoir, coupling, 3 * n)
-    phi = temporal_kernel._feature_matrix(reservoir, coupling, 3 * n)
+        reservoir, unit = _cycle(n, 0.9), _cycle(n, 1.0)
+    for weights in (unit, reservoir):
+        _assert_gather_matches_the_loop(monkeypatch, weights, coupling, 3 * n)
+
+
+def _map(targets, weights):
+    """The reservoir whose row ``r`` holds ``weights[r]`` in column ``targets[r]``."""
+    n = len(targets)
+    matrix = np.zeros((n, n))
+    matrix[np.arange(n), targets] = weights
+    return matrix
+
+
+@pytest.mark.parametrize("weights", ["unit", "inexact"])
+def test_a_gather_of_a_map_that_is_not_a_bijection_matches_the_loop(monkeypatch, weights):
+    # Row 0 is zero, rows 1 and 2 share column 3 and rows 3 and 9 column 4,
+    # and no row reads columns 8 and 9.
+    targets = np.array([5, 3, 3, 4, 1, 2, 6, 7, 0, 4])
+    signs = np.array([0.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
+    scale = 1.0 if weights == "unit" else np.linspace(0.7, 1.3, 10)
+    reservoir = _map(targets, signs * scale)
+    idx, vals = temporal_kernel._row_gather(reservoir)
+    assert idx[0] == 0 and vals[0] == 0.0
+    assert idx[1:].tolist() == targets[1:].tolist()
+    coupling = np.linspace(-1.0, 1.5, 10)
+    coupling[3] = 0.0  # a zero whose products have both signs
+    _assert_gather_matches_the_loop(monkeypatch, reservoir, coupling, 70)
+    phi = temporal_kernel._feature_matrix(reservoir, coupling, 70)
+    assert not np.any(phi[0, 1:]) and not np.any(np.signbit(phi[:, 1:]) & (phi[:, 1:] == 0.0))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 8, 9, 64, 65, 128, 129, 256, 257])
+@pytest.mark.parametrize("nu", [1.0, 0.97])
+def test_every_horizon_of_a_doubling_matches_the_loop(monkeypatch, horizon, nu):
+    # Powers of two and one past them end a doubling step exactly or one
+    # column into the next; from 64 on a step is several whole blocks.
+    reservoir = _signed_permutation(9, 5)
+    reservoir[reservoir != 0.0] = nu * np.sign(reservoir[reservoir != 0.0])
+    coupling = np.random.default_rng(5).normal(size=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # horizons below N warn
+        _assert_gather_matches_the_loop(monkeypatch, reservoir, coupling, horizon)
+
+
+# Weights whose products leave the normal range when squared; powers of two,
+# so every product in range is exact and any deviation is a lost product.
+_OUT_OF_RANGE = {
+    # 2^600 squared overflows: inf times the zero coupling would be nan.
+    "overflow": (_map([1, 0, 3, 2], [2.0 ** 600, 2.0 ** 600, 0.5, 2.0]),
+                 np.array([0.0, 0.0, 1.0, -3.0])),
+    # 2^-600 squared flushes to zero, where the loop meets 2^600 first.
+    "flush to zero": (_map([1, 2, 0], [2.0 ** -600, 2.0 ** 600, 2.0 ** -600]),
+                      np.array([1.0, 2.0 ** 500, -2.0 ** 100])),
+    # 2^-520 squared is a nonzero below the smallest normal float.
+    "subnormal": (_map([1, 2, 3, 0], [2.0 ** -520, 2.0 ** -520, 2.0 ** 520, 2.0 ** 520]),
+                  np.array([2.0 ** -300, -2.0 ** 400, 3.0, 2.0 ** -300])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_weights_that_leave_the_normal_range_take_the_loop(monkeypatch, case):
+    reservoir, coupling = _OUT_OF_RANGE[case]
+    with np.errstate(over="ignore"):  # as under build_metric_tensor
+        assert temporal_kernel._square_gather(*temporal_kernel._row_gather(reservoir)) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(temporal_kernel, "_row_gather", lambda w_mat: None)
+            dense_phi = temporal_kernel._feature_matrix(reservoir, coupling, 40)
+        phi = temporal_kernel._feature_matrix(reservoir, coupling, 40)
+    assert np.all(np.isfinite(dense_phi))
     assert phi.tobytes() == dense_phi.tobytes()
-    gathered = build_metric_tensor(reservoir, coupling, 3 * n)
-    assert symmetric_gram(gathered.phi).tobytes() == symmetric_gram(dense.phi).tobytes()
+
+
+def test_a_gather_build_holds_no_block_wider_than_its_chunk():
+    n, horizon = 1000, 2000
+    reservoir, coupling = _cycle(n, 1.0), np.random.default_rng(9).normal(size=n)
+    tracemalloc.start()
+    try:
+        phi = temporal_kernel._feature_matrix(reservoir, coupling, horizon)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Beside Phi (16 MB): one gathered block of N x 32 (0.26 MB), a buffer of
+    # the product's iterator and a few vectors of N.  A doubling step in one
+    # piece would hold N x 976, and two live blocks 0.51 MB.
+    block = n * temporal_kernel._GATHER_CHUNK * 8
+    assert peak <= phi.nbytes + block + 128 * 1024
 
 
 def test_two_nonzeros_in_a_row_take_the_dense_path():
@@ -429,6 +538,40 @@ def test_a_build_has_the_bits_of_the_unit_tensor_scaled_beside_the_reservoir(reg
     assert reservoir.tobytes() == (raw * (0.8 / sigma)).tobytes()
     assert coupling.tobytes() == generate_input(coupling_spec, Seed(2)).tobytes()
     assert tensor.phi.tobytes() == scale_metric_tensor(unit, 0.8).phi.tobytes()
+
+
+@pytest.mark.parametrize("regime", ["random_iid", "cycle_permutation"])
+def test_a_build_from_specs_holds_one_feature_matrix(regime):
+    n, horizon = 50, 4000  # Phi is 1.6 MB, each N x N matrix 20 kB
+    spec = ReservoirSpec(regime, n, 0.9)
+    coupling_spec = InputCouplingSpec(kind="gaussian", size=n)
+    temporal_kernel.build_from_specs(spec, coupling_spec, n, Seed(6))  # first-call caches
+    tracemalloc.start()
+    try:
+        _, _, tensor = temporal_kernel.build_from_specs(spec, coupling_spec, horizon, Seed(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Phi, the draw, its two scalings and the finite check's N x tau flags
+    # (0.2 MB); the unit Phi beside the scaled one would add 1.6 MB.
+    assert peak <= tensor.phi.nbytes + tensor.phi.size + 512 * 1024
+
+
+@pytest.mark.parametrize("horizon", [3, 40])  # below N, which warns, and above
+def test_a_build_from_specs_keeps_its_warning_and_its_overflow_report(monkeypatch, horizon):
+    spec = ReservoirSpec("cycle_permutation", 12, 0.5)
+    coupling_spec = InputCouplingSpec(kind="gaussian", size=12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        temporal_kernel.build_from_specs(spec, coupling_spec, horizon, Seed(1))
+    assert [str(w.message).startswith("horizon 3 is below") for w in caught] == \
+        ([True] if horizon == 3 else [])
+    # No spec gives a coupling this large; each squared column norm overflows.
+    monkeypatch.setattr(temporal_kernel.cp, "generate_input", lambda *_: np.full(12, 1e160))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(ContractViolation, match="^metric tensor contains non-finite"):
+            temporal_kernel.build_from_specs(spec, coupling_spec, horizon, Seed(1))
 
 
 @pytest.mark.parametrize("regime", ["random_iid", "symmetric_wigner", "cycle_permutation"])
@@ -492,6 +635,18 @@ _OVERFLOWS = {
 def test_an_overflow_is_reported_not_warned_or_returned(case):
     with pytest.raises(ContractViolation, match="non-finite"):
         _OVERFLOWS[case]()
+
+
+@pytest.mark.parametrize("query, bias", [
+    (np.full(2, 1e200), 0.0),  # the dot product with a finite filter overflows
+    (np.array([1e108, 0.0]), np.float64(1e308)),  # the dot is 1e308, then the bias
+])
+def test_an_overflowing_readout_query_is_reported_not_warned(query, bias):
+    model = ReadoutModel((TimeSeries([1.0, 0.0]),), [1.0], bias=bias)
+    tensor = MetricTensor(np.full((1, 2), 1e100))  # the filter's entries are 1e200
+    readout_eval(model, tensor, TimeSeries([1.0, -1.0]))
+    with pytest.raises(ContractViolation, match="^readout value is not finite: inf$"):
+        readout_eval(model, tensor, TimeSeries(query))
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +902,20 @@ def test_readout_rejects_support_and_query_horizon_mismatches():
     short_model = ReadoutModel(supports=(short,), coefficients=np.array([1.0]))
     with pytest.raises(ContractViolation, match="horizon"):
         readout_eval(short_model, tensor, matching)
+
+
+def test_a_query_of_the_wrong_horizon_is_rejected_after_the_filter_is_kept():
+    res, coup = _random_pair(4, 0.9, 3)
+    tensor = build_metric_tensor(res, coup, 8)
+    model = ReadoutModel(supports=(TimeSeries(np.ones(8)),), coefficients=np.array([1.5]))
+    value = readout_eval(model, tensor, TimeSeries(np.arange(8.0)))
+    assert model._filter is not None and model._filter[0] is tensor
+    for horizon in (7, 9):
+        with pytest.raises(ContractViolation, match=re.escape(
+                f"history horizons (8, {horizon}) do not match tensor horizon 8")):
+            readout_eval(model, tensor, TimeSeries(np.ones(horizon)))
+    assert model._filter[0] is tensor
+    assert readout_eval(model, tensor, TimeSeries(np.arange(8.0))) == value
 
 
 def test_readout_model_rejects_mismatched_coefficients():

@@ -377,10 +377,32 @@ def test_a_motif_set_checks_orthonormality_in_one_square_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # With k motifs of length k, each of the checks holds one k x k array
-    # beside its input: the squares behind the norms, then the Gram, made
-    # G - I and |G - I| in place.  Forming I and G - I as new arrays reads 3.0.
+    # With k motifs of length k, the checks hold one k x k array beside their
+    # input: the Gram, made G - I and |G - I| in place.  Forming I and G - I
+    # as new arrays reads 3.0.
     assert peak < 1.25 * 8 * k * k
+
+
+def test_a_motif_set_takes_its_norms_without_an_array_of_squares():
+    k, tau = 300, 600
+    vectors = np.linalg.qr(np.random.default_rng(13).normal(size=(tau, k)))[0].T.copy()
+    spectrum = np.concatenate([np.linspace(2.0, 1.0, k), np.zeros(tau - k)])
+    MotifSet(vectors=vectors, spectrum=spectrum)
+    tracemalloc.start()
+    try:
+        MotifSet(vectors=vectors, spectrum=spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The k x k Gram is half the motifs (0.72 of 1.44 MB) and the finite
+    # check's flags an eighth; the squares of every motif would be 1.44 MB.
+    assert peak < 0.75 * vectors.nbytes
+
+
+def test_a_motif_whose_squares_overflow_fails_the_norm_check_without_a_warning():
+    vectors = np.array([[1e200, 0.0], [0.0, 1.0]])  # warnings are errors here
+    with pytest.raises(ContractViolation, match="^motifs must have unit norm$"):
+        MotifSet(vectors=vectors, spectrum=np.array([4.0, 1.0]))
 
 
 def test_an_empty_set_is_checked_against_its_horizon_like_any_other():

@@ -312,9 +312,9 @@ def test_default_sweep_builds_one_tensor_per_trial(monkeypatch):
     horizons = []
     build = temporal_kernel.build_metric_tensor
 
-    def counted(reservoir, coupling, horizon):
+    def counted(reservoir, coupling, horizon, **scale):
         horizons.append(horizon)
-        return build(reservoir, coupling, horizon)
+        return build(reservoir, coupling, horizon, **scale)
 
     # The sweep builds through build_from_specs, which calls this binding.
     monkeypatch.setattr(temporal_kernel, "build_metric_tensor", counted)

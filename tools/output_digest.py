@@ -10,7 +10,10 @@ checkout this file is in) in a fresh Python process with one BLAS thread
 its own.  For each command the tool prints one ``sha256  name`` line for
 its stdout, its stderr, its exit code and every file in its ``--out``
 directory.  Commands echo the ``--out`` path, so that directory is masked
-as ``<out>`` before stdout and stderr are hashed.
+as ``<out>`` before stdout and stderr are hashed.  Then it runs each
+library build in ``BUILDS`` the same way and prints the digest of its
+feature matrix's bytes, its stderr and its exit code: every CLI build is
+unit-scale, so only these show a change to the rounding of a scaled build.
 
 The README's determinism contract makes output bytes equal at a fixed BLAS
 build and thread count, so two checkouts give the same outputs exactly
@@ -74,24 +77,65 @@ def commands(root: Path) -> list[tuple[str, list[str], dict[str, str]]]:
     return out
 
 
+# Every CLI build is unit-scale, so its weights are 0 or 1 and a change to
+# the rounding of a scaled build shows in no command's output.  Each entry
+# sets ``reservoir``, ``coupling`` and ``horizon``; the bytes of
+# ``build_metric_tensor(reservoir, coupling, horizon).phi`` are hashed.
+BUILDS = {
+    "cycle-nu-0.99-300x600": (
+        "reservoir = generate_reservoir(ReservoirSpec('cycle_permutation', 300, 0.99), Seed(1))\n"
+        "coupling = generate_input(InputCouplingSpec(kind='gaussian', size=300), Seed(1))\n"
+        "horizon = 600\n"),
+    "signed-permutation-64x200": (
+        "rng = np.random.default_rng(7)\n"
+        "reservoir = np.zeros((64, 64))\n"
+        "reservoir[np.arange(64), rng.permutation(64)] = (\n"
+        "    rng.uniform(0.5, 1.0, 64) * rng.choice([-1.0, 1.0], 64))\n"
+        "coupling, horizon = rng.normal(size=64), 200\n"),
+    "random-iid-100x200": (
+        "reservoir = generate_reservoir(ReservoirSpec('random_iid', 100, 0.9), Seed(2))\n"
+        "coupling = generate_input(InputCouplingSpec(kind='gaussian', size=100), Seed(2))\n"
+        "horizon = 200\n"),
+}
+BUILD_PROGRAM = ("import sys\nimport numpy as np\nfrom reskernel import *\n{setup}"
+                 "phi = build_metric_tensor(reservoir, coupling, horizon).phi\n"
+                 "sys.stdout.buffer.write(phi.tobytes())\n")
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(root: Path, name: str, argv: list[str], files: dict[str, str]) -> list[str]:
-    """The digest lines of one command run in a fresh process."""
+def _python(root: Path, args: list[str], work: Path) -> subprocess.CompletedProcess:
+    """``python args`` in ``work``, on the package under ``root``, at one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True,
+                          check=False)
+
+
+def digest_build(root: Path, name: str, setup: str) -> list[str]:
+    """The digest lines of one library build: its ``Phi`` bytes, stderr and exit code."""
+    work = Path(tempfile.mkdtemp(prefix="reskernel-digest-"))
+    try:
+        run = _python(root, ["-c", BUILD_PROGRAM.format(setup=setup)], work)
+    finally:
+        shutil.rmtree(work)
+    return [f"{_sha(run.stdout)}  build:{name}/phi",
+            f"{_sha(run.stderr)}  build:{name}/stderr",
+            f"{_sha(str(run.returncode).encode())}  build:{name}/exit"]
+
+
+def digest(root: Path, name: str, argv: list[str], files: dict[str, str]) -> list[str]:
+    """The digest lines of one command run in a fresh process."""
     work = Path(tempfile.mkdtemp(prefix="reskernel-digest-"))
     try:
         for file_name, text in files.items():
             (work / file_name).write_text(text)
         out = work / "out"
-        run = subprocess.run(
-            [sys.executable, "-c", "import sys; from reskernel.cli import main; "
+        run = _python(root, ["-c", "import sys; from reskernel.cli import main; "
                                    "sys.exit(main(sys.argv[1:]))",
-             *argv, "--out", str(out)],
-            cwd=work, env=env, capture_output=True, check=False)
+                             *argv, "--out", str(out)], work)
         mask = str(out).encode()
         lines = [f"{_sha(run.stdout.replace(mask, b'<out>'))}  {name}/stdout",
                  f"{_sha(run.stderr.replace(mask, b'<out>'))}  {name}/stderr",
@@ -111,6 +155,8 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0]).resolve() if argv else HERE
     for name, command, files in commands(root):
         print("\n".join(digest(root, name, command, files)), flush=True)
+    for name, setup in BUILDS.items():
+        print("\n".join(digest_build(root, name, setup)), flush=True)
     return 0
 
 
