@@ -194,14 +194,17 @@ def _square_gather(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _feature_matrix(w_mat: np.ndarray, w_vec: np.ndarray, horizon: int) -> np.ndarray:
-    """The N x tau matrix whose column ``i`` is ``W^i w``.
+    """The N x tau matrix whose column ``i`` is ``W^i w``, in two steps.
 
-    A dense reservoir takes the recurrence ``col_i = W col_(i-1)``.  One
-    with at most one nonzero per row (:func:`_row_gather`) is built by
-    doubling: once ``k`` columns exist, columns ``[k, 2k)`` are ``vals *
-    Phi[idx, :k]`` for the gather ``(idx, vals)`` of ``W^k``, which then
-    squares into that of ``W^(2k)``: log2(tau) steps, O(N tau) work.  Once
-    a square leaves the normal range, the rest is the one-step recurrence.
+    It doubles while a usable power exists.  A reservoir with at most one
+    nonzero per row has a gather (:func:`_row_gather`); once ``k`` columns
+    exist, columns ``[k, 2k)`` are ``vals * Phi[idx, :k]`` for the gather
+    ``(idx, vals)`` of ``W^k``, which then squares into that of ``W^(2k)``:
+    log2(tau) steps, O(N tau) work.  One column loop, the recurrence
+    ``col_i = W col_(i-1)``, then builds the columns left: all but the
+    first of a dense reservoir, which has no power, and the rest of a
+    gather's once a square leaves the normal range (:func:`_square_gather`),
+    as ``vals * col[idx]``.
 
     An entry is the product of the recurrence's weights, grouped
     differently, and a zero is ``+0.0`` as the recurrence's sum is.  With
@@ -213,12 +216,6 @@ def _feature_matrix(w_mat: np.ndarray, w_vec: np.ndarray, horizon: int) -> np.nd
     phi = np.empty((n, horizon))
     phi[:, 0] = w_vec
     gather = _row_gather(w_mat)
-    if gather is None:
-        col = w_vec.copy()
-        for i in range(1, horizon):
-            col = w_mat @ col
-            phi[:, i] = col
-        return phi
     done, power = 1, gather
     while power is not None and done < horizon:
         idx, vals = power
@@ -231,9 +228,10 @@ def _feature_matrix(w_mat: np.ndarray, w_vec: np.ndarray, horizon: int) -> np.nd
             del block  # before the next one is gathered
         done = stop
         power = _square_gather(idx, vals) if done < horizon else None
-    idx, vals = gather
+    col = phi[:, done - 1].copy()
     for i in range(done, horizon):
-        phi[:, i] = vals * phi[idx, i - 1] + 0.0
+        col = w_mat @ col if gather is None else gather[1] * col[gather[0]] + 0.0
+        phi[:, i] = col
     return phi
 
 
@@ -251,7 +249,7 @@ def build_metric_tensor(reservoir, coupling, horizon: int, *, nu: float = 1.0) -
     """
     w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
     check_positive_int(horizon, "horizon")
-    _check_finite_nu(nu)
+    _check_finite(nu, "nu")
     n = w_mat.shape[0]
     if horizon < n:
         warnings.warn(
@@ -266,11 +264,6 @@ def build_metric_tensor(reservoir, coupling, horizon: int, *, nu: float = 1.0) -
     return MetricTensor(phi)
 
 
-def _check_finite_nu(nu) -> None:
-    if not (is_real(nu) and -math.inf < nu < math.inf):
-        raise ContractViolation("nu must be finite")
-
-
 def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
     """The tensor of the reservoir ``nu * W``, given the tensor of ``W``.
 
@@ -280,7 +273,7 @@ def scale_metric_tensor(tensor: MetricTensor, nu: float) -> MetricTensor:
     ``nu = 1`` returns the same bits.  ``nu`` is any finite real number; a
     result that overflows raises ContractViolation.
     """
-    _check_finite_nu(nu)
+    _check_finite(nu, "nu")
     with np.errstate(over="ignore", invalid="ignore"):  # MetricTensor reports it
         phi = tensor.phi * float(nu) ** np.arange(tensor.horizon)
     return MetricTensor(phi)
@@ -334,8 +327,7 @@ def check_poly_params(offset, degree) -> None:
     """Reject a polynomial-kernel degree that is not an integer >= 1, or an
     offset that is not a finite real number."""
     check_positive_int(degree, "degree")
-    if not (is_real(offset) and -math.inf < offset < math.inf):
-        raise ContractViolation("offset must be finite")
+    _check_finite(offset, "offset")
 
 
 def kernel_poly(tensor: MetricTensor, u: TimeSeries, v: TimeSeries,
@@ -377,8 +369,7 @@ class ReadoutModel:
         coeffs.flags.writeable = False
         if len(self.supports) != coeffs.shape[0]:
             raise ContractViolation("one coefficient per support history is required")
-        if not (is_real(self.bias) and -math.inf < self.bias < math.inf):
-            raise ContractViolation("bias must be finite")
+        _check_finite(self.bias, "bias")
         horizons = {s.horizon for s in self.supports}
         if len(horizons) > 1:
             raise ContractViolation("support histories must share one horizon")
@@ -420,6 +411,11 @@ def readout_eval(model: ReadoutModel, tensor: MetricTensor, v: TimeSeries) -> fl
     # vdot has the bits of @ but, as a Python float sum, sets no overflow
     # warning; _finite_value reports it.
     return _finite_value(float(model.bias) + float(np.vdot(memo[1], v.values)), "readout")
+
+
+def _check_finite(value, name: str) -> None:
+    if not (is_real(value) and -math.inf < value < math.inf):
+        raise ContractViolation(f"{name} must be finite")
 
 
 def _check_positive_real(value, name: str) -> None:

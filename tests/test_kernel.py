@@ -481,6 +481,22 @@ def test_weights_that_leave_the_normal_range_take_the_loop(monkeypatch, case):
     assert phi.tobytes() == dense_phi.tobytes()
 
 
+def test_a_doubling_that_stops_partway_takes_the_loop(monkeypatch):
+    # A 4-cycle of weights 2^-300: its square (2^-600) is normal and its
+    # fourth power (2^-1200) is not, so columns 1 to 3 are doubled and the
+    # column loop builds columns 4 and 5, every entry a normal power of two
+    # times the coupling.  tools/output_digest.py builds the same map.
+    reservoir = _map([1, 2, 3, 0], [2.0 ** -300] * 4)
+    coupling = np.array([2.0 ** 500, -3 * 2.0 ** 499, 5 * 2.0 ** 497, -2.0 ** 501])
+    square = temporal_kernel._square_gather(*temporal_kernel._row_gather(reservoir))
+    assert square is not None
+    assert temporal_kernel._square_gather(*square) is None
+    dense_phi, _ = _dense_build(monkeypatch, reservoir, coupling, 6)
+    phi = temporal_kernel._feature_matrix(reservoir, coupling, 6)
+    assert phi.tobytes() == dense_phi.tobytes()
+    assert np.all(np.isfinite(phi)) and np.all(np.abs(phi) >= np.finfo(float).tiny)
+
+
 def test_a_gather_build_holds_no_block_wider_than_its_chunk():
     n, horizon = 1000, 2000
     reservoir, coupling = _cycle(n, 1.0), np.random.default_rng(9).normal(size=n)

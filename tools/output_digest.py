@@ -80,7 +80,12 @@ def commands(root: Path) -> list[tuple[str, list[str], dict[str, str]]]:
 # Every CLI build is unit-scale, so its weights are 0 or 1 and a change to
 # the rounding of a scaled build shows in no command's output.  Each entry
 # sets ``reservoir``, ``coupling`` and ``horizon``; the bytes of
-# ``build_metric_tensor(reservoir, coupling, horizon).phi`` are hashed.
+# ``build_metric_tensor(reservoir, coupling, horizon).phi`` are hashed.  The
+# last two are maps of ``tests/test_kernel.py`` that reach the column loop
+# of a one-nonzero-per-row build: the 4-cycle after two doubling steps (its
+# fourth power, 2^-1200, is not normal), the flush-to-zero map after one
+# (its square holds 2^-1200), with that test's coupling times 2^-200 so
+# that ``Q`` stays finite.
 BUILDS = {
     "cycle-nu-0.99-300x600": (
         "reservoir = generate_reservoir(ReservoirSpec('cycle_permutation', 300, 0.99), Seed(1))\n"
@@ -96,6 +101,15 @@ BUILDS = {
         "reservoir = generate_reservoir(ReservoirSpec('random_iid', 100, 0.9), Seed(2))\n"
         "coupling = generate_input(InputCouplingSpec(kind='gaussian', size=100), Seed(2))\n"
         "horizon = 200\n"),
+    "cycle-stops-doubling-4x6": (
+        "reservoir = np.zeros((4, 4))\n"
+        "reservoir[np.arange(4), [1, 2, 3, 0]] = 2.0 ** -300\n"
+        "coupling = np.array([2.0 ** 500, -3 * 2.0 ** 499, 5 * 2.0 ** 497, -2.0 ** 501])\n"
+        "horizon = 6\n"),
+    "flush-to-zero-3x40": (
+        "reservoir = np.zeros((3, 3))\n"
+        "reservoir[np.arange(3), [1, 2, 0]] = [2.0 ** -600, 2.0 ** 600, 2.0 ** -600]\n"
+        "coupling, horizon = np.array([2.0 ** -200, 2.0 ** 300, -2.0 ** -100]), 40\n"),
 }
 BUILD_PROGRAM = ("import sys\nimport numpy as np\nfrom reskernel import *\n{setup}"
                  "phi = build_metric_tensor(reservoir, coupling, horizon).phi\n"
