@@ -34,7 +34,7 @@ from .motifs import (
     predict_random,
     predict_symmetric,
 )
-from .numerics import check_positive_int, symmetric_gram
+from .numerics import check_positive_int
 from .richness import SweepConfig, sweep
 from .temporal_kernel import (
     ReadoutModel,
@@ -257,24 +257,22 @@ def cmd_predict(args) -> int:
     reservoir, coupling_vec, tensor = build_from_specs(
         res_spec, in_spec, horizon, cp.trial_seed(resolved["seed"], 0))
     # One regime test picks the evidence and its report (file name, header, columns):
-    # eigenvector claims are compared with extracted motifs, symmetric components
-    # rebuild the tensor.
+    # motifs test eigenvector claims; Phi = basis @ C tests the weighted symmetric components C.
     if res_spec.regime == cp.SYMMETRIC_WIGNER:
         prediction = predict_symmetric(reservoir, coupling_vec, horizon)
         del reservoir  # each N x N and N x tau buffer goes after its last reader
-        recon = symmetric_gram(prediction.weights[:, None] * prediction.vectors)
-        q = symmetric_gram(tensor.phi)
+        recon = (prediction.extras["basis"] * prediction.weights) @ prediction.vectors
+        recon -= tensor.phi
+        scale = float(max(tensor.phi.max(), -tensor.phi.min()))  # max |Phi|, with no |Phi| formed
         del tensor
-        scale = float(max(q.max(), -q.min()))  # max |Q|, with no |Q| formed
-        recon -= q
         residual = float(np.max(np.abs(recon, out=recon)))
         report = ("reconstruction.csv",
-                  ["max_abs_residual", "tensor_max_abs", "relative_residual"],
+                  ["max_abs_residual", "phi_max_abs", "relative_residual"],
                   [residual], [scale], [residual / scale if scale > 0.0 else 0.0])
         summary = ["symmetric regime: components are not eigenvectors; "
                    "wrote reconstruction residual instead of a comparison",
                    f"reconstruction residual {_io.fmt_float(residual)} "
-                   f"(tensor scale {_io.fmt_float(scale)})"]
+                   f"(feature scale {_io.fmt_float(scale)})"]
     else:
         del reservoir
         empirical = extract_motifs(tensor, resolved["threshold"])

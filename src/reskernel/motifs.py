@@ -192,14 +192,13 @@ def extract_motifs(tensor: MetricTensor, threshold_ratio: float = 1e-2) -> Motif
 class MotifPrediction:
     """Closed-form motif claim for one reservoir regime.
 
-    ``orthonormal``, a flag, distinguishes eigenvector claims (random and
-    cycle regimes) from non-orthogonal component decompositions (symmetric
-    regime).  Weights are on the motif scale in every regime: the tensor
-    is (or, for random reservoirs, approximates) ``sum_i weights[i]**2 *
-    outer(vectors[i], vectors[i])``.  ``extras`` carries what the vectors
-    and weights do not give back bit for bit: the cycle core's eigenvalues
-    and its eigenvalue factor.  The horizon is the length of the rows of
-    ``vectors``.  Vectors and weights must be finite.
+    ``orthonormal``, a flag, tells eigenvector claims (random and cycle
+    regimes) from non-orthogonal components (symmetric regime).  Weights are
+    on the motif scale in every regime: the tensor is (or, for random
+    reservoirs, approximates) ``sum_i weights[i]**2 * outer(vectors[i],
+    vectors[i])``.  ``extras`` holds what those do not give back bit for bit:
+    the cycle core's ``core_eigenvalues`` and ``eigenvalue_factor``, or the
+    symmetric ``basis``.  Vectors and weights must be finite.
     """
 
     vectors: np.ndarray
@@ -265,11 +264,11 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
     Each reservoir eigenpair ``(sigma_a, s_a)`` contributes the geometric
     pattern ``(1, sigma_a, sigma_a^2, ...)`` with magnitude
     ``<s_a, w>^2 * ||pattern||^2``; negative ``sigma_a`` gives an
-    alternating-sign pattern.  The sum of these rank-one kernels equals the
-    metric tensor exactly, but the patterns are not mutually orthogonal, so
-    they must not be read as eigenvector predictions.  Each weight is the
-    square root of its magnitude, so the tensor is ``sum_a weights[a]**2 *
-    outer(vectors[a], vectors[a])``; ties in magnitude keep eigenvalue order.
+    alternating-sign pattern.  The patterns are not mutually orthogonal, so
+    they are not eigenvector claims.  Each weight is the square root of its
+    magnitude; ties keep eigenvalue order.  ``extras["basis"]`` holds the
+    ``s_a`` in that order, each times the sign of ``<s_a, w>`` (+1 for 0):
+    with ``C = weights[:, None] * vectors``, ``Phi = basis @ C`` and ``Q = C^T C``.
     """
     check_positive_int(horizon, "horizon")
     w_mat, w_vec = as_reservoir_pair(reservoir, coupling)
@@ -286,10 +285,13 @@ def predict_symmetric(reservoir, coupling, horizon: int) -> MotifPrediction:
                 "reservoir spectral radius too large for this horizon") from None
     magnitudes = projections**2 * sq_norms
     order = np.argsort(-magnitudes, kind="stable")
+    patterns = patterns[order]  # reordered, then normalized in place: no third N x tau array
+    patterns /= np.sqrt(sq_norms[order])[:, None]
     return MotifPrediction(
-        vectors=(patterns / np.sqrt(sq_norms)[:, None])[order],
+        vectors=patterns,
         weights=np.sqrt(magnitudes[order]),
         orthonormal=False,
+        extras={"basis": (eig.eigenvectors * np.where(projections < 0.0, -1.0, 1.0))[:, order]},
     )
 
 

@@ -36,7 +36,8 @@ from reskernel import (
 from reskernel import motifs as motifs_module
 from reskernel.coupling import generate_input, generate_reservoir
 from reskernel.motifs import DEGENERACY_RTOL, DUAL_ROUTE_MIN_RATIO
-from reskernel.numerics import effective_horizon, sym_eig, symmetric_gram
+from reskernel.numerics import (_ORTHONORMALITY_TOL, effective_horizon, sym_eig,
+                                symmetric_gram)
 
 
 def _tensor_for(regime, n, nu, horizon, seed, kind="gaussian", period=None,
@@ -568,6 +569,35 @@ def test_symmetric_reconstruction_matches_built_tensor():
         pred = predict_symmetric(res, coup, 24)
         recon = (pred.vectors * pred.weights[:, None] ** 2).T @ pred.vectors
         assert np.max(np.abs(recon - symmetric_gram(tensor.phi))) <= 1e-9
+
+
+def _assert_basis_rebuilds_phi(res, coup, tensor):
+    tau = tensor.horizon
+    pred = predict_symmetric(res, coup, tau)
+    basis = pred.extras["basis"]
+    gram = basis.T @ basis
+    assert np.max(np.abs(gram - np.eye(res.shape[0]))) <= _ORTHONORMALITY_TOL
+    assert np.all(basis.T @ coup >= -_ORTHONORMALITY_TOL)  # each sign makes <s_a, w> >= 0
+    # The reservoir is symmetric with ||W|| <= 1, so no rounding error grows.
+    # Column k of Phi is k products W @ col, and of basis @ C is k powers of
+    # each sigma_a plus the eigensolve and one product: to first order each
+    # route is within k N eps ||w|| of the exact column.
+    bound = 2 * tau * res.shape[0] * np.finfo(float).eps * np.linalg.norm(coup)
+    assert np.max(np.abs(basis @ (pred.weights[:, None] * pred.vectors) - tensor.phi)) <= bound
+    return pred
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symmetric_basis_is_orthonormal_and_rebuilds_phi(seed):
+    _assert_basis_rebuilds_phi(*_tensor_for("symmetric_wigner", 30, 0.99, 90,
+                                            mix_seed(0, 62, seed)))
+
+
+def test_a_zero_projection_keeps_its_eigenvector_sign():
+    res, coup = np.diag([0.5, 0.3]), np.array([1.0, 0.0])
+    pred = _assert_basis_rebuilds_phi(res, coup, build_metric_tensor(res, coup, 6))
+    assert pred.weights[1] == 0.0
+    assert np.array_equal(pred.extras["basis"][:, 1], sym_eig(res).eigenvectors[:, 1])
 
 
 def test_one_unit_symmetric_prediction_has_the_extracted_weight():

@@ -59,6 +59,8 @@ def commands(root: Path) -> list[tuple[str, list[str], dict[str, str]]]:
           "--tau", "2000", "--seed", "1"], {}),
         ("predict:symmetric-300",
          ["predict", "--regime", "symmetric", "--N", "300", "--tau", "600"], {}),
+        ("predict:symmetric-long",
+         ["predict", "--regime", "symmetric", "--N", "100", "--tau", "4000"], {}),
         ("predict:random-300", ["predict", "--regime", "random", "--N", "300", "--tau", "600"], {}),
         ("verify:benchmark-counts",
          ["verify", "--seed", "1", "--configs", "400", "--spectrum-configs", "240",
