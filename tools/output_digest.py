@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/output_digest.py [ROOT] > digest.txt
+    python tools/output_digest.py [ROOT] > tools/output_digest.txt
 
 Each command runs against the package under ``ROOT/src`` (default: the
 checkout this file is in) in a fresh Python process with one BLAS thread
@@ -15,28 +15,38 @@ library build in ``BUILDS`` the same way and prints the digest of its
 feature matrix's bytes, its stderr and its exit code: every CLI build is
 unit-scale, so only these show a change to the rounding of a scaled build.
 
-The README's determinism contract makes output bytes equal at a fixed BLAS
-build and thread count, so two checkouts give the same outputs exactly
-when the diff of their digests is empty::
+The digest lines follow a header of ``# <fact> <value>`` lines: the
+Python, numpy and BLAS build, the BLAS core OpenBLAS picked at run time,
+numpy's SIMD extensions, the C library and the BLAS thread count.  The
+README's determinism contract makes output bytes equal only on one such
+build.  The processes run one per core, each with one BLAS thread, and
+print in list order, so the output does not depend on the core count.
 
-    python tools/output_digest.py path/to/parent > before.txt
-    python tools/output_digest.py > after.txt
-    diff before.txt after.txt
+The output for this checkout is committed as ``tools/output_digest.txt``,
+and ``tests/test_output_digest.py`` reruns the tool and compares.  A change
+that moves output bytes regenerates that file with the command above;
+``git diff tools/output_digest.txt`` then lists every output that moved.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
 SERIES_LENGTH = 24
+BLAS_THREADS = 1
 
 
 def _series(phase: float) -> str:
@@ -54,6 +64,9 @@ def commands(root: Path) -> list[tuple[str, list[str], dict[str, str]]]:
             out.append((f"{command}:{conf.stem}", [command, "--config", conf.name], files))
     out += [
         ("sweep:seed-0", ["sweep", "--seed", "0"], {}),
+        ("sweep:phase_transition_sweep", ["sweep", "--config", "phase_transition_sweep.conf"],
+         {"phase_transition_sweep.conf":
+          (root / "configs" / "phase_transition_sweep.conf").read_text()}),
         ("predict:large-cycle-seed-1",
          ["predict", "--regime", "cycle", "--input", "gaussian", "--N", "1000", "--nu", "0.995",
           "--tau", "2000", "--seed", "1"], {}),
@@ -118,14 +131,42 @@ BUILD_PROGRAM = ("import sys\nimport numpy as np\nfrom reskernel import *\n{setu
                  "sys.stdout.buffer.write(phi.tobytes())\n")
 
 
+def _blas_core() -> str:
+    """The core an OpenBLAS wheel of numpy picked at run time, or ``unknown``."""
+    for library in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def facts() -> list[tuple[str, str]]:
+    """``(fact, value)`` for each fact of the running build that output bytes depend on."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its build
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return [("python", platform.python_version()),
+            ("numpy", np.__version__),
+            ("blas", f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()),
+            ("blas-core", _blas_core()),
+            ("numpy-simd", " ".join(config.get("SIMD Extensions", {}).get("found", ["unknown"]))),
+            ("libc", " ".join(platform.libc_ver()).strip() or "unknown"),
+            ("blas-threads", str(BLAS_THREADS))]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def _python(root: Path, args: list[str], work: Path) -> subprocess.CompletedProcess:
     """``python args`` in ``work``, on the package under ``root``, at one BLAS thread."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OMP_NUM_THREADS=str(BLAS_THREADS),
+               OPENBLAS_NUM_THREADS=str(BLAS_THREADS))
     return subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True,
                           check=False)
 
@@ -169,10 +210,13 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 1
     root = Path(argv[0]).resolve() if argv else HERE
-    for name, command, files in commands(root):
-        print("\n".join(digest(root, name, command, files)), flush=True)
-    for name, setup in BUILDS.items():
-        print("\n".join(digest_build(root, name, setup)), flush=True)
+    print("\n".join(f"# {fact} {value}" for fact, value in facts()), flush=True)
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        runs = ([pool.submit(digest, root, name, command, files)
+                 for name, command, files in commands(root)]
+                + [pool.submit(digest_build, root, name, setup) for name, setup in BUILDS.items()])
+        for run in runs:
+            print("\n".join(run.result()), flush=True)
     return 0
 
 
